@@ -37,7 +37,7 @@ from .oracle import adversarial_c, mc_coverage
 from .robust_ci import ci_from_sensitivity, two_sided_ci
 from .efficiency import efficiency_report
 from .sensitivity import frontier, knot_at, select_lambda
-from .spec_test import m_lower_ci, s_statistic, test_at_m
+from .spec_test import spec_test_grid
 
 _EXIT_VALIDATION = 2
 _EXIT_NUMERICAL = 3
@@ -190,7 +190,7 @@ def _g(x: float) -> str:
     v = float(x)
     if v == 0.0:
         v = 0.0  # normalize negative zero
-    return f"{v:.17g}"
+    return repr(v)
 
 
 def _emit(command: str, args, header_cols: list[str], rows,
@@ -244,13 +244,10 @@ def cmd_efficiency(prob: ProblemFile, args) -> None:
 
 def cmd_spectest(prob: ProblemFile, args) -> None:
     model, b_mat, _ = _resolve(prob)
-    stat = s_statistic(model)
-    m_min = m_lower_ci(model, b_mat, prob.p, args.alpha)
-    rows = []
-    for m in prob.m_grid:
-        res = test_at_m(model, MisspecSet(b_mat, prob.p, m), args.alpha)
-        rows.append((float(m), res.statistic, res.df, res.ncp_bar,
-                     res.critical_value, int(res.reject), m_min))
+    stat, m_min, grid = spec_test_grid(model, b_mat, prob.p, prob.m_grid,
+                                       args.alpha)
+    rows = [(float(m), res.statistic, res.df, res.ncp_bar, res.critical_value,
+             int(res.reject), m_min) for m, res in zip(prob.m_grid, grid)]
     _emit("spectest", args,
           ["m", "statistic", "df", "ncp_bar", "critical_value", "reject",
            "m_min"], rows, extra_meta=f" statistic={_g(stat)} m_min={_g(m_min)}")

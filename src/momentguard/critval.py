@@ -6,9 +6,9 @@ The central object is :func:`cv_alpha`: the 1-alpha quantile of ``|Z|`` for
 critical value, and ``cv_alpha(b, a) - b`` always lies between the one- and
 two-sided normal critical values, which gives a guaranteed root bracket.
 
-Also provides standard normal cdf/pdf/quantile wrappers and a noncentral
-chi-square quantile, computed from the classical Poisson-mixture-of-central-
-chi-squares series.
+Also provides standard normal cdf/pdf/quantile wrappers, a noncentral
+chi-square quantile and its inverse in the noncentrality, both computed from
+the classical Poisson-mixture-of-central-chi-squares series.
 """
 
 from __future__ import annotations
@@ -19,10 +19,14 @@ import numpy as np
 from scipy.optimize import brentq
 from scipy.special import gammainc, gammaln, ndtr, ndtri
 
-from .errors import InvalidBias, OutOfRange
+from .errors import InvalidBias, OutOfRange, SolverFailure
 
 #: Poisson-weight tail mass at which the noncentral chi-square series stops.
 _SERIES_TAIL = 1e-14
+
+#: Largest noncentrality :func:`noncentral_chisq_ncp` searches. The series
+#: needs O(sqrt(ncp)) terms, about 1.4 million per cdf evaluation here.
+_NCP_CEILING = 1e10
 
 
 def _check_alpha(alpha: float) -> float:
@@ -137,3 +141,42 @@ def noncentral_chisq_quantile(p: float, df: int, ncp: float) -> float:
         hi *= 2.0
     return float(brentq(lambda x: _series_cdf(x, df, first, w) - p,
                         0.0, hi, xtol=1e-12, rtol=1e-12))
+
+
+def noncentral_chisq_ncp(x: float, df: int, p: float) -> float:
+    """Noncentrality at which the noncentral chi-square cdf at ``x`` equals ``p``.
+
+    Solves ``F(x; df, ncp) = p`` for ``ncp >= 0``, which inverts
+    :func:`noncentral_chisq_quantile` in its noncentrality: the cdf at a fixed
+    ``x`` decreases strictly in ``ncp``, so ``quantile(p, df, ncp) = x`` at the
+    root. Returns 0 when ``F(x; df, 0) <= p``. The bracket doubles from
+    ``max(x, 1)`` and one ``brentq`` solves to near machine precision.
+
+    Raises SolverFailure when no noncentrality up to ``_NCP_CEILING`` brings
+    the cdf down to ``p`` (``x`` infinite or beyond the series' range).
+    """
+    x = float(x)
+    if not (x >= 0.0):
+        raise OutOfRange(f"x must be nonnegative, got {x}")
+    p = float(p)
+    if not (0.0 < p < 1.0):
+        raise OutOfRange(f"probability must lie in (0, 1), got {p}")
+    df = int(df)
+    if df < 1:
+        raise OutOfRange(f"df must be a positive integer, got {df}")
+
+    def gap(ncp: float) -> float:
+        first, w = _poisson_weights(0.5 * ncp)
+        return _series_cdf(x, df, first, w) - p
+
+    if gap(0.0) <= 0.0:
+        return 0.0
+    lo, hi = 0.0, max(x, 1.0)
+    while hi <= _NCP_CEILING:
+        if gap(hi) < 0.0:
+            return float(brentq(gap, lo, hi, xtol=1e-14,
+                                rtol=4 * np.finfo(float).eps))
+        lo, hi = hi, 2.0 * hi
+    raise SolverFailure(
+        f"no noncentrality up to {_NCP_CEILING:.0e} brings the cdf at {x} "
+        f"down to {p}")

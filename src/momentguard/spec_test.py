@@ -2,32 +2,42 @@
 
 The S statistic projects the standardized sample moments onto the orthogonal
 complement of the standardized Jacobian's column space; under the null that
-the perturbation lies in the set, it is asymptotically noncentral chi-square
-with ``d_g - d_theta`` degrees of freedom and noncentrality at most
+the perturbation lies in ``C(M) = {B gamma : ||gamma||_p <= M}``, it is
+asymptotically noncentral chi-square with ``d_g - d_theta`` degrees of freedom
+and noncentrality at most
 
-    sup over the set of  c' Sigma^{-1/2} R Sigma^{-1/2} c  =  m^2 ||A||_{p,2}^2
+    sup over C(M) of  c' Sigma^{-1/2} R Sigma^{-1/2} c  =  M^2 ncp(1),
+    ncp(1) = ||R Sigma^{-1/2} B||_{p,2}^2.
 
-with ``A = R Sigma^{-1/2} B``. Because noncentral chi-square quantiles are
-increasing in the noncentrality, the test compares S against the quantile at
-this supremum; inverting over the magnitude m gives a one-sided confidence
-bound [m_min, inf) for the misspecification magnitude.
+The test rejects when S exceeds the noncentral chi-square quantile at this
+supremum. Everything derives from the unit noncentrality ``ncp(1)``, computed
+once per ``(model, B, p)``: the supremum is homogeneous of degree two in M,
+and because the quantile increases in the noncentrality, the smallest
+magnitude the test does not reject solves ``F(S; df, M^2 ncp(1)) = 1 - alpha``.
+One root-find over the noncentrality gives it, the lower end of the one-sided
+confidence set [m_min, inf) for the misspecification magnitude.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import product
 
 import numpy as np
 
-from ._linalg import sym_sqrt_psd
-from .critval import _check_alpha, noncentral_chisq_quantile
-from .errors import JustIdentified, VertexEnumerationTooLarge
+from ._linalg import RANK_RTOL, sym_sqrt_psd
+from .critval import _check_alpha, noncentral_chisq_ncp, noncentral_chisq_quantile
+from .errors import JustIdentified, RankDeficiency, VertexEnumerationTooLarge
 from .model import MisspecSet, MomentModel, validate_model
 
 #: Largest d_gamma for which exact sign-vertex enumeration is attempted.
 VERTEX_CAP = 24
+
+#: Sign coordinates enumerated once as the low block of the vertex search.
+_LOW_BLOCK = 12
+
+#: Most entries in one chunk's matrix of vertex values (memory cap).
+_CHUNK_VALUES = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -40,86 +50,152 @@ class SpecTestResult:
     m_min: float | None = None
 
 
-def _residual_projector(model: MomentModel) -> np.ndarray:
-    """R = I - S^{-1/2} Gamma (Gamma' S^{-1} Gamma)^{-1} Gamma' S^{-1/2}."""
+def _whiten(model: MomentModel) -> tuple[np.ndarray, np.ndarray]:
+    """Validate the model; return ``Sigma^{-1/2}`` and the residual projector.
+
+    ``R = I - S^{-1/2} Gamma (Gamma' S^{-1} Gamma)^{-1} Gamma' S^{-1/2}``,
+    formed from the left singular vectors of ``S^{-1/2} Gamma``.
+    """
+    validate_model(model)
     root_inv = sym_sqrt_psd(model.sigma, inverse=True)
-    g_std = root_inv @ model.gamma
-    u, _, _ = np.linalg.svd(g_std, full_matrices=False)
-    return np.eye(model.d_g) - u @ u.T
+    u, _, _ = np.linalg.svd(root_inv @ model.gamma, full_matrices=False)
+    return root_inv, np.eye(model.d_g) - u @ u.T
+
+
+def _statistic(model: MomentModel, root_inv: np.ndarray, resid: np.ndarray) -> float:
+    if model.d_g == model.d_theta:
+        raise JustIdentified(
+            "the model is just identified; the statistic is identically zero")
+    z = resid @ (root_inv @ model.g_init)
+    return model.n * float(z @ z)
+
+
+def _signs(patterns: np.ndarray, width: int) -> np.ndarray:
+    """Rows of +-1: bit j of each pattern gives the sign of coordinate j."""
+    return ((patterns[:, None] >> np.arange(width)) & 1) * 2.0 - 1.0
+
+
+def _max_sign_quadratic(gram: np.ndarray) -> float:
+    """``max t' G t`` over ``t`` in ``{-1, 1}^d``, every vertex evaluated.
+
+    ``t`` and ``-t`` give the same value, so ``t_0 = +1`` is pinned. The last
+    ``k = min(d - 1, _LOW_BLOCK)`` coordinates form a low block whose ``2^k``
+    sign patterns ``S_lo`` are built once; the remaining high patterns
+    ``T_hi`` are walked in chunks of at most ``_CHUNK_VALUES`` vertices, each
+    scored as ``q_hi[:, None] + 2 (T_hi G_hl) S_lo' + q_lo[None, :]``.
+    """
+    d = gram.shape[0]
+    k = min(d - 1, _LOW_BLOCK)
+    h = d - k
+    g_hh, g_hl, g_ll = gram[:h, :h], gram[:h, h:], gram[h:, h:]
+    s_lo = _signs(np.arange(1 << k), k)
+    q_lo = np.einsum("ij,jk,ik->i", s_lo, g_ll, s_lo)
+    n_hi = 1 << (h - 1)
+    step = max(_CHUNK_VALUES >> k, 1)
+    best = 0.0
+    for start in range(0, n_hi, step):
+        free = _signs(np.arange(start, min(start + step, n_hi)), h - 1)
+        t_hi = np.hstack([np.ones((free.shape[0], 1)), free])
+        q_hi = np.einsum("ij,jk,ik->i", t_hi, g_hh, t_hi)
+        cross = (2.0 * (t_hi @ g_hl)) @ s_lo.T
+        best = max(best, float(np.max(q_hi + np.max(cross + q_lo, axis=1))))
+    return best
+
+
+def _unit_ncp(root_inv: np.ndarray, resid: np.ndarray, mset: MisspecSet) -> float:
+    """``ncp(1) = ||R Sigma^{-1/2} B||_{p,2}^2``, ignoring ``mset.m``.
+
+    Closed-form top eigenvalue for p = 2; for p = inf the supremum of the
+    convex quadratic over the unit box sits at a sign vertex, found by exact
+    enumeration up to d_gamma = ``VERTEX_CAP``. A value at the rounding level
+    of ``||Sigma^{-1/2} B||_F^2`` (B inside the Jacobian's span) returns 0.
+    """
+    if math.isinf(mset.p) and mset.d_gamma > VERTEX_CAP:
+        raise VertexEnumerationTooLarge(
+            f"exact enumeration requires d_gamma <= {VERTEX_CAP}, got {mset.d_gamma}")
+    wb = root_inv @ mset.b_mat
+    a_mat = resid @ wb
+    gram = a_mat.T @ a_mat
+    if math.isinf(mset.p):
+        top = _max_sign_quadratic(gram)
+    else:
+        top = float(np.linalg.eigvalsh(gram)[-1])
+    if top <= RANK_RTOL**2 * mset.d_gamma * float(np.sum(wb * wb)):
+        return 0.0
+    return top
+
+
+def _decide(stat: float, df: int, ncp: float, alpha: float) -> SpecTestResult:
+    crit = noncentral_chisq_quantile(1.0 - alpha, df, ncp)
+    return SpecTestResult(statistic=stat, df=df, ncp_bar=ncp,
+                          critical_value=crit, reject=bool(stat > crit))
 
 
 def s_statistic(model: MomentModel) -> float:
     """Overidentification statistic ``n * g' S^{-1/2} R S^{-1/2} g``."""
-    validate_model(model)
-    if model.d_g == model.d_theta:
-        raise JustIdentified(
-            "the model is just identified; the statistic is identically zero")
-    root_inv = sym_sqrt_psd(model.sigma, inverse=True)
-    z = _residual_projector(model) @ (root_inv @ model.g_init)
-    return model.n * float(z @ z)
+    return _statistic(model, *_whiten(model))
 
 
 def noncentrality_sup(model: MomentModel, mset: MisspecSet) -> float:
     """Largest noncentrality over the set: ``m^2 ||R S^{-1/2} B||_{p,2}^2``.
 
-    Closed-form top eigenvalue for p = 2. For p = inf, the supremum of the
-    convex quadratic over the unit box sits at a sign vertex; all
-    ``2^(d_gamma - 1)`` sign patterns are enumerated exactly, capped at
-    d_gamma = 24.
+    Closed-form top eigenvalue for p = 2. For p = inf, all ``2^(d_gamma - 1)``
+    sign vertices of the box are evaluated exactly, in vectorized blocks,
+    capped at d_gamma = 24. Returns exactly 0 when B lies in the span of the
+    Jacobian up to rounding.
     """
-    validate_model(model)
-    root_inv = sym_sqrt_psd(model.sigma, inverse=True)
-    a_mat = _residual_projector(model) @ root_inv @ mset.b_mat
-    gram = a_mat.T @ a_mat
-    if not math.isinf(mset.p):
-        top = float(np.linalg.eigvalsh(gram)[-1])
-        return mset.m**2 * max(top, 0.0)
-    d_gam = mset.d_gamma
-    if d_gam > VERTEX_CAP:
-        raise VertexEnumerationTooLarge(
-            f"exact enumeration requires d_gamma <= {VERTEX_CAP}, got {d_gam}")
-    best = 0.0
-    # t and -t give the same value; pin the first coordinate
-    for tail in product((-1.0, 1.0), repeat=d_gam - 1):
-        t = np.array((1.0,) + tail)
-        best = max(best, float(t @ gram @ t))
-    return mset.m**2 * best
+    root_inv, resid = _whiten(model)
+    return mset.m**2 * _unit_ncp(root_inv, resid, mset)
 
 
 def test_at_m(model: MomentModel, mset: MisspecSet,
               alpha: float = 0.05) -> SpecTestResult:
     """Test the null that the perturbation lies in ``mset`` at level alpha."""
     a = _check_alpha(alpha)
-    stat = s_statistic(model)
+    root_inv, resid = _whiten(model)
+    stat = _statistic(model, root_inv, resid)
+    ncp = mset.m**2 * _unit_ncp(root_inv, resid, mset)
+    return _decide(stat, model.d_g - model.d_theta, ncp, a)
+
+
+def spec_test_grid(model: MomentModel, b_mat: np.ndarray, p: float,
+                   m_grid, alpha: float = 0.05
+                   ) -> tuple[float, float, list[SpecTestResult]]:
+    """S, ``m_min`` and the test at each magnitude in ``m_grid``.
+
+    Returns what :func:`s_statistic`, :func:`m_lower_ci` and
+    :func:`test_at_m` would, from one whitening of the model and one unit
+    noncentrality ``ncp(1)``; the latter is skipped when the central test
+    accepts and the grid is empty.
+    """
+    a = _check_alpha(alpha)
+    unit_set = MisspecSet(b_mat, p, 1.0)
+    msets = [unit_set.scaled(m) for m in m_grid]
+    root_inv, resid = _whiten(model)
+    stat = _statistic(model, root_inv, resid)
     df = model.d_g - model.d_theta
-    ncp = noncentrality_sup(model, mset)
-    crit = noncentral_chisq_quantile(1.0 - a, df, ncp)
-    return SpecTestResult(statistic=stat, df=df, ncp_bar=ncp,
-                          critical_value=crit, reject=bool(stat > crit))
+    rejects_central = _decide(stat, df, 0.0, a).reject
+    unit = (_unit_ncp(root_inv, resid, unit_set)
+            if rejects_central or msets else 0.0)
+    m_min = 0.0
+    if rejects_central:
+        if unit == 0.0:
+            raise RankDeficiency(
+                "the noncentrality is zero for every M because B lies in the "
+                "span of the moment Jacobian; no finite M avoids rejection")
+        m_min = math.sqrt(noncentral_chisq_ncp(stat, df, 1.0 - a) / unit)
+    return stat, m_min, [_decide(stat, df, ms.m**2 * unit, a) for ms in msets]
 
 
 def m_lower_ci(model: MomentModel, b_mat: np.ndarray, p: float,
                alpha: float = 0.05) -> float:
     """Smallest magnitude the test does not reject: a lower CI bound for m.
 
-    Returns 0 when the central test already accepts. Bisection to 1e-6
-    relative tolerance; rejection is monotone in m because the critical value
-    increases with the noncentrality.
+    Returns 0 when the central test already accepts. Otherwise solves
+    ``F(S; df, ncp*) = 1 - alpha`` for the noncentrality in one bracketed
+    root-find and returns ``sqrt(ncp* / ncp(1))``: rejection is monotone in
+    m because the critical value increases with the noncentrality
+    ``m^2 ncp(1)``. Raises RankDeficiency when ``ncp(1)`` is zero, since then
+    no finite magnitude explains a rejection.
     """
-    a = _check_alpha(alpha)
-    if not test_at_m(model, MisspecSet(b_mat, p, 0.0), a).reject:
-        return 0.0
-    lo, hi = 0.0, 1.0
-    for _ in range(200):
-        if not test_at_m(model, MisspecSet(b_mat, p, hi), a).reject:
-            break
-        lo, hi = hi, 2.0 * hi
-    else:
-        raise ArithmeticError("no finite magnitude avoids rejection")
-    while hi - lo > 1e-6 * max(hi, 1e-12):
-        mid = 0.5 * (lo + hi)
-        if test_at_m(model, MisspecSet(b_mat, p, mid), a).reject:
-            lo = mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
+    return spec_test_grid(model, b_mat, p, (), alpha)[1]

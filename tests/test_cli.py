@@ -122,6 +122,30 @@ class TestCmdSpectest:
         # same statistic at every magnitude
         assert float(rows[0]["statistic"]) == float(rows[1]["statistic"])
 
+    def test_metadata_floats_round_trip_shortest(self, tmp_path, capsys):
+        code, out, _ = run(capsys, ["spectest", "--problem",
+                                    write_problem(tmp_path, self.overidentified_doc())])
+        assert code == 0
+        meta = out.splitlines()[0].split()
+        assert "alpha=0.05" in meta
+        stat = float(next(f for f in meta if f.startswith("statistic="))[10:])
+        _, rows = parse_csv(out)
+        assert repr(stat) == rows[0]["statistic"]
+
+    def test_jacobian_span_b_exit_code(self, tmp_path, capsys):
+        # B inside the Jacobian's span: no finite M explains the rejection
+        gamma = [[-1.0], [-0.8], [0.3]]
+        doc = {"model": {"gamma": gamma, "sigma": np.eye(3).tolist(),
+                         "h_deriv": [1.0], "g_init": [0.5, -0.9, 0.7],
+                         "h_init": 0.0, "n": 1000},
+               "misspec": {"b_mat": gamma, "p": 2, "m_grid": [0.0, 1.0]},
+               "alpha": 0.05}
+        code, out, err = run(capsys, ["spectest", "--problem",
+                                      write_problem(tmp_path, doc)])
+        assert code == 4
+        assert out == ""
+        assert "span" in err and "Traceback" not in err
+
     def test_just_identified_exit_code(self, tmp_path, capsys):
         doc = scalar_doc()
         code, out, err = run(capsys, ["spectest", "--problem",

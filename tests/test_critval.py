@@ -8,12 +8,13 @@ from scipy.special import ive
 from momentguard.critval import (
     cv_alpha,
     noncentral_chisq_cdf,
+    noncentral_chisq_ncp,
     noncentral_chisq_quantile,
     norm_cdf,
     norm_pdf,
     norm_quantile,
 )
-from momentguard.errors import InvalidBias, OutOfRange
+from momentguard.errors import InvalidBias, OutOfRange, SolverFailure
 from momentguard.oracle import cv_alpha_oracle
 
 Z975 = 1.959963984540054
@@ -138,3 +139,30 @@ class TestNoncentralChisq:
             noncentral_chisq_quantile(0.5, 0, 0.0)
         with pytest.raises(OutOfRange):
             noncentral_chisq_quantile(0.5, 1, -1.0)
+
+
+class TestNoncentralityRoot:
+    def test_inverts_quantile_in_ncp(self):
+        for df in (1, 4, 13):
+            for ncp in (0.3, 7.0, 250.0):
+                for p in (0.05, 0.95):
+                    x = noncentral_chisq_quantile(p, df, ncp)
+                    assert noncentral_chisq_ncp(x, df, p) == pytest.approx(
+                        ncp, rel=1e-9)
+
+    def test_zero_when_central_cdf_below_target(self):
+        assert noncentral_chisq_ncp(1.0, 3, 0.95) == 0.0
+        assert noncentral_chisq_ncp(0.0, 3, 0.95) == 0.0
+
+    def test_no_bracket_is_solver_failure(self):
+        for x in (1e12, math.inf):
+            with pytest.raises(SolverFailure):
+                noncentral_chisq_ncp(x, 3, 0.95)
+
+    def test_range_errors(self):
+        with pytest.raises(OutOfRange):
+            noncentral_chisq_ncp(math.nan, 3, 0.95)
+        with pytest.raises(OutOfRange):
+            noncentral_chisq_ncp(5.0, 3, 1.0)
+        with pytest.raises(OutOfRange):
+            noncentral_chisq_ncp(5.0, 0, 0.95)

@@ -1,11 +1,20 @@
+import time
+from itertools import product
+
 import numpy as np
 import pytest
 
+from momentguard import spec_test
 from momentguard._linalg import sym_sqrt_psd
-from momentguard.errors import JustIdentified, VertexEnumerationTooLarge
+from momentguard.errors import (
+    JustIdentified,
+    RankDeficiency,
+    VertexEnumerationTooLarge,
+)
 from momentguard.model import MisspecSet, MomentModel
 from momentguard.spec_test import (
-    _residual_projector,
+    _max_sign_quadratic,
+    _whiten,
     m_lower_ci,
     noncentrality_sup,
     s_statistic,
@@ -20,6 +29,15 @@ def make_model(gamma, sigma, g_init, n=250):
     h[0] = 1.0
     return MomentModel(gamma=gamma, sigma=sigma, h_deriv=h,
                        g_init=g_init, h_init=0.0, n=n)
+
+
+def brute_force_sign_max(gram):
+    """max t' G t over t in {-1, 1}^d, one vertex at a time."""
+    best = 0.0
+    for tail in product((-1.0, 1.0), repeat=gram.shape[0] - 1):
+        t = np.array((1.0,) + tail)
+        best = max(best, float(t @ gram @ t))
+    return best
 
 
 def random_overidentified(seed, d_g=4, d_th=2, scale=1.0):
@@ -59,7 +77,7 @@ class TestSStatistic:
 
     def test_projector_idempotent_and_trace(self):
         m = random_overidentified(3)
-        r = _residual_projector(m)
+        r = _whiten(m)[1]
         assert np.max(np.abs(r @ r - r)) <= 1e-10
         assert np.trace(r) == pytest.approx(m.d_g - m.d_theta, abs=1e-8)
 
@@ -74,7 +92,7 @@ class TestNoncentralitySup:
         m = random_overidentified(5)
         b = np.random.default_rng(6).normal(size=(4, 1))
         root_inv = sym_sqrt_psd(m.sigma, inverse=True)
-        r = _residual_projector(m)
+        r = _whiten(m)[1]
         expected = 1.69 * float(b[:, 0] @ root_inv @ r @ root_inv @ b[:, 0])
         for p in (2.0, np.inf):
             ms = MisspecSet(b, p, 1.3)
@@ -85,7 +103,7 @@ class TestNoncentralitySup:
         b = np.random.default_rng(8).normal(size=(4, 3))
         ms = MisspecSet(b, np.inf, 1.0)
         root_inv = sym_sqrt_psd(m.sigma, inverse=True)
-        a_mat = _residual_projector(m) @ root_inv @ b
+        a_mat = _whiten(m)[1] @ root_inv @ b
         gram = a_mat.T @ a_mat
         axis = np.linspace(-1.0, 1.0, 21)
         best = 0.0
@@ -105,10 +123,38 @@ class TestNoncentralitySup:
             assert l2 == pytest.approx(4.0 * l1, rel=1e-10)
 
     def test_vertex_cap(self):
-        m = random_overidentified(11, d_g=26, d_th=1)
+        m = random_overidentified(11, d_g=26, d_th=1, scale=10.0)
         b = np.eye(26)[:, :25]
         with pytest.raises(VertexEnumerationTooLarge):
             noncentrality_sup(m, MisspecSet(b, np.inf, 1.0))
+        with pytest.raises(VertexEnumerationTooLarge):
+            m_lower_ci(m, b, np.inf, 0.05)
+
+    @pytest.mark.parametrize("low_block, chunk", [(12, 1 << 16), (3, 16), (1, 1)])
+    def test_block_enumeration_matches_brute_force(self, monkeypatch,
+                                                   low_block, chunk):
+        # small blocks and chunks make every d walk several high chunks
+        monkeypatch.setattr(spec_test, "_LOW_BLOCK", low_block)
+        monkeypatch.setattr(spec_test, "_CHUNK_VALUES", chunk)
+        for d in range(1, 13):
+            for seed in range(3):
+                a = np.random.default_rng([d, seed]).normal(size=(d + 2, d))
+                gram = a.T @ a
+                assert _max_sign_quadratic(gram) == pytest.approx(
+                    brute_force_sign_max(gram), rel=1e-12)
+
+    def test_vertex_cap_dimension_is_fast(self):
+        m = random_overidentified(23, d_g=26, d_th=1, scale=10.0)
+        b = np.random.default_rng(24).normal(size=(26, 24))
+        t0 = time.perf_counter()
+        m_min = m_lower_ci(m, b, np.inf, 0.05)
+        assert time.perf_counter() - t0 < 2.0
+        assert m_min > 0.0
+
+    def test_jacobian_span_gives_exact_zero(self):
+        m = make_model([[-1.0], [-0.8], [0.3]], np.eye(3), [0.5, -0.9, 0.7])
+        for p in (2.0, np.inf):
+            assert noncentrality_sup(m, MisspecSet(m.gamma, p, 1.0)) == 0.0
 
 
 class TestTestAtM:
@@ -172,7 +218,7 @@ class TestMLowerCI:
             m_min = m_lower_ci(m, b, p, 0.05)
             if m_min == 0.0:
                 continue
-            eps = 1e-4 * m_min
+            eps = 1e-8 * m_min
             assert run_test_at_m(m, MisspecSet(b, p, m_min - eps), 0.05).reject
             assert not run_test_at_m(m, MisspecSet(b, p, m_min + eps), 0.05).reject
 
@@ -185,3 +231,10 @@ class TestMLowerCI:
                     if not run_test_at_m(m, MisspecSet(b, 2, mv), 0.05).reject]
         if accepted:
             assert m_min == pytest.approx(accepted[0], abs=grid[1] - grid[0])
+
+    def test_jacobian_span_raises(self):
+        # B inside the Jacobian's span: the noncentrality is 0 for every M
+        m = make_model([[-1.0], [-0.8], [0.3]], np.eye(3), [0.5, -0.9, 0.7])
+        for p in (2.0, np.inf):
+            with pytest.raises(RankDeficiency):
+                m_lower_ci(m, m.gamma, p, 0.05)
