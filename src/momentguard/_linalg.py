@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import RankDeficiency, SingularSystem
+from .errors import DimensionMismatch, RankDeficiency, SingularSystem
 
 #: Relative singular-value cutoff for rank decisions.
 RANK_RTOL = 1e-10
@@ -15,7 +15,7 @@ _INV_PHI = (np.sqrt(5.0) - 1.0) / 2.0
 def as_matrix(x, name: str) -> np.ndarray:
     a = np.atleast_2d(np.asarray(x, dtype=float))
     if a.ndim != 2:
-        raise ValueError(f"{name} must be a 2-d array, got ndim={a.ndim}")
+        raise DimensionMismatch(f"{name} must be a 2-d array, got ndim={a.ndim}")
     return a
 
 

@@ -20,19 +20,21 @@ import json
 import math
 import sys
 from dataclasses import dataclass, field
+from functools import partial
 from pathlib import Path
 
 import numpy as np
 
 from . import __version__
 from .errors import (
+    DimensionMismatch,
     FeasibilityError,
     MomentGuardError,
     NumericalError,
     ValidationError,
 )
 from .iv import IVData, build_b, build_model, drop_collinear_instruments
-from .model import MisspecSet, MomentModel, validate_model
+from .model import MisspecSet, MomentModel
 from .oracle import adversarial_c, mc_coverage
 from .robust_ci import ci_from_sensitivity, two_sided_ci
 from .efficiency import efficiency_report
@@ -42,6 +44,8 @@ from .spec_test import spec_test_grid
 _EXIT_VALIDATION = 2
 _EXIT_NUMERICAL = 3
 _EXIT_FEASIBILITY = 4
+
+_array = partial(np.asarray, dtype=float)
 
 
 @dataclass
@@ -58,8 +62,23 @@ class ProblemFile:
     criterion: str = "ci_length"
     beta: float = 0.8
     mixed: bool = False
-    h_deriv: list[float] | None = None
+    h_deriv: np.ndarray | None = None
     raw: dict = field(default_factory=dict)
+
+
+def _parse(convert, value, name: str):
+    """``convert(value)``; a value that does not convert is a validation error."""
+    try:
+        return convert(value)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise ValidationError(f"{name}: {exc}") from None
+
+
+def _m_grid(values, name: str) -> list[float]:
+    grid = _parse(lambda v: [float(m) for m in v], values, name)
+    if sorted(grid) != grid or any(m < 0 for m in grid):
+        raise ValidationError(f"{name} must be ascending and nonnegative")
+    return grid
 
 
 def _read_matrix(value, base: Path, name: str) -> np.ndarray:
@@ -68,9 +87,9 @@ def _read_matrix(value, base: Path, name: str) -> np.ndarray:
         path = base / value
         if not path.exists():
             raise ValidationError(f"{name}: referenced file {path} does not exist")
-        rows = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
-        return rows
-    return np.asarray(value, dtype=float)
+        return _parse(lambda f: np.loadtxt(f, delimiter=",", skiprows=1, ndmin=2),
+                      path, name)
+    return _parse(_array, value, name)
 
 
 def parse_problem(path: str | Path) -> ProblemFile:
@@ -88,11 +107,11 @@ def parse_problem(path: str | Path) -> ProblemFile:
         raise ValidationError(
             "problem file must contain exactly one of 'model' or 'iv'")
 
-    prob.alpha = float(doc.get("alpha", 0.05))
+    prob.alpha = _parse(float, doc.get("alpha", 0.05), "alpha")
     opts = doc.get("options", {})
     prob.variance = opts.get("variance", "robust")
     prob.criterion = opts.get("criterion", "ci_length")
-    prob.beta = float(opts.get("beta", 0.8))
+    prob.beta = _parse(float, opts.get("beta", 0.8), "beta")
     prob.mixed = bool(opts.get("mixed", False))
 
     if has_model:
@@ -103,10 +122,10 @@ def parse_problem(path: str | Path) -> ProblemFile:
         prob.model = MomentModel(
             gamma=_read_matrix(sec["gamma"], base, "gamma"),
             sigma=_read_matrix(sec["sigma"], base, "sigma"),
-            h_deriv=np.asarray(sec["h_deriv"], dtype=float),
-            g_init=np.asarray(sec["g_init"], dtype=float),
-            h_init=float(sec["h_init"]),
-            n=int(sec["n"]))
+            h_deriv=_parse(_array, sec["h_deriv"], "h_deriv"),
+            g_init=_parse(_array, sec["g_init"], "g_init"),
+            h_init=_parse(float, sec["h_init"], "h_init"),
+            n=_parse(int, sec["n"], "n"))
     else:
         sec = doc["iv"]
         for key in ("y", "x", "z"):
@@ -115,20 +134,20 @@ def parse_problem(path: str | Path) -> ProblemFile:
         y = _read_matrix(sec["y"], base, "y").reshape(-1)
         x = _read_matrix(sec["x"], base, "x")
         z = _read_matrix(sec["z"], base, "z")
-        prob.iv_data = IVData(y=y, x=x, z=z,
-                              suspect=tuple(sec.get("suspect", ())))
-        prob.h_deriv = [float(v) for v in sec.get(
-            "h_deriv", [1.0] + [0.0] * (x.shape[1] - 1 if x.ndim == 2 else 0))]
+        prob.iv_data = IVData(y=y, x=x, z=z, suspect=_parse(
+            lambda v: tuple(int(i) for i in v), sec.get("suspect", ()), "suspect"))
+        prob.h_deriv = _parse(_array, sec.get(
+            "h_deriv", [1.0] + [0.0] * (x.shape[1] - 1 if x.ndim == 2 else 0)),
+            "h_deriv")
 
     mis = doc.get("misspec", {})
     p_raw = mis.get("p", 2)
-    prob.p = math.inf if str(p_raw).lower() in ("inf", "infinity") else float(p_raw)
+    prob.p = (math.inf if str(p_raw).lower() in ("inf", "infinity")
+              else _parse(float, p_raw, "p"))
     if "m_grid" in mis:
-        prob.m_grid = [float(v) for v in mis["m_grid"]]
+        prob.m_grid = _m_grid(mis["m_grid"], "m_grid")
     elif "m" in mis:
-        prob.m_grid = [float(mis["m"])]
-    if sorted(prob.m_grid) != prob.m_grid or any(m < 0 for m in prob.m_grid):
-        raise ValidationError("m_grid must be ascending and nonnegative")
+        prob.m_grid = _m_grid([mis["m"]], "m")
     prob.b_spec = mis.get("b_mat", "from-iv" if has_iv else None)
     if prob.b_spec is None:
         raise ValidationError("misspec section must specify 'b_mat'")
@@ -156,33 +175,29 @@ def dump_problem(prob: ProblemFile) -> str:
 
 def _resolve(prob: ProblemFile):
     """Materialize (model, b_mat, model_for_ci) from the problem description."""
+    data = None
     if prob.model is not None:
-        model = validate_model(prob.model)
-        model_ci = model
-        if not isinstance(prob.b_spec, np.ndarray):
-            if isinstance(prob.b_spec, dict) and "identity_columns" in prob.b_spec:
-                cols = [int(i) for i in prob.b_spec["identity_columns"]]
-                b_mat = np.eye(model.d_g)[:, cols]
-            else:
-                raise ValidationError(
-                    "reduced-form problems need an explicit or identity-columns b_mat")
-        else:
-            b_mat = prob.b_spec
-        return model, b_mat, model_ci
-
-    data = drop_collinear_instruments(prob.iv_data)
-    variance_path = "homoskedastic" if prob.mixed else prob.variance
-    model = validate_model(build_model(data, prob.h_deriv, variance_path))
-    model_ci = model
-    if prob.mixed:
-        model_ci = validate_model(build_model(data, prob.h_deriv, "robust"))
+        model = model_ci = prob.model
+    else:
+        data = drop_collinear_instruments(prob.iv_data)
+        variance_path = "homoskedastic" if prob.mixed else prob.variance
+        model = model_ci = build_model(data, prob.h_deriv, variance_path)
+        if prob.mixed:
+            model_ci = build_model(data, prob.h_deriv, "robust")
     if isinstance(prob.b_spec, np.ndarray):
         b_mat = prob.b_spec
     elif isinstance(prob.b_spec, dict) and "identity_columns" in prob.b_spec:
-        cols = [int(i) for i in prob.b_spec["identity_columns"]]
+        cols = prob.b_spec["identity_columns"]
+        if not (isinstance(cols, list) and all(
+                isinstance(i, int) and 0 <= i < model.d_g for i in cols)):
+            raise DimensionMismatch(
+                f"identity_columns must be integers in [0, {model.d_g}), got {cols!r}")
         b_mat = np.eye(model.d_g)[:, cols]
-    else:
+    elif data is not None:
         b_mat = build_b(data)
+    else:
+        raise ValidationError(
+            "reduced-form problems need an explicit or identity-columns b_mat")
     return model, b_mat, model_ci
 
 
@@ -211,7 +226,7 @@ def cmd_ci(prob: ProblemFile, args) -> None:
     rows = []
     for m in prob.m_grid:
         mset = MisspecSet(b_mat, prob.p, m)
-        choice = select_lambda(front, m, args.alpha, prob.criterion)
+        choice = select_lambda(front, m, args.alpha, prob.criterion, prob.beta)
         kn = knot_at(front, choice.lambda_star)
         ci = ci_from_sensitivity(model_ci, mset, kn.k, args.alpha,
                                  lambda_star=choice.lambda_star)
@@ -312,10 +327,7 @@ def main(argv: list[str] | None = None) -> int:
             prob.raw["alpha"] = args.alpha
         args.alpha = args.alpha if args.alpha is not None else prob.alpha
         if args.m_grid is not None:
-            grid = [float(v) for v in args.m_grid.split(",")]
-            if sorted(grid) != grid or any(m < 0 for m in grid):
-                raise ValidationError("--m-grid must be ascending and nonnegative")
-            prob.m_grid = grid
+            prob.m_grid = _m_grid(args.m_grid.split(","), "--m-grid")
         if args.variance is not None:
             prob.variance = args.variance
         if args.criterion is not None:

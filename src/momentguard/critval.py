@@ -77,8 +77,12 @@ def cv_alpha(b: float, alpha: float = 0.05) -> float:
         return ndtr(c - b) - ndtr(-c - b) - (1.0 - a)
 
     # gap is strictly increasing in c; the slope bounds on cv_alpha guarantee
-    # the bracket, so brentq cannot escape.
-    return float(brentq(gap, lo, hi, xtol=1e-10, rtol=4 * np.finfo(float).eps))
+    # the bracket, so brentq cannot escape, unless the float spacing near b
+    # eats its 1e-6 margins (b > ~1e10): then Phi(-c - b) = 0 and c = b + z_one.
+    try:
+        return float(brentq(gap, lo, hi, xtol=1e-10, rtol=4 * np.finfo(float).eps))
+    except ValueError:
+        return b + z_one
 
 
 def _poisson_weights(half_ncp: float):

@@ -42,7 +42,7 @@ from .errors import (
     SolverFailure,
     TooManyInvalidMoments,
 )
-from .model import MisspecSet, MomentModel, Sensitivity, validate_model
+from .model import MisspecSet, MomentModel, Sensitivity
 
 #: Gauss-Legendre nodes for the expected-modulus integral.
 QUAD_NODES = 201
@@ -224,7 +224,6 @@ def half_modulus(model: MomentModel, mset: MisspecSet,
     slope ``omega' = sqrt(k' Sigma k)`` of the implied optimal sensitivity.
     The quadratic budget always binds at the solution.
     """
-    validate_model(model)
     if not (delta > 0.0) or not math.isfinite(delta):
         raise InfeasibleDelta(f"delta must be strictly positive, got {delta}")
     if mset.b_mat.shape[0] != model.d_g:
@@ -305,7 +304,6 @@ def kappa_two_sided(model: MomentModel, mset: MisspecSet,
     specification relative to the optimized fixed-length interval.
     """
     a = _check_alpha(alpha)
-    validate_model(model)
     z1 = norm_quantile(1.0 - a)
     cache: dict[float, ModulusSolution] = {}
 
@@ -360,7 +358,6 @@ def kappa_one_sided(model: MomentModel, mset: MisspecSet, alpha: float = 0.05,
     a = _check_alpha(alpha)
     if not (0.0 < beta < 1.0):
         raise OutOfRange(f"beta must lie in (0, 1), got {beta}")
-    validate_model(model)
     d_b = norm_quantile(1.0 - a) + norm_quantile(beta)
     sol1 = half_modulus(model, mset, d_b)
     sol2 = half_modulus(model, mset, 2.0 * d_b)
@@ -375,7 +372,6 @@ def gls_subspace_sensitivity(model: MomentModel,
     ``b_mat``; with an empty ``b_mat`` it reduces to the efficient-GMM
     sensitivity.
     """
-    validate_model(model)
     if b_mat is None:
         b = np.zeros((model.d_g, 0))
     else:

@@ -46,7 +46,8 @@ class InvalidBias(ValidationError):
 
 
 class OutOfRange(ValidationError):
-    """A scalar argument lies outside its admissible interval."""
+    """A scalar lies outside its admissible interval, or an array has a
+    non-finite entry."""
 
 
 class EmptySuspectSet(ValidationError):

@@ -25,13 +25,14 @@ from .errors import (
     EmptySuspectSet,
     RankDeficiency,
 )
-from .model import MomentModel, Sensitivity
+from .model import MomentModel, Sensitivity, _check_finite
 
 
 @dataclass(frozen=True)
 class IVData:
     """Raw inputs: outcome ``y`` (n,), regressors ``x`` (n, d_theta),
-    instruments ``z`` (n, d_g), and 0-based suspect instrument indices."""
+    instruments ``z`` (n, d_g), and 0-based suspect instrument indices.
+    Non-finite data or inconsistent shapes raise at construction."""
 
     y: np.ndarray
     x: np.ndarray
@@ -59,6 +60,8 @@ class IVData:
                 f"d_theta={x.shape[1]}")
         if any(i < 0 or i >= z.shape[1] for i in self.suspect):
             raise DimensionMismatch("suspect indices out of range")
+        for name, a in (("y", y), ("x", x), ("z", z)):
+            _check_finite(a, name)
 
     @property
     def n(self) -> int:

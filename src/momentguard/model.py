@@ -12,6 +12,10 @@ estimator's first-order behavior) are plain 1-d numpy arrays throughout the
 package; :data:`Sensitivity` is an alias used in signatures. Any sensitivity
 produced by a path solver satisfies ``h_deriv == -k @ gamma`` up to tolerance,
 which :func:`sensitivity_constraint_residual` measures.
+
+Both types are valid by construction: each constructor checks every invariant
+once and raises a ``ValidationError`` naming the field, and a model's arrays
+are read-only copies, so solvers take their inputs as given.
 """
 
 from __future__ import annotations
@@ -42,6 +46,9 @@ SIGMA_EIG_FLOOR = 1e-10
 class MomentModel:
     """Reduced-form inputs of a locally misspecified moment-condition model.
 
+    Invalid inputs raise at construction (:func:`validate_model`). The arrays
+    are stored as read-only copies; the caller's arrays stay untouched.
+
     Attributes
     ----------
     gamma : (d_g, d_theta) array
@@ -66,12 +73,14 @@ class MomentModel:
     n: int
 
     def __post_init__(self):
-        object.__setattr__(self, "gamma", as_matrix(self.gamma, "gamma"))
-        object.__setattr__(self, "sigma", as_matrix(self.sigma, "sigma"))
-        object.__setattr__(self, "h_deriv", as_vector(self.h_deriv, "h_deriv"))
-        object.__setattr__(self, "g_init", as_vector(self.g_init, "g_init"))
+        for name, convert in (("gamma", as_matrix), ("sigma", as_matrix),
+                              ("h_deriv", as_vector), ("g_init", as_vector)):
+            a = np.array(convert(getattr(self, name), name))
+            a.setflags(write=False)
+            object.__setattr__(self, name, a)
         object.__setattr__(self, "h_init", float(self.h_init))
         object.__setattr__(self, "n", int(self.n))
+        validate_model(self)
 
     @property
     def d_g(self) -> int:
@@ -86,8 +95,8 @@ class MomentModel:
 class MisspecSet:
     """Misspecification set ``{b_mat @ gamma : ||gamma||_p <= m}``.
 
-    ``p`` must be 2 or infinity; ``b_mat`` must have full column rank and
-    ``m`` must be nonnegative. Violations raise at construction.
+    ``p`` must be 2 or infinity; ``b_mat`` must be finite with full column
+    rank and ``m`` must be nonnegative. Violations raise at construction.
     """
 
     b_mat: np.ndarray
@@ -107,6 +116,7 @@ class MisspecSet:
         object.__setattr__(self, "m", m)
         if b.shape[1] < 1:
             raise DimensionMismatch("b_mat must have at least one column")
+        _check_finite(b, "b_mat")
         s = np.linalg.svd(b, compute_uv=False)
         if s[-1] <= RANK_RTOL * s[0]:
             raise RankDeficiency("b_mat does not have full column rank")
@@ -125,6 +135,11 @@ class MisspecSet:
         return MisspecSet(self.b_mat, self.p, m)
 
 
+def _check_finite(a, name: str) -> None:
+    if not np.all(np.isfinite(a)):
+        raise OutOfRange(f"{name} must be finite")
+
+
 def validate_model(model: MomentModel) -> MomentModel:
     """Check all model invariants and return the model unchanged.
 
@@ -132,6 +147,8 @@ def validate_model(model: MomentModel) -> MomentModel:
     ------
     DimensionMismatch
         If the array shapes are inconsistent; the message names the field.
+    OutOfRange
+        If an array or ``h_init`` is not finite; the message names the field.
     SingularSigma
         If sigma is asymmetric or its smallest eigenvalue falls below
         ``SIGMA_EIG_FLOOR`` times its largest.
@@ -155,6 +172,8 @@ def validate_model(model: MomentModel) -> MomentModel:
             f"g_init must have length d_g={d_g}, got {model.g_init.shape}")
     if model.n < 1:
         raise DimensionMismatch(f"n must be a positive integer, got {model.n}")
+    for name in ("gamma", "sigma", "h_deriv", "g_init", "h_init"):
+        _check_finite(getattr(model, name), name)
 
     asym = np.max(np.abs(model.sigma - model.sigma.T))
     if asym > 1e-8 * max(1.0, np.max(np.abs(model.sigma))):

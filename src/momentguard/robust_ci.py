@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._linalg import golden_section, orth_complement, solve_psd
+from ._linalg import orth_complement, solve_psd
 from .critval import _check_alpha, cv_alpha, norm_quantile
 from .errors import (
     DimensionMismatch,
@@ -31,10 +31,8 @@ from .model import (
     MomentModel,
     Sensitivity,
     sensitivity_constraint_residual,
-    validate_model,
 )
 from .sensitivity import (
-    LambdaChoice,
     SensitivityFrontier,
     knot_at,
     select_lambda,
@@ -73,7 +71,6 @@ def ci_from_sensitivity(model: MomentModel, mset: MisspecSet, k: Sensitivity,
                         alpha: float = 0.05,
                         lambda_star: float | None = None) -> RobustCI:
     """Two-sided robust CI at a caller-chosen sensitivity."""
-    _check_alpha(alpha)
     sd = math.sqrt(float(k @ model.sigma @ k))
     bias = worst_case_bias(k, mset)
     root_n = math.sqrt(model.n)
@@ -86,7 +83,6 @@ def ci_from_sensitivity(model: MomentModel, mset: MisspecSet, k: Sensitivity,
 def two_sided_ci(model: MomentModel, mset: MisspecSet,
                  front: SensitivityFrontier, alpha: float = 0.05) -> RobustCI:
     """Length-optimal two-sided robust CI over the computed frontier."""
-    validate_model(model)
     choice = select_lambda(front, mset.m, alpha, "ci_length")
     kn = knot_at(front, choice.lambda_star)
     return ci_from_sensitivity(model, mset, kn.k, alpha,
@@ -102,7 +98,6 @@ def one_sided_ci(model: MomentModel, mset: MisspecSet, k: Sensitivity,
     (flip the signs of ``h_deriv`` and ``h_init``).
     """
     _check_alpha(alpha)
-    validate_model(model)
     est = one_step(model, k)
     sd = math.sqrt(float(k @ model.sigma @ k))
     bias = worst_case_bias(k, mset)
@@ -111,50 +106,6 @@ def one_sided_ci(model: MomentModel, mset: MisspecSet, k: Sensitivity,
     return RobustCI(estimate=est, max_bias=bias / root_n,
                     std_error=sd / root_n, lambda_star=lambda_star,
                     side="lower_one_sided", lower=lower)
-
-
-def select_lambda_one_sided(front: SensitivityFrontier, m: float,
-                            alpha: float = 0.05,
-                            beta: float = 0.8) -> LambdaChoice:
-    """Penalty minimizing the beta-quantile of excess length at correct
-    specification: ``m * bbar + (z_{1-alpha} + z_beta) * sd``.
-    """
-    _check_alpha(alpha)
-    if not (0.0 < beta < 1.0):
-        raise OutOfRange(f"beta must lie in (0, 1), got {beta}")
-    weight = norm_quantile(1.0 - alpha) + norm_quantile(beta)
-
-    def crit(bbar: float, var: float) -> float:
-        return m * bbar + weight * math.sqrt(var)
-
-    vals = [crit(kn.bbar, kn.var) for kn in front.knots]
-    best = int(np.argmin(vals))
-    best_lam, best_val = front.knots[best].lam, vals[best]
-    if front.kind == "l2" and len(front.knots) > 1 and m > 0.0:
-        lo = front.knots[max(best - 1, 0)].lam
-        hi = front.knots[min(best + 1, len(front.knots) - 1)].lam
-        if hi > lo:
-            def obj(lam):
-                kn = knot_at(front, lam)
-                return crit(kn.bbar, kn.var)
-            lam_ref, val_ref = golden_section(obj, lo, hi,
-                                              tol=1e-6 * max(hi - lo, 1.0))
-            if val_ref < best_val:
-                best_lam = lam_ref
-    elif front.kind == "linf" and m > 0.0:
-        for j in range(len(front.knots) - 1):
-            lo_k, hi_k = front.knots[j], front.knots[j + 1]
-            if hi_k.lam <= lo_k.lam:
-                continue
-            for w in np.linspace(0.0, 1.0, 22)[1:-1]:
-                k = (1.0 - w) * lo_k.k + w * hi_k.k
-                bbar = worst_case_bias(k, front.set)
-                var = float(k @ front.model.sigma @ k)
-                v = crit(bbar, var)
-                if v < best_val:
-                    best_val, best_lam = v, (1.0 - w) * lo_k.lam + w * hi_k.lam
-    return LambdaChoice(lambda_star=float(best_lam), criterion="one_sided_quantile",
-                        m=m)
 
 
 def ci_curve(model: MomentModel, b_mat: np.ndarray, p: float,
@@ -180,7 +131,6 @@ def equivalent_weighting(model: MomentModel, k: Sensitivity,
     conformable ``w2`` give the same implied sensitivity. The construction
     requires ``k`` to satisfy the regularity constraint.
     """
-    validate_model(model)
     k = np.asarray(k, dtype=float).reshape(-1)
     resid = sensitivity_constraint_residual(model, k)
     if resid > 1e-6 * max(1.0, float(np.max(np.abs(model.h_deriv)))):

@@ -11,8 +11,8 @@ constraint ``H = -k' Gamma`` and a sliding bound on worst-case bias is:
 
 Paths are always computed for the unit set (m = 1); scale invariance means the
 same path serves every magnitude m, with the worst-case bias simply rescaled.
-:func:`select_lambda` then picks the knot (or interior point) minimizing either
-CI length or worst-case MSE at a given m.
+:func:`select_lambda` then picks the knot (or interior point) minimizing CI
+length, worst-case MSE or a one-sided excess-length quantile at a given m.
 """
 
 from __future__ import annotations
@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._linalg import golden_section, orth_complement, solve_psd
-from .critval import cv_alpha, _check_alpha
+from .critval import _check_alpha, cv_alpha, norm_quantile
 from .errors import (
     DegeneratePath,
     DimensionMismatch,
@@ -32,7 +32,7 @@ from .errors import (
     RankDeficiency,
     SingularSystem,
 )
-from .model import MisspecSet, MomentModel, Sensitivity, validate_model
+from .model import MisspecSet, MomentModel, Sensitivity
 
 #: Relative tie tolerance for simultaneous drop/add events on the inf-path.
 TIE_RTOL = 1e-12
@@ -110,11 +110,14 @@ def l2_sensitivity(model: MomentModel, b_mat: np.ndarray,
     return -x @ coef
 
 
-def _knot(model: MomentModel, mset: MisspecSet, lam: float,
+def _knot(model: MomentModel, unit_set: MisspecSet, lam: float,
           k: np.ndarray) -> FrontierKnot:
+    var = float(k @ model.sigma @ k)
+    if not (0.0 < var < math.inf):  # k != 0 and sigma is PD: under/overflow
+        raise SingularSystem(f"variance {var!r} at lambda={lam!r}: the "
+                             "model's scale exceeds double precision")
     return FrontierKnot(lam=float(lam), k=k,
-                        bbar=worst_case_bias(k, mset.scaled(1.0)),
-                        var=float(k @ model.sigma @ k))
+                        bbar=worst_case_bias(k, unit_set), var=var)
 
 
 def linf_path(model: MomentModel, b_mat: np.ndarray) -> SensitivityFrontier:
@@ -134,7 +137,6 @@ def linf_path(model: MomentModel, b_mat: np.ndarray) -> SensitivityFrontier:
     ``k = T' kt``. Every knot satisfies the regularity constraint to solver
     precision.
     """
-    validate_model(model)
     b = np.atleast_2d(np.asarray(b_mat, dtype=float))
     mset = MisspecSet(b, math.inf, 1.0)
     if b.shape[0] != model.d_g:
@@ -144,7 +146,10 @@ def linf_path(model: MomentModel, b_mat: np.ndarray) -> SensitivityFrontier:
     d_gam = b.shape[1]
 
     b_perp = orth_complement(b)
-    t_mat = np.vstack([b_perp.T, np.linalg.solve(b.T @ b, b.T)])
+    try:
+        t_mat = np.vstack([b_perp.T, np.linalg.solve(b.T @ b, b.T)])
+    except np.linalg.LinAlgError as exc:
+        raise SingularSystem("B'B is singular") from exc
     sig_t = 0.5 * (t_mat @ model.sigma @ t_mat.T
                    + (t_mat @ model.sigma @ t_mat.T).T)
     gam_t = t_mat @ model.gamma
@@ -154,7 +159,10 @@ def linf_path(model: MomentModel, b_mat: np.ndarray) -> SensitivityFrontier:
     # lam = 0: efficient GMM in transformed coordinates.
     sig_inv_gam = solve_psd(sig_t, gam_t)
     gram = gam_t.T @ sig_inv_gam
-    mu = np.linalg.solve(gram, model.h_deriv)
+    try:
+        mu = np.linalg.solve(gram, model.h_deriv)
+    except np.linalg.LinAlgError as exc:
+        raise SingularSystem("Gamma' Sigma^-1 Gamma is singular") from exc
     kt = -sig_inv_gam @ mu
 
     def snap(v: np.ndarray) -> np.ndarray:
@@ -282,10 +290,6 @@ def frontier(model: MomentModel, mset: MisspecSet) -> SensitivityFrontier:
     p = 2, the exact homotopy for p = inf. A degenerate magnitude m = 0 short-
     circuits to the single efficient-GMM knot.
     """
-    validate_model(model)
-    if mset.b_mat.shape[0] != model.d_g:
-        raise DimensionMismatch(
-            f"b_mat has {mset.b_mat.shape[0]} rows, model has d_g={model.d_g}")
     unit = mset.scaled(1.0)
     if mset.m == 0.0:
         k0 = l2_sensitivity(model, mset.b_mat, 0.0)
@@ -299,7 +303,7 @@ def frontier(model: MomentModel, mset: MisspecSet) -> SensitivityFrontier:
     return SensitivityFrontier(knots=knots, set=unit, model=model, kind="l2")
 
 
-def _criterion_fn(criterion: str, m: float, alpha: float):
+def _criterion_fn(criterion: str, m: float, alpha: float, beta: float):
     if criterion == "ci_length":
         def fn(bbar: float, var: float) -> float:
             sd = math.sqrt(var)
@@ -307,8 +311,16 @@ def _criterion_fn(criterion: str, m: float, alpha: float):
     elif criterion == "mse":
         def fn(bbar: float, var: float) -> float:
             return (m * bbar) ** 2 + var
+    elif criterion == "one_sided_quantile":
+        if not (0.0 < beta < 1.0):
+            raise OutOfRange(f"beta must lie in (0, 1), got {beta}")
+        weight = norm_quantile(1.0 - alpha) + norm_quantile(beta)
+
+        def fn(bbar: float, var: float) -> float:
+            return m * bbar + weight * math.sqrt(var)
     else:
-        raise OutOfRange(f"criterion must be 'ci_length' or 'mse', got {criterion!r}")
+        raise OutOfRange("criterion must be 'ci_length', 'mse' or "
+                         f"'one_sided_quantile', got {criterion!r}")
     return fn
 
 
@@ -343,8 +355,9 @@ SEGMENT_SUBGRID = 20
 
 
 def select_lambda(front: SensitivityFrontier, m: float, alpha: float = 0.05,
-                  criterion: str = "ci_length") -> LambdaChoice:
-    """Penalty minimizing CI length or worst-case MSE at magnitude ``m``.
+                  criterion: str = "ci_length", beta: float = 0.8) -> LambdaChoice:
+    """Penalty minimizing CI length, worst-case MSE or, for
+    "one_sided_quantile", ``m * bbar + (z_{1-alpha} + z_beta) * sd`` at ``m``.
 
     Evaluates the criterion along the computed path: at every knot, plus a
     golden-section refinement between the neighbors of the best grid point
@@ -354,11 +367,9 @@ def select_lambda(front: SensitivityFrontier, m: float, alpha: float = 0.05,
     _check_alpha(alpha)
     if m < 0.0:
         raise OutOfRange(f"m must be nonnegative, got {m}")
-    if len(front.knots) == 0:
-        raise EmptyFrontier("frontier has no knots")
+    fn = _criterion_fn(criterion, m, alpha, beta)
     if m == 0.0 or len(front.knots) == 1 or front.kind == "single":
         return LambdaChoice(lambda_star=front.knots[0].lam, criterion=criterion, m=m)
-    fn = _criterion_fn(criterion, m, alpha)
 
     vals = [fn(kn.bbar, kn.var) for kn in front.knots]
     best = int(np.argmin(vals))

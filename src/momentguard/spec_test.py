@@ -27,8 +27,9 @@ import numpy as np
 
 from ._linalg import RANK_RTOL, sym_sqrt_psd
 from .critval import _check_alpha, noncentral_chisq_ncp, noncentral_chisq_quantile
-from .errors import JustIdentified, RankDeficiency, VertexEnumerationTooLarge
-from .model import MisspecSet, MomentModel, validate_model
+from .errors import (DimensionMismatch, JustIdentified, RankDeficiency,
+                     VertexEnumerationTooLarge)
+from .model import MisspecSet, MomentModel
 
 #: Largest d_gamma for which exact sign-vertex enumeration is attempted.
 VERTEX_CAP = 24
@@ -51,12 +52,11 @@ class SpecTestResult:
 
 
 def _whiten(model: MomentModel) -> tuple[np.ndarray, np.ndarray]:
-    """Validate the model; return ``Sigma^{-1/2}`` and the residual projector.
+    """``Sigma^{-1/2}`` and the residual projector of the model.
 
     ``R = I - S^{-1/2} Gamma (Gamma' S^{-1} Gamma)^{-1} Gamma' S^{-1/2}``,
     formed from the left singular vectors of ``S^{-1/2} Gamma``.
     """
-    validate_model(model)
     root_inv = sym_sqrt_psd(model.sigma, inverse=True)
     u, _, _ = np.linalg.svd(root_inv @ model.gamma, full_matrices=False)
     return root_inv, np.eye(model.d_g) - u @ u.T
@@ -110,6 +110,9 @@ def _unit_ncp(root_inv: np.ndarray, resid: np.ndarray, mset: MisspecSet) -> floa
     enumeration up to d_gamma = ``VERTEX_CAP``. A value at the rounding level
     of ``||Sigma^{-1/2} B||_F^2`` (B inside the Jacobian's span) returns 0.
     """
+    if mset.b_mat.shape[0] != root_inv.shape[0]:
+        raise DimensionMismatch(
+            f"b_mat has {mset.b_mat.shape[0]} rows, model has d_g={root_inv.shape[0]}")
     if math.isinf(mset.p) and mset.d_gamma > VERTEX_CAP:
         raise VertexEnumerationTooLarge(
             f"exact enumeration requires d_gamma <= {VERTEX_CAP}, got {mset.d_gamma}")

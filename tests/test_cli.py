@@ -1,8 +1,14 @@
+import contextlib
+import io
 import json
 import math
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from momentguard.cli import dump_problem, main, parse_problem
 from momentguard.critval import cv_alpha
@@ -212,6 +218,61 @@ class TestProblemFile:
                                     write_problem(tmp_path, doc)])
         assert code == 2
 
+    @pytest.mark.parametrize("command, case, field", [
+        ("spectest", "nan_g_init", "g_init"),
+        ("ci", "inf_sigma", "sigma"),
+        ("ci", "nan_b_mat", "b_mat"),
+        ("ci", "nan_iv_csv", "y must"),
+        ("ci", "n_not_a_number", "n:"),
+        ("spectest", "n_not_a_number", "n:"),
+        ("efficiency", "n_not_a_number", "n:"),
+        ("ci", "three_d_gamma", "gamma"),
+        ("ci", "identity_column_out_of_range", "identity_columns"),
+        ("spectest", "m_grid_not_a_number", "--m-grid"),
+    ])
+    def test_validation_exit_code(self, tmp_path, capsys, command, case, field):
+        doc = scalar_doc()
+        model, extra = doc["model"], []
+        if case == "nan_g_init":
+            model.update(gamma=[[-1.0], [0.4], [0.2]], sigma=np.eye(3).tolist(),
+                         g_init=[math.nan, 0.1, 0.2])
+            doc["misspec"]["b_mat"] = {"identity_columns": [2]}
+        elif case == "inf_sigma":
+            model.update(gamma=[[-1.0], [0.5]], sigma=[[math.inf, 0.0], [0.0, 1.0]],
+                         g_init=[0.1, 0.1])
+            doc["misspec"]["b_mat"] = [[1.0], [0.0]]
+        elif case == "nan_b_mat":
+            doc["misspec"]["b_mat"] = [[math.nan]]
+        elif case == "nan_iv_csv":
+            rng = np.random.default_rng(3)
+            z = rng.normal(size=(50, 3))
+            x = z.sum(axis=1) + rng.normal(size=50)
+            y = 0.5 * x + rng.normal(size=50)
+            y[7] = math.nan
+            for name, arr in (("y.csv", y[:, None]), ("x.csv", x[:, None]),
+                              ("z.csv", z)):
+                np.savetxt(tmp_path / name, arr, delimiter=",",
+                           header="h" + ",h" * (arr.shape[1] - 1), comments="")
+            doc = {"iv": {"y": "y.csv", "x": "x.csv", "z": "z.csv",
+                          "suspect": [2]},
+                   "misspec": {"p": 2, "m": 1.0}}
+        elif case == "n_not_a_number":
+            model["n"] = "abc"
+        elif case == "three_d_gamma":
+            model["gamma"] = [[[-1.0]]]
+        elif case == "identity_column_out_of_range":
+            model.update(gamma=[[-1.0], [0.4], [0.2]], sigma=np.eye(3).tolist(),
+                         g_init=[0.1, 0.1, 0.2])
+            doc["misspec"]["b_mat"] = {"identity_columns": [5]}
+        elif case == "m_grid_not_a_number":
+            extra = ["--m-grid", "0,x"]
+        code, out, err = run(capsys, [command, "--problem",
+                                      write_problem(tmp_path, doc), *extra])
+        assert code == 2, err
+        assert out == ""
+        assert "validation error" in err and "Traceback" not in err
+        assert field in err
+
     def test_csv_matrix_reference(self, tmp_path, capsys):
         rng = np.random.default_rng(1)
         n = 300
@@ -257,3 +318,61 @@ class TestProblemFile:
         code2, out2, _ = run(capsys, ["ci", "--problem", path, "--mixed"])
         assert code1 == 0 and code2 == 0
         assert out1 != out2
+
+
+#: Entries that make a field degenerate: zero, non-finite, tiny, huge.
+SPECIAL = [0.0, math.nan, math.inf, -math.inf, 1e-300, 1e12]
+
+
+@st.composite
+def problem_docs(draw):
+    """Small reduced-form problem files, about half of them degenerate."""
+    num = st.floats(-2.0, 2.0)
+    d_g = draw(st.integers(1, 3))
+    d_th = draw(st.integers(1, d_g))
+
+    def mat(rows, cols):
+        return [[draw(num) for _ in range(cols)] for _ in range(rows)]
+
+    a = np.array(mat(d_g, d_g))
+    ridge = draw(st.sampled_from([0.0, 1e-12, 0.5]))
+    model = {"gamma": mat(d_g, d_th), "sigma": (a @ a.T + ridge * np.eye(d_g)).tolist(),
+             "h_deriv": mat(1, d_th)[0], "g_init": mat(1, d_g)[0],
+             "h_init": draw(num), "n": draw(st.sampled_from([0, 1, 50, 10**6]))}
+    if draw(st.booleans()):
+        field = draw(st.sampled_from(["gamma", "sigma", "h_deriv", "g_init", "h_init"]))
+        value = draw(st.sampled_from(SPECIAL))
+        if field == "h_init":
+            model[field] = value
+        else:
+            arr = np.array(model[field])
+            arr.flat[draw(st.integers(0, arr.size - 1))] = value
+            model[field] = arr.tolist()
+    if draw(st.booleans()):
+        rows = draw(st.sampled_from([d_g, d_g, d_g, d_g + 1]))
+        b_mat = mat(rows, draw(st.integers(1, d_g)))
+    else:
+        b_mat = {"identity_columns": draw(st.lists(st.integers(-1, 3), min_size=1,
+                                                   max_size=d_g))}
+    m_grid = draw(st.lists(st.floats(0.0, 3.0), min_size=1, max_size=3))
+    if draw(st.booleans()):
+        m_grid.sort()
+    misspec = {"b_mat": b_mat, "p": draw(st.sampled_from([2, "inf", 1])),
+               "m_grid": m_grid}
+    return {"model": model, "misspec": misspec, "alpha": 0.05}
+
+
+@settings(max_examples=60, derandomize=True, deadline=None)
+@given(doc=problem_docs())
+def test_fuzz_problem_files(doc):
+    """Any problem file ends in a typed exit code, and exit 0 prints no NaN."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = str(Path(tmp) / "prob.json")
+        Path(path).write_text(json.dumps(doc))
+        for command in ("ci", "path", "spectest"):
+            out, err = io.StringIO(), io.StringIO()
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                code = main([command, "--problem", path])
+            assert code in (0, 2, 3, 4), err.getvalue()
+            if code == 0:
+                assert "nan" not in out.getvalue().lower()

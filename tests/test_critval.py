@@ -52,6 +52,11 @@ class TestCvAlpha:
     def test_large_bias_folds_to_one_sided(self):
         assert abs(cv_alpha(10.0, 0.05) - (10.0 + Z95)) < 1e-4
 
+    @pytest.mark.parametrize("b", [1e10, 3e10, 1e12, 1e20, 1e300])
+    def test_huge_bias_past_float_spacing(self, b):
+        # the root bracket is finer than the float spacing near b here
+        assert cv_alpha(b, 0.05) == pytest.approx(b + Z95, rel=4e-16)
+
     def test_matches_bisection_oracle(self):
         for b, alpha in [(1.0, 0.05), (3.0, 0.05), (1.0, 0.32), (0.4, 0.10)]:
             assert abs(cv_alpha(b, alpha) - cv_alpha_oracle(b, alpha)) < 1e-8

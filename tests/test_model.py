@@ -9,6 +9,7 @@ from momentguard.errors import (
     SingularSigma,
     ZeroH,
 )
+from momentguard.iv import IVData
 from momentguard.model import (
     MisspecSet,
     MomentModel,
@@ -34,16 +35,14 @@ class TestValidateModel:
         assert validate_model(validate_model(m)) is m
 
     def test_singular_sigma(self):
-        m = MomentModel(gamma=[[-1.0], [0.5]], sigma=[[1.0, 1.0], [1.0, 1.0]],
-                        h_deriv=[1.0], g_init=[0.0, 0.0], h_init=0.0, n=10)
         with pytest.raises(SingularSigma):
-            validate_model(m)
+            MomentModel(gamma=[[-1.0], [0.5]], sigma=[[1.0, 1.0], [1.0, 1.0]],
+                        h_deriv=[1.0], g_init=[0.0, 0.0], h_init=0.0, n=10)
 
     def test_rank_deficient_gamma(self):
-        m = MomentModel(gamma=np.zeros((2, 2)), sigma=np.eye(2),
-                        h_deriv=[1.0, 0.0], g_init=[0.0, 0.0], h_init=0.0, n=10)
         with pytest.raises(RankDeficientGamma):
-            validate_model(m)
+            MomentModel(gamma=np.zeros((2, 2)), sigma=np.eye(2),
+                        h_deriv=[1.0, 0.0], g_init=[0.0, 0.0], h_init=0.0, n=10)
 
     def test_zero_h(self):
         with pytest.raises(ZeroH):
@@ -56,18 +55,59 @@ class TestValidateModel:
             validate_model(scalar_model(h_deriv=[1.0, 2.0]))
         with pytest.raises(DimensionMismatch, match="sigma"):
             validate_model(scalar_model(sigma=np.eye(3)))
+        with pytest.raises(DimensionMismatch, match="gamma"):
+            scalar_model(gamma=np.ones((1, 1, 1)))
 
     def test_eigenvalue_floor_is_relative(self):
         sigma = np.diag([1.0, 1e-11])
-        m = MomentModel(gamma=[[-1.0], [0.5]], sigma=sigma, h_deriv=[1.0],
+        with pytest.raises(SingularSigma):
+            MomentModel(gamma=[[-1.0], [0.5]], sigma=sigma, h_deriv=[1.0],
                         g_init=[0.0, 0.0], h_init=0.0, n=10)
-        with pytest.raises(SingularSigma):
-            validate_model(m)
         # same conditioning, larger scale: still rejected
-        m2 = MomentModel(gamma=[[-1.0], [0.5]], sigma=1e8 * sigma,
-                         h_deriv=[1.0], g_init=[0.0, 0.0], h_init=0.0, n=10)
         with pytest.raises(SingularSigma):
-            validate_model(m2)
+            MomentModel(gamma=[[-1.0], [0.5]], sigma=1e8 * sigma,
+                        h_deriv=[1.0], g_init=[0.0, 0.0], h_init=0.0, n=10)
+
+
+MODEL_ARGS = dict(gamma=[[-1.0], [0.5]], sigma=np.eye(2), h_deriv=[1.0],
+                  g_init=[0.1, 0.2], h_init=0.3, n=10)
+IV_ARGS = dict(y=np.arange(5.0), x=np.linspace(1.0, 2.0, 5)[:, None],
+               z=np.column_stack([np.ones(5), np.arange(5.0) ** 2]))
+
+
+def poisoned(args, field, value):
+    """Copy of the constructor arguments with one entry of ``field`` set to value."""
+    out = dict(args)
+    a = np.array(out[field], dtype=float)
+    a.flat[-1] = value
+    out[field] = a if a.ndim else float(a)
+    return out
+
+
+class TestValidByConstruction:
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("make, args, field", [
+        *[(MomentModel, MODEL_ARGS, f)
+          for f in ("gamma", "sigma", "h_deriv", "g_init", "h_init")],
+        (MisspecSet, dict(b_mat=[[0.0], [1.0]], p=2, m=1.0), "b_mat"),
+        *[(IVData, IV_ARGS, f) for f in ("y", "x", "z")],
+    ])
+    def test_non_finite_field_raises(self, make, args, field, value):
+        make(**args)
+        with pytest.raises(OutOfRange, match=field):
+            make(**poisoned(args, field, value))
+
+    @pytest.mark.parametrize("field", ["gamma", "sigma", "h_deriv", "g_init"])
+    def test_arrays_are_read_only_copies(self, field):
+        given = np.array(MODEL_ARGS[field], dtype=float)
+        before = given.copy()
+        model = MomentModel(**{**MODEL_ARGS, field: given})
+        stored = getattr(model, field)
+        with pytest.raises(ValueError, match="read-only"):
+            stored.flat[0] = 7.0
+        np.testing.assert_array_equal(stored, before)
+        given.flat[0] = 7.0
+        np.testing.assert_array_equal(getattr(model, field), before)
 
 
 class TestMisspecSet:

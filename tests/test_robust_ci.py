@@ -12,7 +12,6 @@ from momentguard.robust_ci import (
     equivalent_weighting,
     one_sided_ci,
     one_step,
-    select_lambda_one_sided,
     two_sided_ci,
 )
 from momentguard.sensitivity import frontier, knot_at, select_lambda
@@ -115,7 +114,7 @@ class TestSelectLambdaOneSided:
         m = random_model(4, 1, 7)
         b = np.random.default_rng(8).normal(size=(4, 2))
         front = frontier(m, MisspecSet(b, 2, 1.0))
-        choice = select_lambda_one_sided(front, 1.0, 0.05, 0.8)
+        choice = select_lambda(front, 1.0, 0.05, "one_sided_quantile", beta=0.8)
         weight = Z95 + norm_quantile(0.8)
 
         def crit(lam):

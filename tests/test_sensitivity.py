@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from momentguard._linalg import sym_sqrt_psd
-from momentguard.errors import DimensionMismatch, OutOfRange
+from momentguard.errors import DimensionMismatch, OutOfRange, SingularSystem
 from momentguard.model import MisspecSet, MomentModel
 from momentguard.oracle import kkt_sensitivity, vertex_bias
 from momentguard.sensitivity import (
@@ -325,3 +325,27 @@ class TestSelectLambda:
             c2 = select_lambda(again, mval, 0.05)
             k1, k2 = knot_at(front, c1.lambda_star), knot_at(again, c2.lambda_star)
             np.testing.assert_allclose(k1.k, k2.k, atol=1e-10)
+
+
+class TestScaleOutsideDoublePrecision:
+    """Valid models whose products under- or overflow fail with a typed error."""
+
+    @pytest.mark.parametrize("p", [2, math.inf])
+    def test_variance_underflow(self, p):
+        model = MomentModel(gamma=[[-1.0]], sigma=[[1.0]], h_deriv=[1e-200],
+                            g_init=[0.0], h_init=0.0, n=10)
+        with pytest.raises(SingularSystem):
+            frontier(model, MisspecSet([[1.0]], p, 1.0))
+
+    def test_linf_gram_underflow(self):
+        model = MomentModel(gamma=[[-5e-324]], sigma=[[1e-238]], h_deriv=[1.0],
+                            g_init=[0.0], h_init=0.0, n=10)
+        with pytest.raises(SingularSystem):
+            linf_path(model, np.array([[1.0]]))
+
+    def test_subnormal_b_mat(self):
+        model = MomentModel(gamma=[[-1.0]], sigma=[[1.0]], h_deriv=[1.0],
+                            g_init=[0.0], h_init=0.0, n=10)
+        for p in (2, math.inf):
+            with pytest.raises(SingularSystem):
+                frontier(model, MisspecSet([[2e-311]], p, 1.0))

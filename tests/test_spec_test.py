@@ -50,7 +50,7 @@ def random_overidentified(seed, d_g=4, d_th=2, scale=1.0):
 
 class TestSStatistic:
     def test_zero_in_jacobian_column_space(self):
-        m = make_model([[-1.0], [0.5]], np.eye(2), None)
+        m = make_model([[-1.0], [0.5]], np.eye(2), np.zeros(2))
         g = m.gamma @ np.array([0.7])
         m2 = make_model(m.gamma, m.sigma, g)
         assert s_statistic(m2) < 1e-20 * m2.n
