@@ -111,6 +111,9 @@ def parse_problem(path: str | Path) -> ProblemFile:
     opts = doc.get("options", {})
     prob.variance = opts.get("variance", "robust")
     prob.criterion = opts.get("criterion", "ci_length")
+    if prob.criterion not in ("ci_length", "mse"):
+        raise ValidationError(
+            f"options.criterion must be 'ci_length' or 'mse', got {prob.criterion!r}")
     prob.beta = _parse(float, opts.get("beta", 0.8), "beta")
     prob.mixed = bool(opts.get("mixed", False))
 
@@ -189,7 +192,7 @@ def _resolve(prob: ProblemFile):
     elif isinstance(prob.b_spec, dict) and "identity_columns" in prob.b_spec:
         cols = prob.b_spec["identity_columns"]
         if not (isinstance(cols, list) and all(
-                isinstance(i, int) and 0 <= i < model.d_g for i in cols)):
+                type(i) is int and 0 <= i < model.d_g for i in cols)):
             raise DimensionMismatch(
                 f"identity_columns must be integers in [0, {model.d_g}), got {cols!r}")
         b_mat = np.eye(model.d_g)[:, cols]
@@ -226,7 +229,7 @@ def cmd_ci(prob: ProblemFile, args) -> None:
     rows = []
     for m in prob.m_grid:
         mset = MisspecSet(b_mat, prob.p, m)
-        choice = select_lambda(front, m, args.alpha, prob.criterion, prob.beta)
+        choice = select_lambda(front, m, args.alpha, prob.criterion)
         kn = knot_at(front, choice.lambda_star)
         ci = ci_from_sensitivity(model_ci, mset, kn.k, args.alpha,
                                  lambda_star=choice.lambda_star)

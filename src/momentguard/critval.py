@@ -70,6 +70,10 @@ def cv_alpha(b: float, alpha: float = 0.05) -> float:
     if b == 0.0:
         return z_two  # exact Wald reduction
     z_one = norm_quantile(1.0 - a)
+    if math.ulp(b + z_two) > 1e-6:
+        # from 2**33 the float spacing near the root exceeds the 1e-6 bracket
+        # margins below; Phi(-c - b) = 0 there, so the root is b + z_one.
+        return b + z_one
     lo = b + z_one - 1e-6
     hi = b + z_two + 1e-6
 
@@ -77,12 +81,8 @@ def cv_alpha(b: float, alpha: float = 0.05) -> float:
         return ndtr(c - b) - ndtr(-c - b) - (1.0 - a)
 
     # gap is strictly increasing in c; the slope bounds on cv_alpha guarantee
-    # the bracket, so brentq cannot escape, unless the float spacing near b
-    # eats its 1e-6 margins (b > ~1e10): then Phi(-c - b) = 0 and c = b + z_one.
-    try:
-        return float(brentq(gap, lo, hi, xtol=1e-10, rtol=4 * np.finfo(float).eps))
-    except ValueError:
-        return b + z_one
+    # the bracket, so brentq cannot escape.
+    return float(brentq(gap, lo, hi, xtol=1e-10, rtol=4 * np.finfo(float).eps))
 
 
 def _poisson_weights(half_ncp: float):

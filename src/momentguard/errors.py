@@ -46,8 +46,7 @@ class InvalidBias(ValidationError):
 
 
 class OutOfRange(ValidationError):
-    """A scalar lies outside its admissible interval, or an array has a
-    non-finite entry."""
+    """A scalar outside its admissible interval, or a non-finite array entry."""
 
 
 class EmptySuspectSet(ValidationError):

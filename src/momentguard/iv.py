@@ -71,7 +71,7 @@ class IVData:
 def drop_collinear_instruments(data: IVData) -> IVData:
     """Drop linearly dependent instrument columns, warning with their indices."""
     z = data.z
-    _, r_mat, piv = qr(z, mode="economic", pivoting=True)
+    _, r_mat, piv = qr(z, mode="economic", pivoting=True, check_finite=False)
     diag = np.abs(np.diag(r_mat))
     rank = int(np.sum(diag > 1e-10 * diag[0]))
     if rank == z.shape[1]:

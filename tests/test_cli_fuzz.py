@@ -1,0 +1,72 @@
+"""Seeded fuzz of the CLI over small random and degenerate problem files."""
+
+import contextlib
+import io
+import json
+import math
+import tempfile
+from pathlib import Path
+
+import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from momentguard.cli import main
+
+
+#: Entries that make a field degenerate: zero, non-finite, tiny, huge.
+SPECIAL = [0.0, math.nan, math.inf, -math.inf, 1e-300, 1e12]
+
+
+@st.composite
+def problem_docs(draw):
+    """Small reduced-form problem files, about half of them degenerate."""
+    num = st.floats(-2.0, 2.0)
+    d_g = draw(st.integers(1, 3))
+    d_th = draw(st.integers(1, d_g))
+
+    def mat(rows, cols):
+        return [[draw(num) for _ in range(cols)] for _ in range(rows)]
+
+    a = np.array(mat(d_g, d_g))
+    ridge = draw(st.sampled_from([0.0, 1e-12, 0.5]))
+    model = {"gamma": mat(d_g, d_th), "sigma": (a @ a.T + ridge * np.eye(d_g)).tolist(),
+             "h_deriv": mat(1, d_th)[0], "g_init": mat(1, d_g)[0],
+             "h_init": draw(num), "n": draw(st.sampled_from([0, 1, 50, 10**6]))}
+    if draw(st.booleans()):
+        field = draw(st.sampled_from(["gamma", "sigma", "h_deriv", "g_init", "h_init"]))
+        value = draw(st.sampled_from(SPECIAL))
+        if field == "h_init":
+            model[field] = value
+        else:
+            arr = np.array(model[field])
+            arr.flat[draw(st.integers(0, arr.size - 1))] = value
+            model[field] = arr.tolist()
+    if draw(st.booleans()):
+        rows = draw(st.sampled_from([d_g, d_g, d_g, d_g + 1]))
+        b_mat = mat(rows, draw(st.integers(1, d_g)))
+    else:
+        b_mat = {"identity_columns": draw(st.lists(
+            st.one_of(st.integers(-1, 3), st.booleans()), min_size=1, max_size=d_g))}
+    m_grid = draw(st.lists(st.floats(0.0, 3.0), min_size=1, max_size=3))
+    if draw(st.booleans()):
+        m_grid.sort()
+    misspec = {"b_mat": b_mat, "p": draw(st.sampled_from([2, "inf", 1])),
+               "m_grid": m_grid}
+    return {"model": model, "misspec": misspec, "alpha": 0.05}
+
+
+@settings(max_examples=60, derandomize=True, deadline=None)
+@given(doc=problem_docs())
+def test_fuzz_problem_files(doc):
+    """Any problem file ends in a typed exit code, and exit 0 prints no NaN."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = str(Path(tmp) / "prob.json")
+        Path(path).write_text(json.dumps(doc))
+        for command in ("ci", "path", "spectest"):
+            out, err = io.StringIO(), io.StringIO()
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                code = main([command, "--problem", path])
+            assert code in (0, 2, 3, 4), err.getvalue()
+            if code == 0:
+                assert "nan" not in out.getvalue().lower()

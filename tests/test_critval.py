@@ -52,7 +52,8 @@ class TestCvAlpha:
     def test_large_bias_folds_to_one_sided(self):
         assert abs(cv_alpha(10.0, 0.05) - (10.0 + Z95)) < 1e-4
 
-    @pytest.mark.parametrize("b", [1e10, 3e10, 1e12, 1e20, 1e300])
+    @pytest.mark.parametrize("b", [1e10, np.nextafter(2.0**34, 0.0), 3e10, 1e12,
+                                   1e20, 1e300])
     def test_huge_bias_past_float_spacing(self, b):
         # the root bracket is finer than the float spacing near b here
         assert cv_alpha(b, 0.05) == pytest.approx(b + Z95, rel=4e-16)

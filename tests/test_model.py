@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -96,6 +98,17 @@ class TestValidByConstruction:
         make(**args)
         with pytest.raises(OutOfRange, match=field):
             make(**poisoned(args, field, value))
+
+    @pytest.mark.parametrize("make, args, field", [
+        (MomentModel, MODEL_ARGS, "g_init"),
+        (MomentModel, MODEL_ARGS, "h_init"),
+        (IVData, IV_ARGS, "y"),
+    ])
+    def test_huge_finite_field_passes(self, make, args, field):
+        # the sum of squares overflows here, so the entrywise test decides
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            make(**poisoned(args, field, 1e200))
 
     @pytest.mark.parametrize("field", ["gamma", "sigma", "h_deriv", "g_init"])
     def test_arrays_are_read_only_copies(self, field):
