@@ -92,12 +92,22 @@ def _read_matrix(value, base: Path, name: str) -> np.ndarray:
     return _parse(_array, value, name)
 
 
+def _section(doc: dict, name: str) -> dict:
+    """The JSON object under ``name``; an absent section is empty."""
+    sec = doc.get(name, {})
+    if not isinstance(sec, dict):
+        raise ValidationError(f"'{name}' must be a JSON object, got {sec!r}")
+    return sec
+
+
 def parse_problem(path: str | Path) -> ProblemFile:
     path = Path(path)
     try:
         doc = json.loads(path.read_text())
     except (OSError, json.JSONDecodeError) as exc:
         raise ValidationError(f"cannot parse problem file: {exc}") from exc
+    if not isinstance(doc, dict):
+        raise ValidationError("problem file must hold a JSON object")
     base = path.parent
     prob = ProblemFile(raw=doc)
 
@@ -108,7 +118,7 @@ def parse_problem(path: str | Path) -> ProblemFile:
             "problem file must contain exactly one of 'model' or 'iv'")
 
     prob.alpha = _parse(float, doc.get("alpha", 0.05), "alpha")
-    opts = doc.get("options", {})
+    opts = _section(doc, "options")
     prob.variance = opts.get("variance", "robust")
     prob.criterion = opts.get("criterion", "ci_length")
     if prob.criterion not in ("ci_length", "mse"):
@@ -118,7 +128,7 @@ def parse_problem(path: str | Path) -> ProblemFile:
     prob.mixed = bool(opts.get("mixed", False))
 
     if has_model:
-        sec = doc["model"]
+        sec = _section(doc, "model")
         for key in ("gamma", "sigma", "h_deriv", "g_init", "h_init", "n"):
             if key not in sec:
                 raise ValidationError(f"model section missing field '{key}'")
@@ -130,7 +140,7 @@ def parse_problem(path: str | Path) -> ProblemFile:
             h_init=_parse(float, sec["h_init"], "h_init"),
             n=_parse(int, sec["n"], "n"))
     else:
-        sec = doc["iv"]
+        sec = _section(doc, "iv")
         for key in ("y", "x", "z"):
             if key not in sec:
                 raise ValidationError(f"iv section missing field '{key}'")
@@ -143,7 +153,7 @@ def parse_problem(path: str | Path) -> ProblemFile:
             "h_deriv", [1.0] + [0.0] * (x.shape[1] - 1 if x.ndim == 2 else 0)),
             "h_deriv")
 
-    mis = doc.get("misspec", {})
+    mis = _section(doc, "misspec")
     p_raw = mis.get("p", 2)
     prob.p = (math.inf if str(p_raw).lower() in ("inf", "infinity")
               else _parse(float, p_raw, "p"))

@@ -30,6 +30,7 @@ from .model import (
     MisspecSet,
     MomentModel,
     Sensitivity,
+    _check_finite,
     sensitivity_constraint_residual,
 )
 from .sensitivity import (
@@ -138,6 +139,8 @@ def equivalent_weighting(model: MomentModel, k: Sensitivity,
             f"k violates the regularity constraint (residual {resid:.3e})")
     w1 = np.atleast_2d(np.asarray(w1, dtype=float))
     w2 = np.atleast_2d(np.asarray(w2, dtype=float))
+    _check_finite(w1, "w1")
+    _check_finite(w2, "w2")
     d_th = model.d_theta
     if w1.shape != (d_th, d_th):
         raise DimensionMismatch(f"w1 must be {d_th} x {d_th}, got {w1.shape}")

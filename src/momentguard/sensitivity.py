@@ -4,23 +4,38 @@ For a misspecification set ``{B @ gamma : ||gamma||_p <= m}`` the family of
 sensitivities minimizing variance ``k' Sigma k`` subject to the regularity
 constraint ``H = -k' Gamma`` and a sliding bound on worst-case bias is:
 
-* p = 2 — a ridge-type closed form ``k' = -H (G' W G)^{-1} G' W`` with
-  ``W = (lam * B B' + Sigma)^{-1}``, evaluated on a log-spaced lambda grid;
+* p = 2 — the ridge form ``k' = -H (G' W G)^{-1} G' W`` with
+  ``W = (lam * B B' + Sigma)^{-1}``, in closed form at any lambda in
+  ``[0, inf]``. One Cholesky factor ``Sigma = L L'`` and one SVD
+  ``L^-1 B = U S V'`` diagonalize Sigma and ``B B'`` at once; in the
+  coordinates ``z = U' L' k`` the variance is ``||z||^2``, the unit bias is
+  ``||S z_1||`` (``z_1``: the first d_gamma coordinates) and each point of
+  the path costs O(d_g d_theta). The frontier keeps knots on a log-spaced
+  lambda grid;
 * p = inf — a piecewise-linear homotopy in the penalty weight, analogous to
-  the LAR-LASSO path, computed exactly between breakpoints.
+  the LAR-LASSO path, computed exactly between breakpoints until no event is
+  reachable, so the path is complete on ``[0, inf]``.
+
+Every knot also carries the multiplier ``mu`` of the constraint: with ``s`` a
+subgradient of the unit bias at k (``B'k / bbar`` for p = 2, a sign vector for
+p = inf), ``Sigma k + lam' * B s + Gamma mu = 0`` where ``lam'`` is
+``lam * bbar`` for p = 2 and ``lam`` for p = inf.
 
 Paths are always computed for the unit set (m = 1); scale invariance means the
 same path serves every magnitude m, with the worst-case bias simply rescaled.
 :func:`select_lambda` then picks the knot (or interior point) minimizing CI
-length, worst-case MSE or a one-sided excess-length quantile at a given m.
+length, worst-case MSE or a one-sided excess-length quantile at a given m, and
+the modulus of continuity is the frontier's minimum of ``2 m bbar + delta sd``
+(:mod:`momentguard.efficiency`).
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
+from scipy.optimize import brentq
 
 from ._linalg import golden_section, orth_complement, solve_psd
 from .critval import _check_alpha, cv_alpha, norm_quantile
@@ -31,6 +46,7 @@ from .errors import (
     OutOfRange,
     RankDeficiency,
     SingularSystem,
+    SolverFailure,
 )
 from .model import MisspecSet, MomentModel, Sensitivity
 
@@ -40,30 +56,101 @@ TIE_RTOL = 1e-12
 #: Relative threshold below which a transformed coefficient counts as zero.
 ACTIVE_ZERO_RTOL = 1e-11
 
+#: Events of the inf-path farther ahead than this many units of lambda (its
+#: natural scale ``tr(Sigma) ||k_0|| / ||B||_F``) count as unreachable: only a
+#: rounding residue in a direction that is zero can schedule them.
+MAX_EVENT_STEP = 1e12
+
 
 @dataclass(frozen=True)
 class FrontierKnot:
-    """One point on the sensitivity path: penalty, weights, unit bias, variance."""
+    """One point on the sensitivity path: penalty, weights, unit bias,
+    variance and the multiplier ``mu`` of the constraint ``H = -k' Gamma``."""
 
     lam: float
     k: np.ndarray
     bbar: float
     var: float
+    mu: np.ndarray
+
+
+class _L2Path:
+    """The p = 2 path in closed form at any ``lam = t / (1 - t)``, t in [0, 1].
+
+    With ``Sigma = L L'`` and ``L^-1 B = U S V'``, put ``A = U' L^-1 Gamma``.
+    The ridge solution is ``z = -w * (A mu)`` with ``mu = (A' diag(w) A)^-1 H``
+    and ``w = (1 - t) / (1 - t + t s^2)`` on the first d_gamma coordinates,
+    1 elsewhere; ``k = L^-T U z``. Nothing diverges at t = 1 (lam = inf),
+    where w vanishes on the suspect directions and the path ends at the GLS
+    sensitivity that ignores them, which exists when
+    ``d_gamma <= d_g - d_theta``.
+    """
+
+    def __init__(self, model: MomentModel, b_mat: np.ndarray):
+        b = np.atleast_2d(np.asarray(b_mat, dtype=float))
+        if b.shape[0] != model.d_g:
+            raise DimensionMismatch(
+                f"b_mat has {b.shape[0]} rows, model has d_g={model.d_g}")
+        try:
+            chol = np.linalg.cholesky(model.sigma)
+        except np.linalg.LinAlgError as exc:
+            raise SingularSystem(f"Cholesky factor of sigma failed: {exc}") from exc
+        u, self.s, _ = np.linalg.svd(np.linalg.solve(chol, b))
+        self.a = u.T @ np.linalg.solve(chol, model.gamma)
+        self.to_k = np.linalg.solve(chol.T, u)
+        self.h = model.h_deriv
+        #: the suspect directions leave d_theta moments to identify theta,
+        #: so the bias reaches 0 at lam = inf
+        self.ends_unbiased = b.shape[1] <= model.d_g - model.d_theta
+
+    def knot(self, lam: float) -> FrontierKnot:
+        """Frontier point at ``lam`` in ``[0, inf]``."""
+        t, one_minus_t = (1.0, 0.0) if math.isinf(lam) else (
+            lam / (1.0 + lam), 1.0 / (1.0 + lam))
+        w, _, mu, a_mu = self._solve(t, one_minus_t)
+        z = -w * a_mu
+        bias = self.s * z[:self.s.shape[0]]
+        return FrontierKnot(lam=float(lam), k=self.to_k @ z,
+                            bbar=math.sqrt(bias @ bias),
+                            var=_checked_var(float(z @ z), lam), mu=mu)
+
+    def sd_lam_bbar(self, t: float) -> tuple[float, float]:
+        """``sd`` and ``lam * bbar`` at ``lam = t / (1 - t)``, both finite at
+        t = 1."""
+        w, den, _, a_mu = self._solve(t, 1.0 - t)
+        z = w * a_mu
+        lam_bias = self.s * (t / den) * a_mu[:self.s.shape[0]]
+        return math.sqrt(z @ z), math.sqrt(lam_bias @ lam_bias)
+
+    def _solve(self, t: float, one_minus_t: float):
+        """Weights w, their denominators, mu and ``A mu`` at t."""
+        den = one_minus_t + t * self.s**2
+        w = np.ones(self.a.shape[0])
+        w[:self.s.shape[0]] = one_minus_t / den
+        try:
+            mu = np.linalg.solve((self.a.T * w) @ self.a, self.h)
+        except np.linalg.LinAlgError as exc:
+            raise SingularSystem("Gamma' W Gamma is singular") from exc
+        return w, den, mu, self.a @ mu
 
 
 @dataclass(frozen=True)
 class SensitivityFrontier:
     """Ordered knots of the bias-variance frontier for a unit misspecification set.
 
-    ``kind`` records how the path was built: "l2" (closed-form grid, interior
-    points recomputable exactly), "linf" (homotopy breakpoints, the path is
-    linear in k between consecutive knots), or "single" (one knot).
+    ``kind`` records how the path was built: "l2" (closed-form grid, every
+    point recomputable exactly through ``l2_path``), "linf" (homotopy
+    breakpoints, the path is linear in k and mu between consecutive knots and
+    k is constant past the last one, where mu moves at the rate ``mu_slope``),
+    or "single" (one knot).
     """
 
     knots: tuple[FrontierKnot, ...]
     set: MisspecSet
     model: MomentModel
     kind: str
+    mu_slope: np.ndarray | None = None
+    l2_path: _L2Path | None = field(default=None, repr=False, compare=False)
 
     def __post_init__(self):
         if len(self.knots) == 0:
@@ -93,31 +180,24 @@ def worst_case_bias(k: Sensitivity, mset: MisspecSet) -> float:
 
 def l2_sensitivity(model: MomentModel, b_mat: np.ndarray,
                    lam: float) -> Sensitivity:
-    """Optimal sensitivity for an l2 set at penalty ``lam`` (ridge form)."""
+    """Optimal sensitivity for an l2 set at penalty ``lam`` in ``[0, inf]``
+    (ridge form)."""
     if lam < 0.0:
         raise OutOfRange(f"lambda must be nonnegative, got {lam}")
-    b = np.atleast_2d(np.asarray(b_mat, dtype=float))
-    if b.shape[0] != model.d_g:
-        raise DimensionMismatch(
-            f"b_mat has {b.shape[0]} rows, model has d_g={model.d_g}")
-    w_inv = model.sigma + lam * (b @ b.T)
-    x = solve_psd(w_inv, model.gamma)          # W Gamma
-    gram = model.gamma.T @ x                   # Gamma' W Gamma
-    try:
-        coef = np.linalg.solve(gram, model.h_deriv)
-    except np.linalg.LinAlgError as exc:
-        raise SingularSystem("Gamma' W Gamma is singular") from exc
-    return -x @ coef
+    return _L2Path(model, b_mat).knot(lam).k
 
 
-def _knot(model: MomentModel, unit_set: MisspecSet, lam: float,
-          k: np.ndarray) -> FrontierKnot:
-    var = float(k @ model.sigma @ k)
+def _checked_var(var: float, lam: float) -> float:
     if not (0.0 < var < math.inf):  # k != 0 and sigma is PD: under/overflow
         raise SingularSystem(f"variance {var!r} at lambda={lam!r}: the "
                              "model's scale exceeds double precision")
-    return FrontierKnot(lam=float(lam), k=k,
-                        bbar=worst_case_bias(k, unit_set), var=var)
+    return var
+
+
+def _knot(model: MomentModel, unit_set: MisspecSet, lam: float,
+          k: np.ndarray, mu: np.ndarray) -> FrontierKnot:
+    return FrontierKnot(lam=float(lam), k=k, bbar=worst_case_bias(k, unit_set),
+                        var=_checked_var(float(k @ model.sigma @ k), lam), mu=mu)
 
 
 def linf_path(model: MomentModel, b_mat: np.ndarray) -> SensitivityFrontier:
@@ -130,8 +210,12 @@ def linf_path(model: MomentModel, b_mat: np.ndarray) -> SensitivityFrontier:
     each event either an active penalized coordinate hits zero (and is
     dropped, with exact ties against an add resolved drop-first) or an
     inactive coordinate's stationarity bound ``|grad_i| = lam`` starts binding
-    (and is added). Terminates once the active set reaches
-    ``max(d_g - d_gamma, d_theta)`` members, after which the path is constant.
+    (and is added). Terminates when no further drop or add is reachable: k is
+    constant from the last knot on, while the multiplier keeps moving at the
+    rate stored as ``mu_slope``. Steps are reckoned in lambda's natural unit,
+    so rescaling Sigma, B or H rescales lambda and k and leaves the events
+    unchanged. When ``d_gamma > d_g - d_theta`` the path may run on through
+    coordinate swaps after the active set first shrinks to d_theta members.
 
     Returns the breakpoints mapped back to original coordinates via
     ``k = T' kt``. Every knot satisfies the regularity constraint to solver
@@ -142,14 +226,14 @@ def linf_path(model: MomentModel, b_mat: np.ndarray) -> SensitivityFrontier:
     if b.shape[0] != model.d_g:
         raise DimensionMismatch(
             f"b_mat has {b.shape[0]} rows, model has d_g={model.d_g}")
-    d_g, d_th = model.d_g, model.d_theta
+    d_g = model.d_g
     d_gam = b.shape[1]
 
     b_perp = orth_complement(b)
     try:
         t_mat = np.vstack([b_perp.T, np.linalg.solve(b.T @ b, b.T)])
     except np.linalg.LinAlgError as exc:
-        raise SingularSystem("B'B is singular") from exc
+        raise SingularSystem("b_mat' b_mat is singular") from exc
     sig_t = 0.5 * (t_mat @ model.sigma @ t_mat.T
                    + (t_mat @ model.sigma @ t_mat.T).T)
     gam_t = t_mat @ model.gamma
@@ -167,9 +251,10 @@ def linf_path(model: MomentModel, b_mat: np.ndarray) -> SensitivityFrontier:
 
     def snap(v: np.ndarray) -> np.ndarray:
         # numerical-zero convention applies to the penalized (membership-
-        # carrying) coordinates only; unpenalized entries stay exact
+        # carrying) coordinates only, relative to their own scale;
+        # unpenalized entries stay exact
         v = v.copy()
-        tiny = ACTIVE_ZERO_RTOL * max(np.max(np.abs(v)), 1e-300)
+        tiny = ACTIVE_ZERO_RTOL * np.max(np.abs(v[is_pen]))
         v[is_pen & (np.abs(v) < tiny)] = 0.0
         return v
 
@@ -197,15 +282,17 @@ def linf_path(model: MomentModel, b_mat: np.ndarray) -> SensitivityFrontier:
     s = np.where(is_pen & active, np.sign(kt), 0.0)
     mu_delta, kt_delta = directions(active, s)
 
-    knots = [_knot(model, mset, lam, t_mat.T @ kt)]
-    target = max(d_g - d_gam, d_th)
+    knots = [_knot(model, mset, lam, t_mat.T @ kt, mu)]
+    # lambda scales as Sigma k / B; reckoning steps in this unit keeps the
+    # path the same when Sigma, B or H is rescaled
+    lam_unit = (np.trace(model.sigma) * np.linalg.norm(knots[0].k)
+                / np.linalg.norm(b))
+    reach = MAX_EVENT_STEP * lam_unit
     max_events = 8 * d_g + 24
     just_added = -1
 
     for _ in range(max_events):
-        if int(active.sum()) <= target:
-            break
-        tol_d = 1e-13 * (1.0 + lam)
+        tol_d = 1e-13 * (lam_unit + lam)
 
         # d1: an active penalized coordinate reaches zero. A coordinate
         # sitting exactly at zero (from a simultaneous tie) drops immediately
@@ -218,7 +305,7 @@ def linf_path(model: MomentModel, b_mat: np.ndarray) -> SensitivityFrontier:
                     d1, d1_idx = 0.0, i
                     break
                 continue
-            if kt_delta[i] == 0.0:
+            if abs(kt_delta[i]) * reach <= abs(kt[i]):
                 continue
             d = -kt[i] / kt_delta[i]
             if tol_d < d < d1:
@@ -236,12 +323,11 @@ def linf_path(model: MomentModel, b_mat: np.ndarray) -> SensitivityFrontier:
                 if denom <= 1e-14:
                     continue
                 d = (lam - sign * grad[i]) / denom
-                if tol_d < d < d2:
+                if tol_d < d < min(d2, reach):
                     d2, d2_idx = d, i
 
         if not math.isfinite(min(d1, d2)):
-            raise DegeneratePath(
-                "no event reachable but the active set exceeds its target size")
+            break
 
         # ties within relative tolerance: process the drop before the add
         if math.isinf(d1):
@@ -266,21 +352,16 @@ def linf_path(model: MomentModel, b_mat: np.ndarray) -> SensitivityFrontier:
         grad = sig_t @ kt + gam_t @ mu
         s = np.where(is_pen & active, -np.sign(grad), 0.0)
         mu_delta, kt_delta = directions(active, s)
-        knots.append(_knot(model, mset, lam, t_mat.T @ kt))
+        knots.append(_knot(model, mset, lam, t_mat.T @ kt, mu))
     else:
         raise DegeneratePath(f"homotopy did not terminate within {max_events} events")
 
     return SensitivityFrontier(knots=tuple(knots), set=mset, model=model,
-                               kind="linf")
+                               kind="linf", mu_slope=mu_delta)
 
 
 #: Grid size for the l2 penalty path.
 L2_GRID_POINTS = 50
-
-
-def _l2_lambda_grid(model: MomentModel, b_mat: np.ndarray) -> np.ndarray:
-    scale = np.trace(model.sigma) / np.trace(b_mat @ b_mat.T)
-    return scale * np.logspace(-6.0, 6.0, L2_GRID_POINTS)
 
 
 def frontier(model: MomentModel, mset: MisspecSet) -> SensitivityFrontier:
@@ -292,15 +373,19 @@ def frontier(model: MomentModel, mset: MisspecSet) -> SensitivityFrontier:
     """
     unit = mset.scaled(1.0)
     if mset.m == 0.0:
-        k0 = l2_sensitivity(model, mset.b_mat, 0.0)
-        return SensitivityFrontier(knots=(_knot(model, unit, 0.0, k0),),
+        return SensitivityFrontier(knots=(_L2Path(model, mset.b_mat).knot(0.0),),
                                    set=unit, model=model, kind="single")
+    b_sq = float(np.sum(mset.b_mat**2))
+    if not (np.finfo(float).tiny <= b_sq < math.inf):
+        raise SingularSystem(f"b_mat has squared norm {b_sq!r}: its scale "
+                             "exceeds double precision")
     if math.isinf(mset.p):
         return linf_path(model, mset.b_mat)
-    lams = np.concatenate([[0.0], _l2_lambda_grid(model, mset.b_mat)])
-    knots = tuple(_knot(model, unit, lam, l2_sensitivity(model, mset.b_mat, lam))
-                  for lam in lams)
-    return SensitivityFrontier(knots=knots, set=unit, model=model, kind="l2")
+    path = _L2Path(model, mset.b_mat)
+    scale = np.trace(model.sigma) / b_sq
+    lams = np.concatenate([[0.0], scale * np.logspace(-6.0, 6.0, L2_GRID_POINTS)])
+    return SensitivityFrontier(knots=tuple(path.knot(lam) for lam in lams),
+                               set=unit, model=model, kind="l2", l2_path=path)
 
 
 def _criterion_fn(criterion: str, m: float, alpha: float, beta: float):
@@ -327,27 +412,95 @@ def _criterion_fn(criterion: str, m: float, alpha: float, beta: float):
 def knot_at(front: SensitivityFrontier, lam: float) -> FrontierKnot:
     """Frontier point at an arbitrary penalty value.
 
-    Exact recomputation for l2 frontiers; linear interpolation in k between
-    the bracketing breakpoints for inf-paths (the path is linear there, so
-    this is exact as well). Beyond the last knot the path is constant.
+    Exact recomputation for l2 frontiers; linear interpolation in k and mu
+    between the bracketing breakpoints for inf-paths (the path is linear
+    there, so this is exact as well). Beyond the last knot k is constant and
+    mu moves on at the rate ``front.mu_slope``.
     """
-    model, mset = front.model, front.set
     if front.kind == "l2":
-        k = l2_sensitivity(model, mset.b_mat, lam)
-        return _knot(model, mset, lam, k)
+        return front.l2_path.knot(lam)
     lams = [kn.lam for kn in front.knots]
     if lam <= lams[0]:
         return front.knots[0]
     if lam >= lams[-1]:
         kn = front.knots[-1]
-        return FrontierKnot(lam=float(lam), k=kn.k, bbar=kn.bbar, var=kn.var)
+        mu = kn.mu if front.mu_slope is None else (
+            kn.mu + (lam - kn.lam) * front.mu_slope)
+        return FrontierKnot(lam=float(lam), k=kn.k, bbar=kn.bbar, var=kn.var,
+                            mu=mu)
     j = int(np.searchsorted(lams, lam, side="right")) - 1
     lo, hi = front.knots[j], front.knots[j + 1]
     if hi.lam <= lo.lam:
         return hi
     w = (lam - lo.lam) / (hi.lam - lo.lam)
-    k = (1.0 - w) * lo.k + w * hi.k
-    return _knot(model, mset, lam, k)
+    return _knot(front.model, front.set, lam, (1.0 - w) * lo.k + w * hi.k,
+                 (1.0 - w) * lo.mu + w * hi.mu)
+
+
+def _argmin_bias_sd(front: SensitivityFrontier, a: float,
+                    b: float) -> FrontierKnot:
+    """Frontier point minimizing ``a * bbar + b * sd`` (a >= 0, b > 0).
+
+    The objective is convex in k, so its stationarity condition picks the
+    penalty: ``lam = a sd / b`` on an inf-path, ``lam bbar = a sd / b`` on
+    the l2 path. Along an inf-path segment bbar is linear in the segment
+    weight and the variance quadratic, so each segment's minimum is closed
+    form; on the l2 path the condition is one bracketed root in
+    ``t = lam / (1 + lam)``, and without a root the minimizer is the
+    ``lam = inf`` end.
+    """
+    if a == 0.0:
+        return front.knots[0]
+    if front.kind == "l2":
+        path = front.l2_path
+
+        def gap(t: float) -> float:
+            sd, lam_bbar = path.sd_lam_bbar(t)
+            return b * lam_bbar - a * sd
+
+        lo, hi = 0.0, 1.0
+        if path.ends_unbiased:
+            if gap(1.0) <= 0.0:
+                return path.knot(math.inf)
+        else:
+            # bbar stays positive, so gap grows without bound as t -> 1
+            hi = 0.75
+            while gap(hi) < 0.0:
+                if hi == 1.0:
+                    raise SolverFailure("could not bracket the l2 penalty")
+                lo, hi = hi, 1.0 - 0.25 * (1.0 - hi)
+        t = brentq(gap, lo, hi, xtol=1e-300, rtol=4.0 * np.finfo(float).eps)
+        return path.knot(t / (1.0 - t) if t < 1.0 else math.inf)
+
+    # the minimizer's sd fixes its penalty lam = a sd / b, which also places
+    # it where k stands still over a range of lam (past the last knot, or on
+    # a segment where only mu moves)
+    sigma = front.model.sigma
+    last = front.knots[-1]
+    best_sd = math.sqrt(last.var)
+    best_val = a * last.bbar + b * best_sd
+    for lo, hi in zip(front.knots, front.knots[1:]):
+        dk = hi.k - lo.k
+        v2 = float(dk @ sigma @ dk)
+        if not v2 > 0.0:
+            continue
+        # var(w) = h2 + r(w)^2 with r = sqrt(v2) w + c / sqrt(v2): minimize
+        # beta r + b sqrt(h2 + r^2) over r, then clip the weight to [0, 1]
+        c = float(lo.k @ sigma @ dk)
+        h2 = max(lo.var - c * c / v2, 0.0)
+        beta = a * (hi.bbar - lo.bbar) / math.sqrt(v2)
+        if beta <= -b:
+            w = 1.0
+        elif beta >= b:
+            w = 0.0
+        else:
+            r = -beta * math.sqrt(h2 / (b * b - beta * beta))
+            w = min(max((r * math.sqrt(v2) - c) / v2, 0.0), 1.0)
+        sd = math.sqrt(max(lo.var + w * (2.0 * c + w * v2), 0.0))
+        val = a * ((1.0 - w) * lo.bbar + w * hi.bbar) + b * sd
+        if val < best_val:
+            best_val, best_sd = val, sd
+    return knot_at(front, a * best_sd / b)
 
 
 #: Interior evaluation points per inf-path segment when selecting lambda.
@@ -394,7 +547,8 @@ def select_lambda(front: SensitivityFrontier, m: float, alpha: float = 0.05,
             for w in np.linspace(0.0, 1.0, SEGMENT_SUBGRID + 2)[1:-1]:
                 k = (1.0 - w) * lo.k + w * hi.k
                 kn = _knot(front.model, front.set,
-                           (1.0 - w) * lo.lam + w * hi.lam, k)
+                           (1.0 - w) * lo.lam + w * hi.lam, k,
+                           (1.0 - w) * lo.mu + w * hi.mu)
                 v = fn(kn.bbar, kn.var)
                 if v < best_val:
                     best_lam, best_val = kn.lam, v

@@ -112,18 +112,28 @@ def test_c4_linf_homotopy_vs_kkt_oracle():
     worst = 0.0
     sparsity_ok = True
     checked_sparsity = 0
+    cases = []
     for i in range(50):
         d_g = int(rng.integers(2, 7))
         d_th = min(int(rng.integers(1, 3)), d_g)
         d_gam = int(rng.integers(1, min(d_g, 3) + 1))
         model = random_model(d_g, d_th, 4000 + i)
         cols = np.sort(rng.choice(d_g, size=d_gam, replace=False))
-        b = np.eye(d_g)[:, cols]
+        cases.append((model, np.eye(d_g)[:, cols], True))
+    # d_gamma > d_g - d_theta with a dense B: the path runs on through
+    # coordinate swaps after d_theta coordinates remain active
+    cases.append((random_model(3, 1, 108),
+                  np.random.default_rng(208).normal(size=(3, 3)), False))
+    for model, b, identity_b in cases:
+        d_g, d_th, d_gam = model.d_g, model.d_theta, b.shape[1]
         front = linf_path(model, b)
-        for kn in front.knots:
+        # past the last knot too, where k must stay optimal
+        lam_last = front.knots[-1].lam
+        for kn in list(front.knots) + [knot_at(front, 10.0 * lam_last),
+                                       knot_at(front, 100.0 * lam_last)]:
             k_oracle = kkt_sensitivity(model, b, kn.lam)
             worst = max(worst, float(np.max(np.abs(k_oracle - kn.k))))
-        if d_g <= d_gam + d_th:
+        if identity_b and d_g <= d_gam + d_th:
             checked_sparsity += 1
             term = front.knots[-1].k
             nnz = int(np.sum(np.abs(term) > 1e-11 * np.max(np.abs(term))))
@@ -131,8 +141,8 @@ def test_c4_linf_homotopy_vs_kkt_oracle():
     ok = worst <= 1e-8 and sparsity_ok
     _report(4, "l-inf homotopy vs KKT enumeration", ok,
             time.monotonic() - t0, 60.0,
-            f"max knot error {worst:.2e}, terminal sparsity checked on "
-            f"{checked_sparsity} instances")
+            f"max error at knots and past the path {worst:.2e}, terminal "
+            f"sparsity checked on {checked_sparsity} instances")
 
 
 def test_c5_l2_closed_form_kkt():

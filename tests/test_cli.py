@@ -225,6 +225,11 @@ class TestProblemFile:
         ("ci", "identity_column_boolean", "identity_columns"),
         ("ci", "one_sided_criterion", "options.criterion"),
         ("spectest", "m_grid_not_a_number", "--m-grid"),
+        ("ci", "top_level_not_object", "JSON object"),
+        ("ci", "model_not_object", "'model'"),
+        ("ci", "iv_not_object", "'iv'"),
+        ("ci", "options_not_object", "'options'"),
+        ("ci", "misspec_not_object", "'misspec'"),
     ])
     def test_validation_exit_code(self, tmp_path, capsys, command, case, field):
         doc = scalar_doc()
@@ -268,6 +273,17 @@ class TestProblemFile:
             doc["options"] = {"criterion": "one_sided_quantile"}
         elif case == "m_grid_not_a_number":
             extra = ["--m-grid", "0,x"]
+        elif case == "top_level_not_object":
+            doc = [doc]
+        elif case == "model_not_object":
+            doc["model"] = 5
+        elif case == "iv_not_object":
+            del doc["model"]
+            doc["iv"] = "y.csv"
+        elif case == "options_not_object":
+            doc["options"] = [1]
+        elif case == "misspec_not_object":
+            doc["misspec"] = [1]
         code, out, err = run(capsys, [command, "--problem",
                                       write_problem(tmp_path, doc), *extra])
         assert code == 2, err

@@ -18,6 +18,7 @@ from momentguard.errors import InfeasibleDelta, TooManyInvalidMoments
 from momentguard.model import MisspecSet, MomentModel
 from momentguard.oracle import grid_modulus
 from momentguard.sensitivity import linf_path
+from modulus_oracle import half_modulus as oracle_half_modulus
 
 
 def random_model(d_g, d_th, seed):
@@ -133,6 +134,54 @@ class TestHalfModulus:
         ms = MisspecSet(np.eye(3)[:, :1], 2, 1.0)
         with pytest.raises(InfeasibleDelta):
             half_modulus(m, ms, 0.0)
+
+
+def _rel(a, b):
+    return float(np.linalg.norm(np.atleast_1d(a - b))
+                 / max(np.linalg.norm(np.atleast_1d(b)), 1e-300))
+
+
+class TestModulusVsPrimalOracle:
+    """The modulus from the frontier against the primal rho-bisection."""
+
+    @staticmethod
+    def assert_matches(model, mset, delta):
+        sol = half_modulus(model, mset, delta)
+        ref = oracle_half_modulus(model, mset, delta)
+        for name in ("omega", "omega_prime", "theta_star", "c_star"):
+            err = _rel(getattr(sol, name), getattr(ref, name))
+            assert err <= 1e-6, (name, err)
+        return sol
+
+    @pytest.mark.parametrize("p", [2.0, np.inf])
+    @pytest.mark.parametrize("d_th", [1, 2])
+    @pytest.mark.parametrize("beyond", [False, True])
+    def test_random_problems(self, p, d_th, beyond):
+        # beyond: d_gamma > d_g - d_theta, so the bias cannot reach zero
+        rng = np.random.default_rng([d_th, int(beyond), int(math.isinf(p))])
+        for trial in range(5):
+            d_g = int(rng.integers(d_th + 1, 6))
+            free = d_g - d_th
+            d_gam = int(rng.integers(free + 1, d_g + 1) if beyond
+                        else rng.integers(1, free + 1))
+            m = random_model(d_g, d_th, int(rng.integers(1 << 30)))
+            mset = MisspecSet(rng.normal(size=(d_g, d_gam)), p,
+                              float(rng.uniform(0.3, 3.0)))
+            for d in (0.4, 3.0):
+                self.assert_matches(m, mset, d)
+
+    def test_path_past_its_first_sparse_point(self):
+        # the l-inf path must run past lambda = 0.10 to reach this modulus
+        rng = np.random.default_rng(108)
+        a = rng.normal(size=(3, 3))
+        m = MomentModel(gamma=rng.normal(size=(3, 1)),
+                        sigma=a @ a.T + 0.5 * np.eye(3),
+                        h_deriv=rng.normal(size=1), g_init=np.zeros(3),
+                        h_init=0.0, n=400)
+        mset = MisspecSet(np.random.default_rng(208).normal(size=(3, 3)),
+                          np.inf, 2.0)
+        sol = self.assert_matches(m, mset, 0.3)
+        assert sol.omega == pytest.approx(1.8502, abs=1e-4)
 
 
 class TestKappaTwoSided:

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from momentguard.critval import cv_alpha, norm_quantile
-from momentguard.errors import DimensionMismatch, NoValidS, SingularW1
+from momentguard.errors import DimensionMismatch, NoValidS, OutOfRange, SingularW1
 from momentguard.model import MisspecSet, MomentModel
 from momentguard.robust_ci import (
     ci_curve,
@@ -223,6 +223,16 @@ class TestEquivalentWeighting:
         k0 = frontier(m, ms).knots[0].k
         with pytest.raises(SingularW1):
             equivalent_weighting(m, k0, np.zeros((1, 1)), np.eye(2))
+
+    @pytest.mark.parametrize("field, bad", [("w1", math.nan), ("w1", math.inf),
+                                            ("w2", math.nan), ("w2", -math.inf)])
+    def test_rejects_non_finite_blocks(self, field, bad):
+        m = random_model(3, 1, 16)
+        k0 = frontier(m, MisspecSet(np.eye(3)[:, 2:], 2, 1.0)).knots[0].k
+        blocks = {"w1": np.eye(1), "w2": np.eye(2)}
+        blocks[field][0, 0] = bad
+        with pytest.raises(OutOfRange, match=field):
+            equivalent_weighting(m, k0, blocks["w1"], blocks["w2"])
 
 
 class TestCiFromSensitivity:

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from momentguard._linalg import sym_sqrt_psd
+from momentguard.efficiency import gls_subspace_sensitivity
 from momentguard.errors import DimensionMismatch, OutOfRange, SingularSystem
 from momentguard.model import MisspecSet, MomentModel
 from momentguard.oracle import kkt_sensitivity, vertex_bias
@@ -27,6 +28,17 @@ def random_model(d_g, d_th, seed, n=200):
         h = rng.normal(size=d_th)
     return MomentModel(gamma=gamma, sigma=sigma, h_deriv=h,
                        g_init=rng.normal(size=d_g) * 0.1, h_init=0.2, n=n)
+
+
+def d2_reproducer():
+    """d_gamma = 3 > d_g - d_theta = 2: the path runs past its first reach of
+    d_theta active coordinates."""
+    rng = np.random.default_rng(108)
+    a = rng.normal(size=(3, 3))
+    m = MomentModel(gamma=rng.normal(size=(3, 1)), sigma=a @ a.T + 0.5 * np.eye(3),
+                    h_deriv=rng.normal(size=1), g_init=np.zeros(3), h_init=0.0,
+                    n=400)
+    return m, np.random.default_rng(208).normal(size=(3, 3))
 
 
 def efficient_k(model):
@@ -99,6 +111,21 @@ class TestL2Sensitivity:
             proj = m.gamma @ np.linalg.lstsq(m.gamma, v, rcond=None)[0]
             assert np.max(np.abs(v - proj)) < 1e-8 * max(np.max(np.abs(v)), 1.0)
 
+    def test_infinite_lambda_is_gls_subspace(self):
+        # with d_gamma <= d_g - d_theta the path ends at the GLS sensitivity
+        # that ignores the suspect directions
+        rng = np.random.default_rng(8)
+        for trial in range(20):
+            d_g = int(rng.integers(2, 7))
+            d_th = int(rng.integers(1, d_g))
+            m = random_model(d_g, d_th, 800 + trial)
+            b = rng.normal(size=(d_g, int(rng.integers(1, d_g - d_th + 1))))
+            k = l2_sensitivity(m, b, math.inf)
+            np.testing.assert_allclose(k, gls_subspace_sensitivity(m, b),
+                                       atol=1e-10 * np.max(np.abs(k)))
+            near = l2_sensitivity(m, b, 1e12)
+            np.testing.assert_allclose(near, k, atol=1e-8 * np.max(np.abs(k)))
+
     def test_negative_lambda_rejected(self):
         with pytest.raises(OutOfRange):
             l2_sensitivity(random_model(3, 1, 7), np.eye(3), -1.0)
@@ -130,17 +157,87 @@ class TestLinfPath:
             assert nnz == d_th, (trial, term)
 
     def test_every_knot_matches_kkt_oracle(self):
+        # also past the last knot, where a path cut short of its end would
+        # keep a k that is no longer optimal
         rng = np.random.default_rng(12)
+        cases = []
         for trial in range(15):
             d_g = int(rng.integers(2, 6))
             d_th = min(int(rng.integers(1, 3)), d_g)
             d_gam = int(rng.integers(1, min(d_g, 3) + 1))
-            m = random_model(d_g, d_th, 1200 + trial)
-            b = rng.normal(size=(d_g, d_gam))
+            cases.append((random_model(d_g, d_th, 1200 + trial),
+                          rng.normal(size=(d_g, d_gam))))
+        cases.append(d2_reproducer())
+        for trial, (m, b) in enumerate(cases):
             front = linf_path(m, b)
-            for kn in front.knots:
+            lam_last = front.knots[-1].lam
+            points = list(front.knots) + [knot_at(front, 10.0 * lam_last),
+                                          knot_at(front, 100.0 * lam_last)]
+            for kn in points:
                 k_oracle = kkt_sensitivity(m, b, kn.lam)
                 assert np.max(np.abs(k_oracle - kn.k)) < 1e-8, (trial, kn.lam)
+
+    @pytest.mark.parametrize("s_scale,b_scale,h_scale", [
+        (1e12, 1.0, 1.0), (1e-12, 1.0, 1.0), (1.0, 1e-6, 1.0),
+        (1.0, 1e-12, 1.0), (1.0, 1.0, 1e6), (1e12, 1e-6, 1e6)])
+    def test_path_is_scale_free(self, s_scale, b_scale, h_scale):
+        # Sigma -> s Sigma, B -> b B, H -> h H gives the same path with
+        # k -> h k at lam -> lam s h / b, past the last knot too
+        rng = np.random.default_rng(12)
+        cases = []
+        for trial in range(15):
+            d_g = int(rng.integers(2, 6))
+            d_th = min(int(rng.integers(1, 3)), d_g)
+            d_gam = int(rng.integers(1, min(d_g, 3) + 1))
+            cases.append((random_model(d_g, d_th, 1200 + trial),
+                          rng.normal(size=(d_g, d_gam))))
+        cases.append(d2_reproducer())
+        lam_factor = s_scale * h_scale / b_scale
+        for trial, (m, b) in enumerate(cases):
+            scaled = MomentModel(gamma=m.gamma, sigma=s_scale * m.sigma,
+                                 h_deriv=h_scale * m.h_deriv, g_init=m.g_init,
+                                 h_init=m.h_init, n=m.n)
+            unit, front = linf_path(m, b), linf_path(scaled, b_scale * b)
+            assert len(front.knots) == len(unit.knots), trial
+            lam_last = front.knots[-1].lam
+            for kn in list(front.knots) + [knot_at(front, 10.0 * lam_last),
+                                           knot_at(front, 100.0 * lam_last)]:
+                ref = knot_at(unit, kn.lam / lam_factor).k
+                err = np.max(np.abs(kn.k / h_scale - ref)) / np.max(np.abs(ref))
+                assert err < 1e-8, (trial, kn.lam)
+
+    @pytest.mark.parametrize("p", [2, math.inf])
+    def test_multiplier_stationarity(self, p):
+        # Sigma k + Gamma mu = -lam * B s with s = B'k (p = 2) or s a sign
+        # vector of B'k with |s| <= 1 (p = inf), between and past the knots
+        rng = np.random.default_rng(40)
+        for trial in range(12):
+            d_g = int(rng.integers(2, 6))
+            d_th = min(int(rng.integers(1, 3)), d_g)
+            m = random_model(d_g, d_th, 4000 + trial)
+            b = rng.normal(size=(d_g, int(rng.integers(1, d_g + 1))))
+            front = frontier(m, MisspecSet(b, p, 1.0))
+            lams = [kn.lam for kn in front.knots]
+            probe = [0.5 * (x + y) for x, y in zip(lams, lams[1:])]
+            probe += [2.0 * lams[-1] + 1.0]
+            for lam in lams + probe:
+                kn = knot_at(front, lam)
+                resid = -(m.sigma @ kn.k + m.gamma @ kn.mu)
+                scale = np.max(np.abs(m.sigma @ kn.k))
+                if p == 2:
+                    np.testing.assert_allclose(resid, lam * b @ (b.T @ kn.k),
+                                               atol=1e-9 * scale)
+                    continue
+                if lam == 0.0:
+                    assert np.max(np.abs(resid)) <= 1e-9 * scale
+                    continue
+                s = np.linalg.lstsq(b, resid / lam, rcond=None)[0]
+                np.testing.assert_allclose(b @ s, resid / lam,
+                                           atol=1e-9 * scale / lam)
+                assert np.max(np.abs(s)) <= 1.0 + 1e-7
+                v = b.T @ kn.k
+                on = np.abs(v) > 1e-9 * np.linalg.norm(b) * np.linalg.norm(kn.k)
+                np.testing.assert_allclose(s[on], np.sign(v[on]), atol=1e-7)
 
     def test_monotone_bias_and_variance(self):
         for trial in range(10):
@@ -347,5 +444,5 @@ class TestScaleOutsideDoublePrecision:
         model = MomentModel(gamma=[[-1.0]], sigma=[[1.0]], h_deriv=[1.0],
                             g_init=[0.0], h_init=0.0, n=10)
         for p in (2, math.inf):
-            with pytest.raises(SingularSystem):
+            with pytest.raises(SingularSystem, match="b_mat"):
                 frontier(model, MisspecSet([[2e-311]], p, 1.0))
