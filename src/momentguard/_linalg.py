@@ -9,8 +9,6 @@ from .errors import DimensionMismatch, RankDeficiency, SingularSystem
 #: Relative singular-value cutoff for rank decisions.
 RANK_RTOL = 1e-10
 
-_INV_PHI = (np.sqrt(5.0) - 1.0) / 2.0
-
 
 def as_matrix(x, name: str) -> np.ndarray:
     a = np.atleast_2d(np.asarray(x, dtype=float))
@@ -61,33 +59,7 @@ def solve_psd(a: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     except np.linalg.LinAlgError as exc:
         raise SingularSystem(f"positive-definite solve failed: {exc}") from exc
     y = np.linalg.solve(c, rhs)
-    return np.linalg.solve(c.T, y)
-
-
-def golden_section(fun, lo: float, hi: float, tol: float = 1e-8,
-                   max_iter: int = 200) -> tuple[float, float]:
-    """Minimize a unimodal scalar function on [lo, hi].
-
-    Returns ``(argmin, minimum)``. The bracket endpoints are included in the
-    final comparison so a boundary minimum is never missed.
-    """
-    a, b = float(lo), float(hi)
-    x1 = b - _INV_PHI * (b - a)
-    x2 = a + _INV_PHI * (b - a)
-    f1, f2 = fun(x1), fun(x2)
-    it = 0
-    while abs(b - a) > tol and it < max_iter:
-        if f1 <= f2:
-            b, x2, f2 = x2, x1, f1
-            x1 = b - _INV_PHI * (b - a)
-            f1 = fun(x1)
-        else:
-            a, x1, f1 = x1, x2, f2
-            x2 = a + _INV_PHI * (b - a)
-            f2 = fun(x2)
-        it += 1
-    xm = 0.5 * (a + b)
-    candidates = [(fun(lo), float(lo)), (fun(hi), float(hi)), (fun(xm), xm),
-                  (f1, x1), (f2, x2)]
-    fbest, xbest = min(candidates, key=lambda t: t[0])
-    return xbest, fbest
+    x = np.linalg.solve(c.T, y)
+    if not np.all(np.isfinite(x)):
+        raise SingularSystem("positive-definite solve overflowed")
+    return x

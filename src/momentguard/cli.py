@@ -36,7 +36,7 @@ from .errors import (
 from .iv import IVData, build_b, build_model, drop_collinear_instruments
 from .model import MisspecSet, MomentModel
 from .oracle import adversarial_c, mc_coverage
-from .robust_ci import ci_from_sensitivity, two_sided_ci
+from .robust_ci import ci_from_sensitivity
 from .efficiency import efficiency_report
 from .sensitivity import frontier, knot_at, select_lambda
 from .spec_test import spec_test_grid

@@ -21,7 +21,10 @@ k_delta``, at which the quadratic budget binds.
 The two-sided efficiency bound compares the best possible expected CI length
 at correct specification against the optimized fixed-length interval; its
 numerator is a Gaussian integral of the modulus and its denominator the
-minimized bias-aware length over delta.
+minimized bias-aware length over delta. The fixed-length interval at delta is
+built on ``k_delta``, and every frontier point is ``k_delta`` for some delta,
+so that denominator is the shortest two-sided CI over the frontier, found
+exactly by the CI selector's minimization.
 """
 
 from __future__ import annotations
@@ -32,7 +35,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import roots_legendre
 
-from ._linalg import golden_section, orth_complement, solve_psd
+from ._linalg import orth_complement, solve_psd
 from .critval import _check_alpha, cv_alpha, norm_cdf, norm_pdf, norm_quantile
 from .errors import (
     InfeasibleDelta,
@@ -41,7 +44,7 @@ from .errors import (
     TooManyInvalidMoments,
 )
 from .model import MisspecSet, MomentModel, Sensitivity
-from .sensitivity import SensitivityFrontier, _argmin_bias_sd, frontier
+from .sensitivity import SensitivityFrontier, _argmin, _weights, frontier
 
 #: Gauss-Legendre nodes for the expected-modulus integral.
 QUAD_NODES = 201
@@ -80,15 +83,15 @@ def half_modulus(model: MomentModel, mset: MisspecSet,
     ``omega' = sd = sqrt(k' Sigma k)`` of the implied optimal sensitivity.
     The quadratic budget always binds at the solution.
     """
-    if not (delta > 0.0) or not math.isfinite(delta):
-        raise InfeasibleDelta(f"delta must be strictly positive, got {delta}")
     return _modulus(frontier(model, mset), mset.m, delta)
 
 
 def _modulus(front: SensitivityFrontier, m: float,
              delta: float) -> ModulusSolution:
     """The modulus at ``delta`` from the unit frontier of a set of size m."""
-    kn = _argmin_bias_sd(front, 2.0 * m, delta)
+    if not (0.0 < delta < math.inf):
+        raise InfeasibleDelta(f"delta must be positive and finite, got {delta}")
+    kn = _argmin(front, lambda bbar, sd: (2.0 * m, delta))
     sd = math.sqrt(kn.var)
     scale = 0.5 * delta / sd
     theta_star = scale * kn.mu
@@ -114,12 +117,6 @@ def kappa_linear_subspace(alpha: float) -> float:
     z1 = norm_quantile(1.0 - a)
     z2 = norm_quantile(1.0 - a / 2.0)
     return ((1.0 - a) * z1 + norm_pdf(z1)) / z2
-
-
-def _flci_length_halved(sol: ModulusSolution, alpha: float) -> float:
-    """cv_alpha(omega/(2 omega') - delta/2) * omega': half the FLCI length."""
-    bias = sol.omega / (2.0 * sol.omega_prime) - 0.5 * sol.delta
-    return cv_alpha(max(bias, 0.0), alpha) * sol.omega_prime
 
 
 def kappa_two_sided(model: MomentModel, mset: MisspecSet,
@@ -148,28 +145,12 @@ def kappa_two_sided(model: MomentModel, mset: MisspecSet,
     numer += edge.omega * norm_cdf(u) + 2.0 * edge.omega_prime * (
         u * norm_cdf(u) + norm_pdf(u))
 
-    # denominator: shortest bias-aware fixed-length interval over delta
-    bias_scale = _bias_to_sd(front, mset.m)
-    delta_hi = 4.0 * norm_quantile(1.0 - a / 2.0) + 8.0 * bias_scale
-    grid = np.geomspace(1e-3, delta_hi, 25)
-    vals = np.array([_flci_length_halved(modulus(d), a) for d in grid])
-    best = float(vals.min())
-    # the length is flat wherever k_delta stands still, so rounding decides
-    # which of several equal grid values is smallest: refine next to both
-    # ends of the flat stretch
-    tied = np.flatnonzero(vals <= best * (1.0 + 1e-9))
-    for j in {int(tied[0]), int(tied[-1])}:
-        _, val = golden_section(lambda d: _flci_length_halved(modulus(d), a),
-                                grid[max(j - 1, 0)],
-                                grid[min(j + 1, grid.shape[0] - 1)], tol=1e-6)
-        best = min(best, val)
-    return numer / (2.0 * best)
-
-
-def _bias_to_sd(front: SensitivityFrontier, m: float) -> float:
-    """Worst-case bias of the efficient sensitivity in its own sd units."""
-    k0 = front.knots[0]
-    return m * k0.bbar / math.sqrt(k0.var)
+    # denominator: half the shortest fixed-length interval over delta, the
+    # frontier's shortest CI (each frontier point is k_delta at
+    # delta = 2 m sd / lam')
+    kn = _argmin(front, _weights("ci_length", mset.m, a))
+    sd = math.sqrt(kn.var)
+    return numer / (2.0 * cv_alpha(mset.m * kn.bbar / sd, a) * sd)
 
 
 def kappa_one_sided(model: MomentModel, mset: MisspecSet, alpha: float = 0.05,

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._linalg import orth_complement, solve_psd
+from ._linalg import RANK_RTOL, orth_complement, solve_psd
 from .critval import _check_alpha, cv_alpha, norm_quantile
 from .errors import (
     DimensionMismatch,
@@ -144,13 +144,14 @@ def equivalent_weighting(model: MomentModel, k: Sensitivity,
     d_th = model.d_theta
     if w1.shape != (d_th, d_th):
         raise DimensionMismatch(f"w1 must be {d_th} x {d_th}, got {w1.shape}")
-    if abs(np.linalg.det(w1)) < 1e-300:
+    sv = np.linalg.svd(w1, compute_uv=False)
+    if not sv[-1] > RANK_RTOL * sv[0]:
         raise SingularW1("w1 is singular")
 
     # base factor from the efficient direction, then a rank-one correction
     # toward k inside null(Gamma')
     v = solve_psd(model.sigma, model.gamma)
-    s_base = -v @ np.linalg.inv(model.gamma.T @ v)
+    s_base = -np.linalg.solve((model.gamma.T @ v).T, v.T).T
     hh = float(model.h_deriv @ model.h_deriv)
     k_base = s_base @ model.h_deriv
     s_mat = s_base + np.outer(k - k_base, model.h_deriv) / hh

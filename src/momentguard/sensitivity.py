@@ -11,7 +11,8 @@ constraint ``H = -k' Gamma`` and a sliding bound on worst-case bias is:
   coordinates ``z = U' L' k`` the variance is ``||z||^2``, the unit bias is
   ``||S z_1||`` (``z_1``: the first d_gamma coordinates) and each point of
   the path costs O(d_g d_theta). The frontier keeps knots on a log-spaced
-  lambda grid;
+  lambda grid for display (``momentguard path``); selection does not read
+  them;
 * p = inf — a piecewise-linear homotopy in the penalty weight, analogous to
   the LAR-LASSO path, computed exactly between breakpoints until no event is
   reachable, so the path is complete on ``[0, inf]``.
@@ -23,21 +24,25 @@ p = inf), ``Sigma k + lam' * B s + Gamma mu = 0`` where ``lam'`` is
 
 Paths are always computed for the unit set (m = 1); scale invariance means the
 same path serves every magnitude m, with the worst-case bias simply rescaled.
-:func:`select_lambda` then picks the knot (or interior point) minimizing CI
-length, worst-case MSE or a one-sided excess-length quantile at a given m, and
-the modulus of continuity is the frontier's minimum of ``2 m bbar + delta sd``
-(:mod:`momentguard.efficiency`).
+:func:`select_lambda` then finds the exact point of the path minimizing CI
+length, worst-case MSE or a one-sided excess-length quantile at a given m:
+each criterion is convex and nondecreasing in the bias and the sd, so its
+minimizer is the one sign change of a first-order condition along the path
+(:func:`_argmin`). The same minimizer gives the modulus of continuity, the
+frontier's minimum of ``2 m bbar + delta sd``, and the shortest CI in the
+denominator of the two-sided efficiency bound (:mod:`momentguard.efficiency`).
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.optimize import brentq
 
-from ._linalg import golden_section, orth_complement, solve_psd
+from ._linalg import orth_complement, solve_psd
 from .critval import _check_alpha, cv_alpha, norm_quantile
 from .errors import (
     DegeneratePath,
@@ -74,6 +79,11 @@ class FrontierKnot:
     mu: np.ndarray
 
 
+def _t_pair(lam: float) -> tuple[float, float]:
+    """``t = lam / (1 + lam)`` and ``1 - t``, each to full relative precision."""
+    return (1.0, 0.0) if math.isinf(lam) else (lam / (1.0 + lam), 1.0 / (1.0 + lam))
+
+
 class _L2Path:
     """The p = 2 path in closed form at any ``lam = t / (1 - t)``, t in [0, 1].
 
@@ -98,6 +108,9 @@ class _L2Path:
         u, self.s, _ = np.linalg.svd(np.linalg.solve(chol, b))
         self.a = u.T @ np.linalg.solve(chol, model.gamma)
         self.to_k = np.linalg.solve(chol.T, u)
+        if not max(self.s[0], np.max(np.abs(self.a))) < math.sqrt(np.finfo(float).max):
+            raise SingularSystem("sigma is too small against b_mat or gamma: the "
+                                 "path's squares exceed double precision")
         self.h = model.h_deriv
         #: the suspect directions leave d_theta moments to identify theta,
         #: so the bias reaches 0 at lam = inf
@@ -105,22 +118,28 @@ class _L2Path:
 
     def knot(self, lam: float) -> FrontierKnot:
         """Frontier point at ``lam`` in ``[0, inf]``."""
-        t, one_minus_t = (1.0, 0.0) if math.isinf(lam) else (
-            lam / (1.0 + lam), 1.0 / (1.0 + lam))
-        w, _, mu, a_mu = self._solve(t, one_minus_t)
+        w, _, mu, a_mu = self._solve(*_t_pair(lam))
         z = -w * a_mu
         bias = self.s * z[:self.s.shape[0]]
         return FrontierKnot(lam=float(lam), k=self.to_k @ z,
                             bbar=math.sqrt(bias @ bias),
                             var=_checked_var(float(z @ z), lam), mu=mu)
 
-    def sd_lam_bbar(self, t: float) -> tuple[float, float]:
-        """``sd`` and ``lam * bbar`` at ``lam = t / (1 - t)``, both finite at
-        t = 1."""
-        w, den, _, a_mu = self._solve(t, 1.0 - t)
-        z = w * a_mu
-        lam_bias = self.s * (t / den) * a_mu[:self.s.shape[0]]
-        return math.sqrt(z @ z), math.sqrt(lam_bias @ lam_bias)
+    @functools.cached_property
+    def end(self) -> tuple[float, float, float]:
+        """:meth:`scalars` at lam = inf."""
+        return self.scalars(math.inf)
+
+    def scalars(self, lam: float) -> tuple[float, float, float]:
+        """``bbar``, ``sd`` and ``lam * bbar`` at ``lam`` in ``[0, inf]``, all
+        finite at lam = inf."""
+        t, one_minus_t = _t_pair(lam)
+        w, den, _, a_mu = self._solve(t, one_minus_t)
+        d_gam = self.s.shape[0]
+        # hypot scales its arguments, so a tiny lam does not underflow
+        bbar = math.hypot(*(self.s * (one_minus_t / den) * a_mu[:d_gam]))
+        lam_bbar = math.hypot(*(self.s * (t / den) * a_mu[:d_gam]))
+        return bbar, math.hypot(*(w * a_mu)), lam_bbar
 
     def _solve(self, t: float, one_minus_t: float):
         """Weights w, their denominators, mu and ``A mu`` at t."""
@@ -388,25 +407,40 @@ def frontier(model: MomentModel, mset: MisspecSet) -> SensitivityFrontier:
                                set=unit, model=model, kind="l2", l2_path=path)
 
 
-def _criterion_fn(criterion: str, m: float, alpha: float, beta: float):
+def _weights(criterion: str, m: float, alpha: float, beta: float = 0.8):
+    """Partial derivatives ``(a, b)`` of a selection criterion ``L(m bbar,
+    sd)`` in ``bbar`` and ``sd``, up to a common positive factor.
+
+    Each criterion is convex and nondecreasing in both arguments, so these
+    weights are all that :func:`_argmin` needs.
+    """
     if criterion == "ci_length":
-        def fn(bbar: float, var: float) -> float:
-            sd = math.sqrt(var)
-            return 2.0 * cv_alpha(m * bbar / sd, alpha) * sd
+        # L = 2 cv(tau) sd with tau = m bbar / sd; differentiating the
+        # defining equation of cv_alpha gives
+        # cv' = (phi(c - tau) - phi(c + tau)) / (phi(c - tau) + phi(c + tau)),
+        # which is tanh(c tau)
+        def weights(bbar: float, sd: float) -> tuple[float, float]:
+            tau = m * bbar / sd
+            c = cv_alpha(tau, alpha)
+            slope = math.tanh(c * tau)
+            return m * slope, c - tau * slope
     elif criterion == "mse":
-        def fn(bbar: float, var: float) -> float:
-            return (m * bbar) ** 2 + var
+        def weights(bbar: float, sd: float) -> tuple[float, float]:
+            return m * m * bbar, sd
     elif criterion == "one_sided_quantile":
         if not (0.0 < beta < 1.0):
             raise OutOfRange(f"beta must lie in (0, 1), got {beta}")
         weight = norm_quantile(1.0 - alpha) + norm_quantile(beta)
+        if not weight > 0.0:
+            raise OutOfRange("z_{1-alpha} + z_beta must be positive, got "
+                             f"{weight} at alpha={alpha}, beta={beta}")
 
-        def fn(bbar: float, var: float) -> float:
-            return m * bbar + weight * math.sqrt(var)
+        def weights(bbar: float, sd: float) -> tuple[float, float]:
+            return m, weight
     else:
         raise OutOfRange("criterion must be 'ci_length', 'mse' or "
                          f"'one_sided_quantile', got {criterion!r}")
-    return fn
+    return weights
 
 
 def knot_at(front: SensitivityFrontier, lam: float) -> FrontierKnot:
@@ -437,74 +471,99 @@ def knot_at(front: SensitivityFrontier, lam: float) -> FrontierKnot:
                  (1.0 - w) * lo.mu + w * hi.mu)
 
 
-def _argmin_bias_sd(front: SensitivityFrontier, a: float,
-                    b: float) -> FrontierKnot:
-    """Frontier point minimizing ``a * bbar + b * sd`` (a >= 0, b > 0).
+#: ``log(lam)`` range of the l2 root: the smallest positive and the largest
+#: finite double, and the step of the search for its bracket.
+_LOG_LAM_MIN = math.log(5e-324)
+_LOG_LAM_MAX = math.log(np.finfo(float).max)
+_LOG_LAM_STEP = math.log(16.0)
 
-    The objective is convex in k, so its stationarity condition picks the
-    penalty: ``lam = a sd / b`` on an inf-path, ``lam bbar = a sd / b`` on
-    the l2 path. Along an inf-path segment bbar is linear in the segment
-    weight and the variance quadratic, so each segment's minimum is closed
-    form; on the l2 path the condition is one bracketed root in
-    ``t = lam / (1 + lam)``, and without a root the minimizer is the
-    ``lam = inf`` end.
+
+def _root(fn, lo: float, hi: float) -> float:
+    """Root of ``fn`` given ``fn(lo) < 0 <= fn(hi)``."""
+    eps = np.finfo(float).eps
+    x, res = brentq(fn, lo, hi, xtol=4.0 * eps, rtol=4.0 * eps,
+                    full_output=True, disp=False)
+    if not res.converged:
+        raise SolverFailure(f"first-order condition: root search on "
+                            f"[{lo!r}, {hi!r}] did not converge: {res.flag}")
+    return x
+
+
+def _argmin(front: SensitivityFrontier, weights) -> FrontierKnot:
+    """Frontier point minimizing a criterion ``L(m bbar, sd)`` that is convex
+    and nondecreasing in both arguments; ``weights(bbar, sd)`` gives its
+    partial derivatives ``(a, b)`` (see :func:`_weights`).
+
+    Along the frontier, stationarity ``Sigma k + lam' B s + Gamma mu = 0``
+    (``lam' = lam`` for p = inf, ``lam bbar`` for p = 2) makes
+    ``d sd / d bbar = -lam' / sd``, so dL/dlam has the sign of
+    ``G = b lam' - a sd``, which changes sign once: the minimizer is that
+    root. On the l2 path it is one bracketed root in ``log(lam)``. On an
+    inf-path the first knot with ``G >= 0`` ends the segment that holds it;
+    there bbar is linear and the variance quadratic in the segment weight, so
+    the root needs only scalars. Past the last knot k stands still and the
+    root is ``lam = a sd / b``, where mu has moved on; the same holds on a
+    segment where only mu moves.
     """
-    if a == 0.0:
-        return front.knots[0]
+    def gap(bbar: float, sd: float, lam_prime: float) -> float:
+        a, b = weights(bbar, sd)
+        return b * lam_prime - a * sd
+
+    first = front.knots[0]
+    sd0 = math.sqrt(first.var)
+    a0, b0 = weights(first.bbar, sd0)
+    # G = -a sd at lam = 0; an unbiased first knot is optimal on any criterion
+    if front.kind == "single" or a0 == 0.0 or first.bbar == 0.0:
+        return first
     if front.kind == "l2":
         path = front.l2_path
+        if path.ends_unbiased and gap(*path.end) <= 0.0:
+            return path.knot(math.inf)
+        memo: dict[float, float] = {}
 
-        def gap(t: float) -> float:
-            sd, lam_bbar = path.sd_lam_bbar(t)
-            return b * lam_bbar - a * sd
+        def gap_l2(u: float) -> float:
+            if u not in memo:
+                memo[u] = gap(*path.scalars(math.exp(u)))
+            return memo[u]
 
-        lo, hi = 0.0, 1.0
-        if path.ends_unbiased:
-            if gap(1.0) <= 0.0:
-                return path.knot(math.inf)
-        else:
-            # bbar stays positive, so gap grows without bound as t -> 1
-            hi = 0.75
-            while gap(hi) < 0.0:
-                if hi == 1.0:
-                    raise SolverFailure("could not bracket the l2 penalty")
-                lo, hi = hi, 1.0 - 0.25 * (1.0 - hi)
-        t = brentq(gap, lo, hi, xtol=1e-300, rtol=4.0 * np.finfo(float).eps)
-        return path.knot(t / (1.0 - t) if t < 1.0 else math.inf)
+        # start at the root of G linearized at lam = 0, where lam' = lam bbar_0,
+        # and step outward to a sign change
+        u = (math.log(a0) + math.log(sd0) - math.log(b0) - math.log(first.bbar)
+             if b0 > 0.0 else 0.0)
+        lo = hi = min(max(u, _LOG_LAM_MIN), _LOG_LAM_MAX)
+        while gap_l2(hi) < 0.0:
+            if hi == _LOG_LAM_MAX:
+                if path.ends_unbiased:
+                    return path.knot(math.inf)
+                raise SolverFailure("could not bracket the l2 penalty")
+            lo, hi = hi, min(hi + _LOG_LAM_STEP, _LOG_LAM_MAX)
+        while gap_l2(lo) >= 0.0:
+            if lo == _LOG_LAM_MIN:
+                return first  # the root lies below every positive double: m -> 0
+            lo, hi = max(lo - _LOG_LAM_STEP, _LOG_LAM_MIN), lo
+        return path.knot(math.exp(_root(gap_l2, lo, hi)))
 
-    # the minimizer's sd fixes its penalty lam = a sd / b, which also places
-    # it where k stands still over a range of lam (past the last knot, or on
-    # a segment where only mu moves)
-    sigma = front.model.sigma
-    last = front.knots[-1]
-    best_sd = math.sqrt(last.var)
-    best_val = a * last.bbar + b * best_sd
-    for lo, hi in zip(front.knots, front.knots[1:]):
-        dk = hi.k - lo.k
-        v2 = float(dk @ sigma @ dk)
-        if not v2 > 0.0:
-            continue
-        # var(w) = h2 + r(w)^2 with r = sqrt(v2) w + c / sqrt(v2): minimize
-        # beta r + b sqrt(h2 + r^2) over r, then clip the weight to [0, 1]
-        c = float(lo.k @ sigma @ dk)
-        h2 = max(lo.var - c * c / v2, 0.0)
-        beta = a * (hi.bbar - lo.bbar) / math.sqrt(v2)
-        if beta <= -b:
-            w = 1.0
-        elif beta >= b:
-            w = 0.0
-        else:
-            r = -beta * math.sqrt(h2 / (b * b - beta * beta))
-            w = min(max((r * math.sqrt(v2) - c) / v2, 0.0), 1.0)
-        sd = math.sqrt(max(lo.var + w * (2.0 * c + w * v2), 0.0))
-        val = a * ((1.0 - w) * lo.bbar + w * hi.bbar) + b * sd
-        if val < best_val:
-            best_val, best_sd = val, sd
-    return knot_at(front, a * best_sd / b)
+    knots = front.knots
+    j = next((j for j, kn in enumerate(knots)
+              if gap(kn.bbar, math.sqrt(kn.var), kn.lam) >= 0.0), None)
+    if j is None:
+        last = knots[-1]
+        sd = math.sqrt(last.var)
+        a, b = weights(last.bbar, sd)
+        # b > 0 whenever alpha <= 1/2; otherwise L does not rise past here
+        return knot_at(front, a * sd / b) if b > 0.0 else last
+    lo, hi = knots[j - 1], knots[j]
+    dk = hi.k - lo.k
+    v2 = float(dk @ front.model.sigma @ dk)
 
+    def gap_segment(w: float) -> float:
+        # exact at both ends: var(w) = (1-w) var_lo + w var_hi - w(1-w) v2
+        var = (1.0 - w) * lo.var + w * hi.var - w * (1.0 - w) * v2
+        return gap((1.0 - w) * lo.bbar + w * hi.bbar, math.sqrt(max(var, 0.0)),
+                   (1.0 - w) * lo.lam + w * hi.lam)
 
-#: Interior evaluation points per inf-path segment when selecting lambda.
-SEGMENT_SUBGRID = 20
+    w = _root(gap_segment, 0.0, 1.0)
+    return knot_at(front, (1.0 - w) * lo.lam + w * hi.lam)
 
 
 def select_lambda(front: SensitivityFrontier, m: float, alpha: float = 0.05,
@@ -512,45 +571,15 @@ def select_lambda(front: SensitivityFrontier, m: float, alpha: float = 0.05,
     """Penalty minimizing CI length, worst-case MSE or, for
     "one_sided_quantile", ``m * bbar + (z_{1-alpha} + z_beta) * sd`` at ``m``.
 
-    Evaluates the criterion along the computed path: at every knot, plus a
-    golden-section refinement between the neighbors of the best grid point
-    (l2), or a subgrid within each linear segment (inf), since the criterion
-    varies inside segments as k moves.
+    The minimum over the whole frontier is exact: it is the root of the
+    criterion's first-order condition along the path (:func:`_argmin`).
+    Where k stands still over a range of penalties (past the last knot of an
+    inf-path), every penalty there gives the same sensitivity, and
+    ``lambda_star`` is the one at which the criterion's weights satisfy the
+    stationarity condition, ``lam = a sd / b``.
     """
     _check_alpha(alpha)
-    if m < 0.0:
-        raise OutOfRange(f"m must be nonnegative, got {m}")
-    fn = _criterion_fn(criterion, m, alpha, beta)
-    if m == 0.0 or len(front.knots) == 1 or front.kind == "single":
-        return LambdaChoice(lambda_star=front.knots[0].lam, criterion=criterion, m=m)
-
-    vals = [fn(kn.bbar, kn.var) for kn in front.knots]
-    best = int(np.argmin(vals))
-    best_lam, best_val = front.knots[best].lam, vals[best]
-
-    if front.kind == "l2":
-        lo = front.knots[max(best - 1, 0)].lam
-        hi = front.knots[min(best + 1, len(front.knots) - 1)].lam
-        if hi > lo:
-            def obj(lam: float) -> float:
-                kn = knot_at(front, lam)
-                return fn(kn.bbar, kn.var)
-            lam_ref, val_ref = golden_section(obj, lo, hi,
-                                              tol=1e-6 * max(hi - lo, 1.0))
-            if val_ref < best_val:
-                best_lam, best_val = lam_ref, val_ref
-    else:
-        for j in range(len(front.knots) - 1):
-            lo, hi = front.knots[j], front.knots[j + 1]
-            if hi.lam <= lo.lam:
-                continue
-            for w in np.linspace(0.0, 1.0, SEGMENT_SUBGRID + 2)[1:-1]:
-                k = (1.0 - w) * lo.k + w * hi.k
-                kn = _knot(front.model, front.set,
-                           (1.0 - w) * lo.lam + w * hi.lam, k,
-                           (1.0 - w) * lo.mu + w * hi.mu)
-                v = fn(kn.bbar, kn.var)
-                if v < best_val:
-                    best_lam, best_val = kn.lam, v
-
-    return LambdaChoice(lambda_star=float(best_lam), criterion=criterion, m=m)
+    if not (0.0 <= m < math.inf):
+        raise OutOfRange(f"m must be nonnegative and finite, got {m}")
+    kn = _argmin(front, _weights(criterion, m, alpha, beta))
+    return LambdaChoice(lambda_star=kn.lam, criterion=criterion, m=m)

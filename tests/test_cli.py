@@ -97,6 +97,32 @@ class TestCmdEfficiency:
         assert float(rec["kappa_one_sided"]) == pytest.approx(1.0, abs=1e-6)
 
 
+class TestTinyMagnitude:
+    """A magnitude far below every other scale exits 0 with the M = 0 values."""
+
+    @pytest.mark.parametrize("mval", [1e-300, 1e-200, 2.2e-311])
+    @pytest.mark.parametrize("p", [2, "inf"])
+    @pytest.mark.parametrize("command", ["ci", "efficiency"])
+    def test_zero_limit(self, tmp_path, capsys, command, p, mval):
+        doc = {"model": {"gamma": np.fliplr(np.eye(3)).tolist(),
+                         "sigma": np.eye(3).tolist(), "h_deriv": [0.0, 0.0, 1.0],
+                         "g_init": [0.0, 0.0, 0.0], "h_init": 0.0, "n": 1},
+               "misspec": {"b_mat": {"identity_columns": [0]}, "p": p,
+                           "m_grid": [mval]}}
+        code, out, err = run(capsys, [command, "--problem",
+                                      write_problem(tmp_path, doc)])
+        assert code == 0, err
+        assert "nan" not in out.lower()
+        row = parse_csv(out)[1][0]
+        if command == "ci":
+            assert float(row["upper"]) - float(row["estimate"]) == pytest.approx(
+                1.959963984540054, rel=1e-12)
+        else:
+            assert float(row["kappa_two_sided"]) == pytest.approx(
+                0.8498863239929236, rel=1e-12)
+            assert float(row["kappa_one_sided"]) == pytest.approx(1.0, rel=1e-12)
+
+
 class TestCmdSpectest:
     def overidentified_doc(self):
         rng = np.random.default_rng(0)

@@ -8,7 +8,7 @@ import tempfile
 from pathlib import Path
 
 import numpy as np
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from momentguard.cli import main
@@ -56,14 +56,33 @@ def problem_docs(draw):
     return {"model": model, "misspec": misspec, "alpha": 0.05}
 
 
+#: Just-identified, with a magnitude far below every other scale.
+TINY_M = {"model": {"gamma": [[0.0, 0.0, 1.0], [0.0, 1.0, 0.0], [1.0, 0.0, 0.0]],
+                    "sigma": [[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]],
+                    "h_deriv": [0.0, 0.0, 1.0], "g_init": [0.0, 0.0, 0.0],
+                    "h_init": 0.0, "n": 1},
+          "misspec": {"b_mat": {"identity_columns": [0]}, "p": 2, "m_grid": [1e-200]},
+          "alpha": 0.05}
+
+
+def subnormal_sigma(p):
+    """Sigma so small that the whitened Gamma and B overflow when squared."""
+    return {"model": {"gamma": [[1.0]], "sigma": [[2.03870434597526e-310]],
+                      "h_deriv": [1.0], "g_init": [0.0], "h_init": 0.0, "n": 1},
+            "misspec": {"b_mat": [[1.0]], "p": p, "m_grid": [0.0]}, "alpha": 0.05}
+
+
 @settings(max_examples=60, derandomize=True, deadline=None)
 @given(doc=problem_docs())
+@example(doc=TINY_M)
+@example(doc=subnormal_sigma(2))
+@example(doc=subnormal_sigma("inf"))
 def test_fuzz_problem_files(doc):
     """Any problem file ends in a typed exit code, and exit 0 prints no NaN."""
     with tempfile.TemporaryDirectory() as tmp:
         path = str(Path(tmp) / "prob.json")
         Path(path).write_text(json.dumps(doc))
-        for command in ("ci", "path", "spectest"):
+        for command in ("ci", "path", "efficiency", "spectest"):
             out, err = io.StringIO(), io.StringIO()
             with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
                 code = main([command, "--problem", path])

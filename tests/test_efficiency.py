@@ -5,6 +5,7 @@ import pytest
 from scipy.special import roots_legendre
 
 from momentguard._linalg import sym_sqrt_psd
+from momentguard import efficiency
 from momentguard.critval import cv_alpha, norm_cdf, norm_pdf, norm_quantile
 from momentguard.efficiency import (
     gls_subspace_sensitivity,
@@ -17,7 +18,8 @@ from momentguard.efficiency import (
 from momentguard.errors import InfeasibleDelta, TooManyInvalidMoments
 from momentguard.model import MisspecSet, MomentModel
 from momentguard.oracle import grid_modulus
-from momentguard.sensitivity import linf_path
+from momentguard.robust_ci import two_sided_ci
+from momentguard.sensitivity import frontier, linf_path
 from modulus_oracle import half_modulus as oracle_half_modulus
 
 
@@ -267,6 +269,53 @@ class TestKappaTwoSided:
             kappa_two_sided(scaled, ms, 0.05), rel=1e-6)
 
 
+    def test_efficient_sensitivity_without_bias(self):
+        # just identified, and B'k = 0 for the only admissible k: the
+        # misspecification cannot bias any estimator, so the modulus is linear
+        model = MomentModel(gamma=np.eye(2), sigma=np.eye(2), h_deriv=[1.0, 0.0],
+                            g_init=np.zeros(2), h_init=0.0, n=1)
+        ms = MisspecSet(np.eye(2)[:, 1:], 2, 1.0)
+        assert kappa_two_sided(model, ms) == pytest.approx(
+            kappa_linear_subspace(0.05), rel=1e-12)
+        assert kappa_one_sided(model, ms) == pytest.approx(1.0, rel=1e-12)
+
+    def test_denominator_not_above_dense_delta_scan(self):
+        """The denominator, half the shortest fixed-length CI over delta, is
+        at most the shortest found by scanning 800 deltas on [1e-3, 1e3]."""
+        alpha = 0.05
+        z1 = norm_quantile(1.0 - alpha)
+        nodes, weights = roots_legendre(efficiency.QUAD_NODES)
+        lo = z1 - efficiency.QUAD_SPAN
+        z = 0.5 * (z1 - lo) * nodes + 0.5 * (z1 + lo)
+        w = 0.5 * (z1 - lo) * weights
+        rng = np.random.default_rng(5)
+        for trial in range(20):
+            d_g = int(rng.integers(2, 6))
+            d_gam = int(rng.integers(1, min(3, d_g) + 1))
+            p = 2 if trial % 2 == 0 else np.inf
+            mval = float(rng.choice([0.5, 1.0, 2.0, 4.0]))
+            model = random_model(d_g, 1, 700 + trial)
+            b = np.random.default_rng(1700 + trial).normal(size=(d_g, d_gam))
+            ms = MisspecSet(b, p, mval)
+            front = frontier(model, ms)
+
+            def omega(delta):
+                return efficiency._modulus(front, mval, delta)
+
+            # the numerator as kappa_two_sided computes it
+            edge = omega(2.0 * efficiency.QUAD_SPAN)
+            numer = sum(wi * omega(2.0 * (z1 - zi)).omega * norm_pdf(zi)
+                        for zi, wi in zip(z, w))
+            numer += edge.omega * norm_cdf(lo) + 2.0 * edge.omega_prime * (
+                lo * norm_cdf(lo) + norm_pdf(lo))
+            denom = numer / (2.0 * kappa_two_sided(model, ms, alpha))
+            scan = min(
+                cv_alpha(max(sol.omega / (2.0 * sol.omega_prime) - 0.5 * d, 0.0),
+                         alpha) * sol.omega_prime
+                for d in np.geomspace(1e-3, 1e3, 800) for sol in [omega(d)])
+            assert denom <= scan * (1.0 + 1e-12), (trial, denom / scan - 1.0)
+
+
 class TestKappaOneSided:
     def test_cressie_read_is_one(self):
         m = random_model(4, 2, 16)
@@ -286,6 +335,27 @@ class TestKappaOneSided:
                             float(rng.uniform(0.2, 2.0)))
             val = kappa_one_sided(m, ms, 0.05, 0.8)
             assert 0.0 < val <= 1.0 + 1e-9
+
+
+class TestTinyMagnitude:
+    """Magnitudes far below every other scale of the problem give the M = 0
+    values (the just-identified reproducer once failed to find its root)."""
+
+    @pytest.mark.parametrize("mval", [1e-300, 1e-200, 2.2e-311])
+    @pytest.mark.parametrize("p", [2, np.inf])
+    def test_zero_limit(self, p, mval):
+        model = MomentModel(gamma=np.fliplr(np.eye(3)), sigma=np.eye(3),
+                            h_deriv=[0.0, 0.0, 1.0], g_init=np.zeros(3),
+                            h_init=0.0, n=1)
+        b = np.eye(3)[:, :1]
+        ms, zero = MisspecSet(b, p, mval), MisspecSet(b, p, 0.0)
+        assert kappa_two_sided(model, ms) == pytest.approx(
+            kappa_linear_subspace(0.05), rel=1e-12)
+        assert kappa_one_sided(model, ms) == pytest.approx(1.0, rel=1e-12)
+        ci = two_sided_ci(model, ms, frontier(model, ms))
+        wald = two_sided_ci(model, zero, frontier(model, zero))
+        assert ci.estimate == pytest.approx(wald.estimate, rel=1e-12, abs=1e-300)
+        assert ci.half_length == pytest.approx(wald.half_length, rel=1e-12)
 
 
 class TestGlsSubspace:

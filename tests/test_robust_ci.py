@@ -224,6 +224,25 @@ class TestEquivalentWeighting:
         with pytest.raises(SingularW1):
             equivalent_weighting(m, k0, np.zeros((1, 1)), np.eye(2))
 
+    @pytest.mark.parametrize("scale", [1e-300, 1e-160, 1.0, 1e160])
+    def test_block_scale_does_not_matter(self, scale):
+        m = random_model(5, 2, 19)
+        k = frontier(m, MisspecSet(np.eye(5)[:, 3:], np.inf, 1.0)).knots[-1].k
+        rng = np.random.default_rng(20)
+        w1 = rng.normal(size=(2, 2)) + 2.0 * np.eye(2)
+        w = equivalent_weighting(m, k, scale * w1, scale * rng.normal(size=(3, 3)))
+        gram = m.gamma.T @ w @ m.gamma
+        implied = -w.T @ m.gamma @ np.linalg.solve(gram.T, m.h_deriv)
+        np.testing.assert_allclose(implied, k, atol=1e-12 * np.max(np.abs(k)))
+
+    @pytest.mark.parametrize("w1", [np.ones((2, 2)), 1e-300 * np.ones((2, 2)),
+                                    1e160 * np.array([[1.0, 2.0], [2.0, 4.0]])])
+    def test_rejects_rank_deficient_w1_at_any_scale(self, w1):
+        m = random_model(5, 2, 19)
+        k0 = frontier(m, MisspecSet(np.eye(5)[:, 3:], 2, 1.0)).knots[0].k
+        with pytest.raises(SingularW1):
+            equivalent_weighting(m, k0, w1, np.eye(3))
+
     @pytest.mark.parametrize("field, bad", [("w1", math.nan), ("w1", math.inf),
                                             ("w2", math.nan), ("w2", -math.inf)])
     def test_rejects_non_finite_blocks(self, field, bad):

@@ -2,8 +2,10 @@ import math
 
 import numpy as np
 import pytest
+from scipy.special import ndtr
 
 from momentguard._linalg import sym_sqrt_psd
+from momentguard.critval import norm_quantile
 from momentguard.efficiency import gls_subspace_sensitivity
 from momentguard.errors import DimensionMismatch, OutOfRange, SingularSystem
 from momentguard.model import MisspecSet, MomentModel
@@ -422,6 +424,80 @@ class TestSelectLambda:
             c2 = select_lambda(again, mval, 0.05)
             k1, k2 = knot_at(front, c1.lambda_star), knot_at(again, c2.lambda_star)
             np.testing.assert_allclose(k1.k, k2.k, atol=1e-10)
+
+
+def folded_normal_quantile(tau, alpha=0.05):
+    """cv_alpha on an array: bisection on Phi(c - tau) - Phi(-c - tau)."""
+    tau = np.asarray(tau, dtype=float)
+    lo = tau + norm_quantile(1.0 - alpha) - 1e-3
+    hi = tau + norm_quantile(1.0 - alpha / 2.0) + 1e-3
+    for _ in range(80):
+        mid = 0.5 * (lo + hi)
+        below = ndtr(mid - tau) - ndtr(-mid - tau) < 1.0 - alpha
+        lo, hi = np.where(below, mid, lo), np.where(below, hi, mid)
+    return 0.5 * (lo + hi)
+
+
+def criterion_values(criterion, m, bbar, var):
+    bbar, sd = np.asarray(bbar), np.sqrt(var)
+    if criterion == "ci_length":
+        return 2.0 * folded_normal_quantile(m * bbar / sd) * sd
+    if criterion == "mse":
+        return (m * bbar) ** 2 + var
+    return m * bbar + (norm_quantile(0.95) + norm_quantile(0.8)) * sd
+
+
+def dense_l2_points(model, b):
+    """bbar and var of the ridge sensitivity at 20001 values of
+    t = lam / (1 + lam) in [0, 1], by direct solves."""
+    t = np.linspace(0.0, 1.0, 20001)[:-1]
+    lam = t / (1.0 - t)
+    w_inv = model.sigma[None] + lam[:, None, None] * (b @ b.T)[None]
+    w_gam = np.linalg.solve(w_inv, np.repeat(model.gamma[None], t.size, axis=0))
+    gram = np.einsum("gi,ngj->nij", model.gamma, w_gam)
+    mu = np.linalg.solve(gram, np.repeat(model.h_deriv[None, :, None], t.size, axis=0))
+    k = -(w_gam @ mu)[..., 0]
+    if b.shape[1] <= model.d_g - model.d_theta:  # t = 1
+        k = np.vstack([k, gls_subspace_sensitivity(model, b)])
+    return np.linalg.norm(k @ b, axis=1), np.einsum("ni,ij,nj->n", k, model.sigma, k)
+
+
+def dense_linf_points(front, b):
+    """bbar and var at 2000 points inside every segment of an inf-path and at
+    its knots (k is constant past the last one)."""
+    w = np.linspace(0.0, 1.0, 2002)[:, None]
+    ks = [np.array([kn.k for kn in front.knots])]
+    for lo, hi in zip(front.knots, front.knots[1:]):
+        ks.append((1.0 - w) * lo.k + w * hi.k)
+    k = np.vstack(ks)
+    return np.abs(k @ b).sum(axis=1), np.einsum("ni,ij,nj->n", k, front.model.sigma, k)
+
+
+class TestSelectLambdaExact:
+    """The selector's value is the minimum over the whole frontier: no dense
+    evaluation of the path finds a smaller one."""
+
+    @pytest.mark.parametrize("criterion", ["ci_length", "mse", "one_sided_quantile"])
+    @pytest.mark.parametrize("p", [2, math.inf])
+    def test_not_above_dense_oracle(self, p, criterion):
+        rng = np.random.default_rng(61)
+        for trial in range(20):
+            d_g = int(rng.integers(2, 6))
+            d_th = int(rng.integers(1, d_g))
+            model = random_model(d_g, d_th, 6100 + trial)
+            d_gam = int(rng.integers(1, min(d_g, 3) + 1))
+            b = rng.normal(size=(d_g, d_gam))
+            # without a lam = inf end the l2 evaluator's error grows with lam
+            # (about 1e-10 relative at lam = 1e6), so M stays below 1e3 there
+            top = 3.0 if p == 2 and d_gam > d_g - d_th else 5.0
+            m = float(10.0 ** rng.uniform(-2.0, top))
+            front = frontier(model, MisspecSet(b, p, 1.0))
+            bbar, var = (dense_l2_points(model, b) if p == 2
+                         else dense_linf_points(front, b))
+            oracle = float(np.min(criterion_values(criterion, m, bbar, var)))
+            kn = knot_at(front, select_lambda(front, m, 0.05, criterion).lambda_star)
+            value = float(criterion_values(criterion, m, [kn.bbar], [kn.var])[0])
+            assert value <= oracle * (1.0 + 1e-12), (trial, value / oracle - 1.0)
 
 
 class TestScaleOutsideDoublePrecision:
