@@ -9,6 +9,12 @@ parameterizing direct effects of the suspect instruments on the outcome.
 Because the moments are linear in the parameter, the one-step estimate
 ``k @ (z'y/n)`` does not depend on the initial estimator at all; this module
 exposes that form directly so callers can verify the invariance.
+
+Each call makes its own pass over ``z`` and allocates nothing of its size.
+:func:`build_model` forms ``z'z`` and ``z'[x y]`` once and sums the robust
+variance over row blocks; :func:`build_b` reads the suspect columns out of
+``z'z``; :func:`drop_collinear_instruments` runs a pivoted QR only when
+``z'z`` cannot certify full rank. Nothing is cached between calls.
 """
 
 from __future__ import annotations
@@ -19,6 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.linalg import qr
 
+from ._linalg import RANK_RTOL
 from .errors import (
     ConstraintViolated,
     DimensionMismatch,
@@ -26,6 +33,14 @@ from .errors import (
     RankDeficiency,
 )
 from .model import MomentModel, Sensitivity, _check_finite
+
+#: Rows per block of the robust variance sum. A block of ``z`` and its
+#: residual-weighted copy (4096 x 30 doubles, about 1 MB each) fit in L2.
+_CHUNK_ROWS = 4096
+
+#: The Gram certificate asks for ``sigma_min / sigma_max > 1e-6``: a margin of
+#: 1e4 over the QR's ``RANK_RTOL`` test.
+_GRAM_RTOL = (1e4 * RANK_RTOL) ** 2
 
 
 @dataclass(frozen=True)
@@ -68,12 +83,53 @@ class IVData:
         return self.y.shape[0]
 
 
+def _gram_certifies_full_rank(gram: np.ndarray, n: int) -> bool:
+    """Whether the computed ``gram = z'z`` proves that the pivoted QR of
+    ``z`` keeps every column.
+
+    Any QR of ``z`` has ``|r_ii| >= sigma_min(z)`` and ``|r_11| <=
+    sigma_max(z)``: the diagonal of the triangular factor holds its
+    eigenvalues. So ``sigma_min / sigma_max > RANK_RTOL`` passes the QR's
+    test on every column (Businger and Golub 1965; Golub and Van Loan,
+    Matrix Computations, 5.4). The computed Gram is an n-term dot product per
+    entry, off by at most ``n eps |z_i|'|z_j|`` from rounding plus ``n``
+    half-subnormals from underflow. The 2-norm of that error is at most
+    ``n eps tr(z'z) + d n tiny``, and ``eigvalsh`` adds a backward error of
+    order ``d eps ||gram||``. ``err = (n + d) d (eps tr(gram) + tiny)``
+    covers both. A Gram that is not finite, or whose smallest eigenvalue does
+    not clear ``err`` by ``_GRAM_RTOL`` of the largest, proves nothing. The
+    margin of ``_GRAM_RTOL`` over ``RANK_RTOL**2`` leaves room for the QR's
+    own rounding, a backward error of order ``n d eps ||z||``.
+    """
+    if not np.all(np.isfinite(gram)):
+        return False
+    d = gram.shape[0]
+    vals = np.linalg.eigvalsh(gram)
+    eps, tiny = np.finfo(float).eps, np.finfo(float).smallest_subnormal
+    with np.errstate(over="ignore"):
+        err = (n + d) * d * (eps * np.trace(gram) + tiny)
+    return bool(vals[0] - err > _GRAM_RTOL * vals[-1])
+
+
 def drop_collinear_instruments(data: IVData) -> IVData:
-    """Drop linearly dependent instrument columns, warning with their indices."""
+    """Drop linearly dependent instrument columns, warning with their indices.
+
+    A column is dropped when the pivoted QR of ``z`` gives it a diagonal
+    entry ``|r_ii| <= RANK_RTOL |r_11|``. The QR reads ``z`` many times and
+    copies it twice, so it runs only when ``z'z`` (one pass, no copy) cannot
+    certify that the QR would keep every column; see
+    :func:`_gram_certifies_full_rank`. The certificate never changes which
+    columns are kept: when it fails, or when ``z'z`` overflows, the QR
+    decides.
+    """
     z = data.z
+    with np.errstate(over="ignore", invalid="ignore"):
+        gram = z.T @ z
+    if _gram_certifies_full_rank(gram, data.n):
+        return data
     _, r_mat, piv = qr(z, mode="economic", pivoting=True, check_finite=False)
     diag = np.abs(np.diag(r_mat))
-    rank = int(np.sum(diag > 1e-10 * diag[0]))
+    rank = int(np.sum(diag > RANK_RTOL * diag[0]))
     if rank == z.shape[1]:
         return data
     keep = np.sort(piv[:rank])
@@ -84,17 +140,36 @@ def drop_collinear_instruments(data: IVData) -> IVData:
     return IVData(y=data.y, x=data.x, z=z[:, keep], suspect=suspect)
 
 
-def tsls(data: IVData) -> np.ndarray:
-    """Two-stage least squares estimate of the structural coefficients."""
-    zx = data.z.T @ data.x
+def _cross_products(data: IVData) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``(z'z, z'x, z'y)`` from two passes over ``z``: the Gram, then ``x``
+    and ``y`` together."""
     zz = data.z.T @ data.z
-    zy = data.z.T @ data.y
+    zxy = data.z.T @ np.column_stack([data.x, data.y])
+    return zz, zxy[:, :-1], zxy[:, -1]
+
+
+def _tsls(zz: np.ndarray, zx: np.ndarray, zy: np.ndarray) -> np.ndarray:
     try:
         a = zx.T @ np.linalg.solve(zz, zx)
         b = zx.T @ np.linalg.solve(zz, zy)
         return np.linalg.solve(a, b)
     except np.linalg.LinAlgError as exc:
         raise RankDeficiency(f"2SLS normal equations are singular: {exc}") from exc
+
+
+def tsls(data: IVData) -> np.ndarray:
+    """Two-stage least squares estimate of the structural coefficients."""
+    return _tsls(*_cross_products(data))
+
+
+def _robust_meat(z: np.ndarray, resid: np.ndarray) -> np.ndarray:
+    """``sum_i resid_i^2 z_i z_i'``, summed over blocks of ``_CHUNK_ROWS`` rows
+    so that the residual-weighted ``z`` is never formed whole."""
+    meat = np.zeros((z.shape[1], z.shape[1]))
+    for lo in range(0, z.shape[0], _CHUNK_ROWS):
+        zr = z[lo:lo + _CHUNK_ROWS] * resid[lo:lo + _CHUNK_ROWS, None]
+        meat += zr.T @ zr
+    return meat
 
 
 def build_model(data: IVData, h_deriv, variance: str = "robust",
@@ -105,6 +180,11 @@ def build_model(data: IVData, h_deriv, variance: str = "robust",
     heteroskedasticity-robust outer product of residual-weighted instruments,
     "homoskedastic" scales the instrument second moments by the mean squared
     residual. ``theta_init`` defaults to the 2SLS estimate.
+
+    ``z'z``, ``z'x`` and ``z'y`` are formed once and shared by the 2SLS
+    estimate, the Jacobian ``-z'x/n`` and the homoskedastic variance. The
+    robust variance is summed over row blocks, so no temporary the size of
+    ``z`` is allocated.
     """
     if variance not in ("robust", "homoskedastic"):
         raise DimensionMismatch(
@@ -113,17 +193,18 @@ def build_model(data: IVData, h_deriv, variance: str = "robust",
     if h.shape[0] != data.x.shape[1]:
         raise DimensionMismatch(
             f"h_deriv must have length d_theta={data.x.shape[1]}")
-    theta = tsls(data) if theta_init is None else (
+    zz, zx, zy = _cross_products(data)
+    theta = _tsls(zz, zx, zy) if theta_init is None else (
         np.asarray(theta_init, dtype=float).reshape(-1))
     n = data.n
     resid = data.y - data.x @ theta
+    # one more pass rather than z'y - z'x theta, which cancels
     g_init = data.z.T @ resid / n
-    gamma = -(data.z.T @ data.x) / n
+    gamma = -zx / n
     if variance == "robust":
-        zr = data.z * resid[:, None]
-        sigma = zr.T @ zr / n
+        sigma = _robust_meat(data.z, resid) / n
     else:
-        sigma = float(np.mean(resid**2)) * (data.z.T @ data.z) / n
+        sigma = float(np.mean(resid**2)) * zz / n
     return MomentModel(gamma=gamma, sigma=sigma, h_deriv=h,
                        g_init=g_init, h_init=float(h @ theta), n=n)
 
@@ -131,13 +212,14 @@ def build_model(data: IVData, h_deriv, variance: str = "robust",
 def build_b(data: IVData, scale: np.ndarray | None = None) -> np.ndarray:
     """Sample second-moment matrix ``z' z_I / n`` of the suspect instruments.
 
-    Columns follow the suspect indices in ascending order; ``scale``
+    The columns are read out of ``z'z``, so ``z_I`` is never copied out of
+    ``z``. They follow the suspect indices in ascending order; ``scale``
     optionally multiplies each column (per-unit standardization of the
     corresponding direct effect).
     """
     if not data.suspect:
         raise EmptySuspectSet("no suspect instrument indices supplied")
-    b = data.z.T @ data.z[:, list(data.suspect)] / data.n
+    b = (data.z.T @ data.z)[:, list(data.suspect)] / data.n
     if scale is not None:
         scale = np.asarray(scale, dtype=float).reshape(-1)
         if scale.shape[0] != b.shape[1]:

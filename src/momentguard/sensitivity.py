@@ -37,7 +37,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 from scipy.optimize import brentq
@@ -236,6 +236,10 @@ def linf_path(model: MomentModel, b_mat: np.ndarray) -> SensitivityFrontier:
     unchanged. When ``d_gamma > d_g - d_theta`` the path may run on through
     coordinate swaps after the active set first shrinks to d_theta members.
 
+    When the efficient solution already has every penalized coordinate at
+    zero it is unbiased and so optimal at every lambda: the path is that one
+    knot, with ``bbar = 0`` and ``mu_slope = 0``.
+
     Returns the breakpoints mapped back to original coordinates via
     ``k = T' kt``. Every knot satisfies the regularity constraint to solver
     precision.
@@ -278,6 +282,13 @@ def linf_path(model: MomentModel, b_mat: np.ndarray) -> SensitivityFrontier:
         return v
 
     kt = snap(kt)
+    if not np.any(kt[is_pen]):
+        # the unpenalized coordinates alone may not span Gamma (d_g - d_gam
+        # < d_theta), so there may be no active-set direction to compute;
+        # B'T'kt vanishes exactly, whatever the rounding in T'kt
+        knot = replace(_knot(model, mset, 0.0, t_mat.T @ kt, mu), bbar=0.0)
+        return SensitivityFrontier(knots=(knot,), set=mset, model=model, kind="linf",
+                                   mu_slope=np.zeros_like(mu))
     lam = 0.0
     # a penalized coordinate is active iff its coefficient is nonzero;
     # unpenalized coordinates never leave the active set

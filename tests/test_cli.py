@@ -123,6 +123,41 @@ class TestTinyMagnitude:
             assert float(row["kappa_one_sided"]) == pytest.approx(1.0, rel=1e-12)
 
 
+class TestUnbiasedEfficientSensitivity:
+    """Just identified with B'k = 0 for the only admissible k: no estimator
+    can be biased, so every CI is the Wald interval at either p."""
+
+    DOC = {"model": {"gamma": np.eye(2).tolist(), "sigma": np.eye(2).tolist(),
+                     "h_deriv": [1.0, 0.0], "g_init": [0.0, 0.0], "h_init": 0.0,
+                     "n": 1},
+           "misspec": {"b_mat": {"identity_columns": [1]}, "m_grid": [0.0, 1.0, 4.0]}}
+
+    @pytest.mark.parametrize("p", [2, "inf"])
+    def test_ci_is_wald(self, tmp_path, capsys, p):
+        doc = json.loads(json.dumps(self.DOC))
+        doc["misspec"]["p"] = p
+        code, out, err = run(capsys, ["ci", "--problem", write_problem(tmp_path, doc)])
+        assert code == 0, err
+        rows = parse_csv(out)[1]
+        assert len(rows) == 3
+        for row in rows:
+            assert float(row["estimate"]) == 0.0
+            assert float(row["upper"]) == pytest.approx(1.959963984540054, rel=1e-12)
+            assert float(row["lower"]) == pytest.approx(-1.959963984540054, rel=1e-12)
+
+    @pytest.mark.parametrize("p", [2, "inf"])
+    def test_efficiency(self, tmp_path, capsys, p):
+        doc = json.loads(json.dumps(self.DOC))
+        doc["misspec"]["p"] = p
+        code, out, err = run(capsys, ["efficiency", "--problem",
+                                      write_problem(tmp_path, doc)])
+        assert code == 0, err
+        for row in parse_csv(out)[1]:
+            assert float(row["kappa_two_sided"]) == pytest.approx(
+                0.8498863239929236, rel=1e-12)
+            assert float(row["kappa_one_sided"]) == pytest.approx(1.0, rel=1e-12)
+
+
 class TestCmdSpectest:
     def overidentified_doc(self):
         rng = np.random.default_rng(0)

@@ -279,6 +279,18 @@ class TestKappaTwoSided:
             kappa_linear_subspace(0.05), rel=1e-12)
         assert kappa_one_sided(model, ms) == pytest.approx(1.0, rel=1e-12)
 
+    def test_efficient_sensitivity_without_bias_linf(self):
+        # the same problem at p = inf: the homotopy has nothing to move, so
+        # the frontier is the one unbiased knot and the kappas are the p = 2 ones
+        model = MomentModel(gamma=np.eye(2), sigma=np.eye(2), h_deriv=[1.0, 0.0],
+                            g_init=np.zeros(2), h_init=0.0, n=1)
+        l2, linf = (MisspecSet(np.eye(2)[:, 1:], p, 1.0) for p in (2, np.inf))
+        front = frontier(model, linf)
+        assert len(front.knots) == 1 and front.knots[0].bbar == 0.0
+        np.testing.assert_array_equal(front.mu_slope, np.zeros(2))
+        assert kappa_two_sided(model, linf) == kappa_two_sided(model, l2)
+        assert kappa_one_sided(model, linf) == kappa_one_sided(model, l2)
+
     def test_denominator_not_above_dense_delta_scan(self):
         """The denominator, half the shortest fixed-length CI over delta, is
         at most the shortest found by scanning 800 deltas on [1e-3, 1e3]."""

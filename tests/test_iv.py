@@ -1,6 +1,11 @@
+import tracemalloc
+import warnings
+
 import numpy as np
 import pytest
+import scipy.linalg
 
+from momentguard import iv
 from momentguard.errors import (
     ConstraintViolated,
     DimensionMismatch,
@@ -241,3 +246,102 @@ class TestCollinear:
     def test_full_rank_passthrough(self):
         data, _ = synthetic(16)
         assert drop_collinear_instruments(data) is data
+
+
+class TestGramCertificate:
+    """The Gram certificate never changes which columns the pivoted QR keeps."""
+
+    @staticmethod
+    def qr_keeps(z):
+        _, r_mat, piv = scipy.linalg.qr(z, mode="economic", pivoting=True)
+        diag = np.abs(np.diag(r_mat))
+        return np.sort(piv[:int(np.sum(diag > 1e-10 * diag[0]))])
+
+    @pytest.mark.parametrize("scale", [1e-160, 1.0, 1e160])
+    @pytest.mark.parametrize("eps", [0.0, 1e-14, 1e-9, 1e-6, 1e-3])
+    def test_keeps_what_pivoted_qr_keeps(self, monkeypatch, scale, eps):
+        rng = np.random.default_rng(17)
+        n = 500
+        z0 = rng.normal(size=(n, 3))
+        z = scale * np.column_stack(
+            [z0, z0[:, 0] + z0[:, 1] + eps * rng.normal(size=n)])
+        data = IVData(y=rng.normal(size=n), x=z0[:, 0] + rng.normal(size=n),
+                      z=z, suspect=(1, 3))
+        qr_calls = []
+
+        def counted_qr(*args, **kwargs):
+            qr_calls.append(1)
+            return scipy.linalg.qr(*args, **kwargs)
+
+        monkeypatch.setattr(iv, "qr", counted_qr)
+        keep = self.qr_keeps(z)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            cleaned = drop_collinear_instruments(data)
+        assert (cleaned is data) == (keep.size == 4)
+        assert bool(caught) == (keep.size < 4)
+        np.testing.assert_array_equal(cleaned.z, z[:, keep])
+        if eps <= 1e-9 or scale == 1e160:
+            # numerically singular (eps = 1e-9 is kept by the QR but not
+            # certifiable) or an overflowing Gram: the QR must decide
+            assert qr_calls
+        if eps == 1e-3 and scale == 1.0:
+            assert not qr_calls
+
+
+def dense_design(seed, n, d_g=5):
+    rng = np.random.default_rng(seed)
+    z = rng.normal(size=(n, d_g)) * np.linspace(1.0, 3.0, d_g)
+    u = rng.normal(size=n)
+    x = np.column_stack([z @ np.linspace(1.0, 0.4, d_g) + u, z[:, 0] + rng.normal(size=n)])
+    y = x @ np.array([0.7, -0.2]) + 0.8 * u + rng.normal(size=n) * (1.0 + z[:, 1] ** 2)
+    return IVData(y=y, x=x, z=z, suspect=(1, 4))
+
+
+class TestReductionsMatchDense:
+    @pytest.mark.parametrize("n", [iv._CHUNK_ROWS - 1, iv._CHUNK_ROWS, iv._CHUNK_ROWS + 1,
+                                   3 * iv._CHUNK_ROWS + 17])
+    def test_robust_sigma(self, n):
+        data = dense_design(n, n)
+        theta = tsls(data)
+        zr = data.z * (data.y - data.x @ theta)[:, None]
+        dense = zr.T @ zr / n
+        sigma = build_model(data, [1.0, 0.0], "robust").sigma
+        assert np.max(np.abs(sigma - dense)) <= 1e-13 * np.max(np.abs(dense))
+
+    def test_homoskedastic_sigma_and_b(self):
+        data = dense_design(3, 3000)
+        n, z = data.n, data.z
+        resid = data.y - data.x @ tsls(data)
+        dense = np.mean(resid**2) * (z.T @ z) / n
+        sigma = build_model(data, [1.0, 0.0], "homoskedastic").sigma
+        assert np.max(np.abs(sigma - dense)) <= 1e-14 * np.max(np.abs(dense))
+        dense_b = z.T @ z[:, [1, 4]] / n
+        assert np.max(np.abs(build_b(data) - dense_b)) <= 1e-14 * np.max(np.abs(dense_b))
+
+    def test_tsls_is_the_model_theta(self):
+        data = dense_design(4, 2000)
+        th = tsls(data)
+        for j in range(2):
+            h = np.eye(2)[j]
+            assert build_model(data, h, "robust").h_init == th[j]
+
+
+class TestSinglePass:
+    """No call allocates a temporary anywhere near the size of ``z``."""
+
+    @pytest.mark.parametrize("call", [
+        lambda d: drop_collinear_instruments(d),
+        lambda d: build_model(d, [1.0], "robust"),
+        lambda d: build_b(d),
+    ], ids=["drop_collinear_instruments", "build_model", "build_b"])
+    def test_peak_allocation(self, call):
+        data, _ = synthetic(18, n=50_000, d_g=30)
+        call(data)  # warm up lazily loaded code
+        tracemalloc.start()
+        try:
+            call(data)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 0.5 * data.z.nbytes
