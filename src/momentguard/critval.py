@@ -9,15 +9,30 @@ two-sided normal critical values, which gives a guaranteed root bracket.
 Also provides standard normal cdf/pdf/quantile wrappers, a noncentral
 chi-square quantile and its inverse in the noncentrality, both computed from
 the classical Poisson-mixture-of-central-chi-squares series.
+
+Everything here runs on the standard library and numpy:
+
+- every root is found by Brent's method (Brent 1973, *Algorithms for
+  Minimization without Derivatives*, ch. 4), ported from scipy's ``brentq``;
+- the normal cdf is ``math.erf``/``math.erfc`` at ``x / sqrt(2)``, branching
+  as cephes' ``ndtr``; the quantile is ``statistics.NormalDist.inv_cdf``,
+  Wichura's AS241 (1988);
+- the Poisson weights and the Poisson pmf terms of the central chi-square
+  cdfs come from Loader's saddle-point form (Loader 2000, "Fast and accurate
+  computation of binomial probabilities") at one point and cumulative sums
+  of ``log(mean / a)`` from it; the central cdfs, regularized lower
+  incomplete gammas ``P(a, y)``, add those terms downward from the top of
+  the Poisson window, whose own value is the tail of the same series or, far
+  above the window, Legendre's continued fraction for ``Q`` (Numerical
+  Recipes, 6.2).
 """
 
 from __future__ import annotations
 
 import math
+from statistics import NormalDist
 
 import numpy as np
-from scipy.optimize import brentq
-from scipy.special import gammainc, gammaln, ndtr, ndtri
 
 from .errors import InvalidBias, OutOfRange, SolverFailure
 
@@ -28,6 +43,14 @@ _SERIES_TAIL = 1e-14
 #: needs O(sqrt(ncp)) terms, about 1.4 million per cdf evaluation here.
 _NCP_CEILING = 1e10
 
+_EPS = float(np.finfo(float).eps)
+_TINY = float(np.finfo(float).tiny)
+
+#: Standard normal quantile: Wichura's AS241 (1988), from the standard library.
+_ndtri = NormalDist().inv_cdf
+
+_SQRT_HALF = math.sqrt(0.5)
+
 
 def _check_alpha(alpha: float) -> float:
     a = float(alpha)
@@ -36,9 +59,74 @@ def _check_alpha(alpha: float) -> float:
     return a
 
 
+def _brentq(f, xa: float, xb: float, xtol: float, rtol: float,
+            maxiter: int = 100) -> float:
+    """Root of ``f`` on a bracket by Brent's method (Brent 1973, ch. 4).
+
+    A line-for-line port of scipy's ``brentq`` (``xtol``, ``rtol`` and
+    ``maxiter`` mean the same; the root is within ``xtol + rtol |x|``), so
+    equal function values give equal iterates. Raises SolverFailure when
+    ``f`` has the same sign at both ends, returns NaN, or the iteration does
+    not converge in ``maxiter`` steps.
+    """
+    def value(x: float) -> float:
+        fx = float(f(x))
+        if math.isnan(fx):
+            raise SolverFailure(f"root search: the function is NaN at x={x!r}")
+        return fx
+
+    xtol, rtol = float(xtol), float(rtol)
+    xpre, xcur = float(xa), float(xb)
+    fpre, fcur = value(xpre), value(xcur)
+    if fpre == 0.0:
+        return xpre
+    if fcur == 0.0:
+        return xcur
+    if math.copysign(1.0, fpre) == math.copysign(1.0, fcur):
+        raise SolverFailure(f"root search: no sign change on [{xpre!r}, {xcur!r}]")
+    xblk = fblk = spre = scur = 0.0
+    for _ in range(maxiter):
+        if fpre != 0.0 and fcur != 0.0 and (fpre < 0.0) != (fcur < 0.0):
+            xblk, fblk = xpre, fpre
+            spre = scur = xcur - xpre
+        if abs(fblk) < abs(fcur):
+            xpre, xcur, xblk = xcur, xblk, xcur
+            fpre, fcur, fblk = fcur, fblk, fcur
+        delta = 0.5 * (xtol + rtol * abs(xcur))
+        sbis = 0.5 * (xblk - xcur)
+        if fcur == 0.0 or abs(sbis) < delta:
+            return xcur
+        if abs(spre) > delta and abs(fcur) < abs(fpre):
+            try:
+                if xpre == xblk:  # secant
+                    stry = -fcur * (xcur - xpre) / (fcur - fpre)
+                else:  # inverse quadratic interpolation
+                    dpre = (fpre - fcur) / (xpre - xcur)
+                    dblk = (fblk - fcur) / (xblk - xcur)
+                    stry = (-fcur * (fblk * dblk - fpre * dpre)
+                            / (dblk * dpre * (fblk - fpre)))
+            except ZeroDivisionError:  # inf or nan in IEEE arithmetic: bisect
+                stry = math.inf
+            if 2.0 * abs(stry) < min(abs(spre), 3.0 * abs(sbis) - delta):
+                spre, scur = scur, stry
+            else:
+                spre = scur = sbis
+        else:
+            spre = scur = sbis
+        xpre, fpre = xcur, fcur
+        xcur += scur if abs(scur) > delta else (delta if sbis > 0.0 else -delta)
+        fcur = value(xcur)
+    raise SolverFailure(
+        f"root search: no convergence in {maxiter} iterations (x={xcur!r})")
+
+
 def norm_cdf(x: float) -> float:
-    """Standard normal cdf."""
-    return float(ndtr(x))
+    """Standard normal cdf, from ``erf``/``erfc`` branching as cephes' ndtr."""
+    t = float(x) * _SQRT_HALF
+    if abs(t) < _SQRT_HALF:
+        return 0.5 + 0.5 * math.erf(t)
+    tail = 0.5 * math.erfc(abs(t))
+    return 1.0 - tail if t > 0.0 else tail
 
 
 def norm_pdf(x: float) -> float:
@@ -51,7 +139,7 @@ def norm_quantile(p: float) -> float:
     p = float(p)
     if not (0.0 < p < 1.0):
         raise OutOfRange(f"quantile probability must lie in (0, 1), got {p}")
-    return float(ndtri(p))
+    return _ndtri(p)
 
 
 def cv_alpha(b: float, alpha: float = 0.05) -> float:
@@ -78,11 +166,53 @@ def cv_alpha(b: float, alpha: float = 0.05) -> float:
     hi = b + z_two + 1e-6
 
     def gap(c: float) -> float:
-        return ndtr(c - b) - ndtr(-c - b) - (1.0 - a)
+        return norm_cdf(c - b) - norm_cdf(-c - b) - (1.0 - a)
 
     # gap is strictly increasing in c; the slope bounds on cv_alpha guarantee
-    # the bracket, so brentq cannot escape.
-    return float(brentq(gap, lo, hi, xtol=1e-10, rtol=4 * np.finfo(float).eps))
+    # the bracket, so the root search cannot escape.
+    return _brentq(gap, lo, hi, xtol=1e-10, rtol=4.0 * _EPS)
+
+
+def _log_poisson_at(a: float, mean: float) -> float:
+    """``log(mean^a e^-mean / Gamma(a + 1))`` for ``a`` near ``mean > 0``.
+
+    From a >= 15 Loader's saddle-point form ``-stirlerr(a) - bd0(a, mean) -
+    log(2 pi a) / 2`` (Loader 2000), with the Stirling series to its a^-11
+    term and ``bd0 = a (v - log1p(v))``, ``v = (mean - a) / a``, so nothing
+    of size ``a log a`` cancels. Below 15 the log of the product
+    ``mean^a e^-mean / Gamma(a + 1)``, within a few units in 1e-16 (a sum of
+    logs loses up to 1e-14); where that product leaves the normal range,
+    the sum of logs.
+    """
+    if a < 15.0:
+        t = mean**a * math.exp(-mean) / math.gamma(a + 1.0) if mean < 700.0 else 0.0
+        if t >= _TINY:
+            return math.log(t)
+        return a * math.log(mean) - mean - math.lgamma(a + 1.0)
+    v = (mean - a) / a
+    bd0 = a * (v - math.log1p(v))
+    r = 1.0 / (a * a)
+    stirlerr = (1 / 12 - r * (1 / 360 - r * (1 / 1260 - r * (
+        1 / 1680 - r * (1 / 1188 - r * 691 / 360360))))) / a
+    return -stirlerr - bd0 - 0.5 * math.log(2.0 * math.pi * a)
+
+
+def _log_poisson(a0: float, n: int, mean: float) -> np.ndarray:
+    """``log(mean^a e^-mean / Gamma(a + 1))`` at ``a = a0, a0 + 1, ...``
+    (``n`` values): one value next to ``mean`` from :func:`_log_poisson_at`,
+    then cumulative sums of ``log(mean / a)`` up and down from it. The sums
+    stay small where the terms are large, so their rounding does too.
+    """
+    ref = min(max(round(mean - a0), 0), n - 1)
+    steps = np.log(mean / np.arange(a0 + 1.0, a0 + n - 0.5))
+    out = np.empty(n)
+    out[ref] = _log_poisson_at(a0 + ref, mean)
+    if ref + 1 < n:
+        np.add.accumulate(steps[ref:], out=out[ref + 1:])
+        out[ref + 1:] += out[ref]
+    if ref > 0:
+        out[:ref] = (out[ref] - np.add.accumulate(steps[ref - 1::-1]))[::-1]
+    return out
 
 
 def _poisson_weights(half_ncp: float):
@@ -98,23 +228,92 @@ def _poisson_weights(half_ncp: float):
     spread = 10.0 * math.sqrt(half_ncp) + 50.0
     lo = max(int(half_ncp - spread), 0)
     hi = int(half_ncp + spread) + 1
-    js = np.arange(lo, hi + 1)
-    logw = js * math.log(half_ncp) - half_ncp - gammaln(js + 1.0)
-    return lo, np.exp(logw)
+    return lo, np.exp(_log_poisson(float(lo), hi - lo + 1, half_ncp))
 
 
-def _series_cdf(x: float, df: int, first: int, w: np.ndarray) -> float:
-    if x <= 0.0:
+#: Iteration cap of :func:`_gamma_q_cf`. It is called only at ``y >= a + 1 +
+#: 5 sqrt(a + 1)``, where it converges in about 25 iterations for any ``a``.
+_CF_MAXITER = 1000
+
+
+def _gamma_q_cf(a: float, y: float, t: float) -> float:
+    """Regularized upper incomplete gamma ``Q(a, y)`` for ``y > a + 1``, given
+    ``t = y^a e^-y / Gamma(a + 1)``: Legendre's continued fraction by the
+    modified Lentz method (Numerical Recipes, 6.2)."""
+    if t == 0.0:
         return 0.0
-    js = np.arange(first, first + w.shape[0])
-    central = gammainc(0.5 * df + js, 0.5 * x)
-    return float(np.dot(w, central))
+    tiny = 1e-300
+    b = y + 1.0 - a
+    c, d = 1.0 / tiny, 1.0 / b
+    h = d
+    for i in range(1, _CF_MAXITER):
+        an = -i * (i - a)
+        b += 2.0
+        d = an * d + b
+        d = 1.0 / (d if abs(d) >= tiny else tiny)
+        c = b + an / c
+        if abs(c) < tiny:
+            c = tiny
+        h *= d * c
+        if abs(d * c - 1.0) <= _EPS:
+            return a * t * h
+    raise SolverFailure(
+        f"incomplete gamma Q({a!r}, {y!r}): continued fraction did not converge")
+
+
+def _series_cdf(df: int, first: int, w: np.ndarray):
+    """``x -> sum_j w_j P(df/2 + first + j, x/2)``: a Poisson mixture of
+    central chi-square cdfs, with ``P`` the regularized lower incomplete gamma
+    and ``w`` fixed.
+
+    With ``t_k = y^a_k e^-y / Gamma(a_k + 1)`` at ``y = x/2``, ``P(a, y) =
+    P(a + 1, y) + t`` adds only positive terms downward from the window's top
+    ``a_top``, so the sum is ``W P(a_top, y) + sum_{k < top} t_k cw_k`` over
+    the partial sums ``cw`` of the weights and their total ``W``. Up to
+    ``y_max = a_top + 1 + 5 sqrt(a_top + 1)``, ``P(a_top, y)`` is the series
+    ``sum_{k >= top} t_k``, whose terms past ``y + 10 sqrt(y) + 50`` are
+    negligible; above it, ``1 - Q`` from :func:`_gamma_q_cf`. What depends on
+    the weights alone is formed once: the partial sums, and ``log t_k`` at
+    the window's centre ``y0``, from which ``log t_k(y) = log t_k(y0) + (a_k
+    - y0) L - y0 (u - L)`` with ``u = y/y0 - 1`` and ``L = log(1 + u)``, nothing of
+    size ``a_k log y`` cancelling. One cdf evaluation is then one vector
+    ``exp`` and one dot product.
+    """
+    n = w.shape[0]
+    a_first = 0.5 * df + first
+    a_top = a_first + n - 1
+    y_max = a_top + 1.0 + 5.0 * math.sqrt(a_top + 1.0)
+    size = math.ceil(y_max + 10.0 * math.sqrt(y_max) + 50.0 - a_first)
+    y0 = a_first + 0.5 * (n - 1)
+    log_t0 = _log_poisson(a_first, size, y0)
+    da = np.arange(a_first - y0, a_first - y0 + size - 0.5)
+    cw_ext = np.empty(size)
+    cw = np.add.accumulate(w, out=cw_ext[:n])
+    total = float(cw[-1])
+    cw_ext[n:] = total
+
+    def cdf(x: float) -> float:
+        if x <= 0.0:
+            return 0.0
+        y = 0.5 * x
+        if y == math.inf:
+            return total
+        u = (y - y0) / y0
+        lg = math.log1p(u) if abs(u) < 0.5 else math.log(y / y0)
+        shift = y0 * (u - lg)
+        if y <= y_max:
+            return float(np.dot(np.exp(log_t0 + (da * lg - shift)), cw_ext))
+        t = np.exp(log_t0[:n] + (da[:n] * lg - shift))
+        p_top = 1.0 - _gamma_q_cf(a_top, y, float(t[-1]))
+        return float(np.dot(t[:-1], cw[:-1])) + total * p_top
+
+    return cdf
 
 
 def noncentral_chisq_cdf(x: float, df: int, ncp: float) -> float:
     """Noncentral chi-square cdf via the Poisson-weighted central series."""
     first, w = _poisson_weights(0.5 * ncp)
-    return _series_cdf(x, df, first, w)
+    return _series_cdf(df, first, w)(x)
 
 
 def noncentral_chisq_quantile(p: float, df: int, ncp: float) -> float:
@@ -135,16 +334,15 @@ def noncentral_chisq_quantile(p: float, df: int, ncp: float) -> float:
     if ncp < 0.0 or not math.isfinite(ncp):
         raise OutOfRange(f"ncp must be nonnegative and finite, got {ncp}")
 
-    first, w = _poisson_weights(0.5 * ncp)
+    cdf = _series_cdf(df, *_poisson_weights(0.5 * ncp))
     mean = df + ncp
     sd = math.sqrt(2.0 * (df + 2.0 * ncp))
     hi = mean + 10.0 * sd + 10.0
     for _ in range(100):
-        if _series_cdf(hi, df, first, w) >= p:
+        if cdf(hi) >= p:
             break
         hi *= 2.0
-    return float(brentq(lambda x: _series_cdf(x, df, first, w) - p,
-                        0.0, hi, xtol=1e-12, rtol=1e-12))
+    return _brentq(lambda x: cdf(x) - p, 0.0, hi, xtol=1e-14, rtol=4.0 * _EPS)
 
 
 def noncentral_chisq_ncp(x: float, df: int, p: float) -> float:
@@ -154,7 +352,7 @@ def noncentral_chisq_ncp(x: float, df: int, p: float) -> float:
     :func:`noncentral_chisq_quantile` in its noncentrality: the cdf at a fixed
     ``x`` decreases strictly in ``ncp``, so ``quantile(p, df, ncp) = x`` at the
     root. Returns 0 when ``F(x; df, 0) <= p``. The bracket doubles from
-    ``max(x, 1)`` and one ``brentq`` solves to near machine precision.
+    ``max(x, 1)`` and one Brent root search solves to near machine precision.
 
     Raises SolverFailure when no noncentrality up to ``_NCP_CEILING`` brings
     the cdf down to ``p`` (``x`` infinite or beyond the series' range).
@@ -170,16 +368,14 @@ def noncentral_chisq_ncp(x: float, df: int, p: float) -> float:
         raise OutOfRange(f"df must be a positive integer, got {df}")
 
     def gap(ncp: float) -> float:
-        first, w = _poisson_weights(0.5 * ncp)
-        return _series_cdf(x, df, first, w) - p
+        return _series_cdf(df, *_poisson_weights(0.5 * ncp))(x) - p
 
     if gap(0.0) <= 0.0:
         return 0.0
     lo, hi = 0.0, max(x, 1.0)
     while hi <= _NCP_CEILING:
         if gap(hi) < 0.0:
-            return float(brentq(gap, lo, hi, xtol=1e-14,
-                                rtol=4 * np.finfo(float).eps))
+            return _brentq(gap, lo, hi, xtol=1e-14, rtol=4.0 * _EPS)
         lo, hi = hi, 2.0 * hi
     raise SolverFailure(
         f"no noncentrality up to {_NCP_CEILING:.0e} brings the cdf at {x} "

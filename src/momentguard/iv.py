@@ -15,6 +15,13 @@ Each call makes its own pass over ``z`` and allocates nothing of its size.
 variance over row blocks; :func:`build_b` reads the suspect columns out of
 ``z'z``; :func:`drop_collinear_instruments` runs a pivoted QR only when
 ``z'z`` cannot certify full rank. Nothing is cached between calls.
+
+The pivoted QR (Businger and Golub 1965) is scipy's: numpy has none, and one
+that breaks exact ties between collinear columns differently would keep
+different columns. It is the package's only use of scipy, imported when the
+certificate first fails, so ``import momentguard`` and every command on
+certifiably full-rank data load no scipy. A cross-product that overflows
+raises OutOfRange naming the array.
 """
 
 from __future__ import annotations
@@ -23,13 +30,13 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import qr
 
 from ._linalg import RANK_RTOL
 from .errors import (
     ConstraintViolated,
     DimensionMismatch,
     EmptySuspectSet,
+    OutOfRange,
     RankDeficiency,
 )
 from .model import MomentModel, Sensitivity, _check_finite
@@ -111,6 +118,15 @@ def _gram_certifies_full_rank(gram: np.ndarray, n: int) -> bool:
     return bool(vals[0] - err > _GRAM_RTOL * vals[-1])
 
 
+def _pivoted_qr(z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``(R, piv)`` of scipy's column-pivoted QR of ``z``, imported on the
+    first call (see the module docstring)."""
+    from scipy.linalg import qr
+
+    _, r_mat, piv = qr(z, mode="economic", pivoting=True, check_finite=False)
+    return r_mat, piv
+
+
 def drop_collinear_instruments(data: IVData) -> IVData:
     """Drop linearly dependent instrument columns, warning with their indices.
 
@@ -127,7 +143,7 @@ def drop_collinear_instruments(data: IVData) -> IVData:
         gram = z.T @ z
     if _gram_certifies_full_rank(gram, data.n):
         return data
-    _, r_mat, piv = qr(z, mode="economic", pivoting=True, check_finite=False)
+    r_mat, piv = _pivoted_qr(z)
     diag = np.abs(np.diag(r_mat))
     rank = int(np.sum(diag > RANK_RTOL * diag[0]))
     if rank == z.shape[1]:
@@ -142,9 +158,15 @@ def drop_collinear_instruments(data: IVData) -> IVData:
 
 def _cross_products(data: IVData) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """``(z'z, z'x, z'y)`` from two passes over ``z``: the Gram, then ``x``
-    and ``y`` together."""
-    zz = data.z.T @ data.z
-    zxy = data.z.T @ np.column_stack([data.x, data.y])
+    and ``y`` together. Raises OutOfRange, naming the array, when a product
+    overflows."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        zz = data.z.T @ data.z
+        zxy = data.z.T @ np.column_stack([data.x, data.y])
+    for name, prod in (("z", zz), ("x", zxy[:, :-1]), ("y", zxy[:, -1])):
+        if not np.all(np.isfinite(prod)):
+            raise OutOfRange(f"{name}: the cross-product z'{name} overflows; "
+                             f"rescale the data")
     return zz, zxy[:, :-1], zxy[:, -1]
 
 
@@ -197,14 +219,16 @@ def build_model(data: IVData, h_deriv, variance: str = "robust",
     theta = _tsls(zz, zx, zy) if theta_init is None else (
         np.asarray(theta_init, dtype=float).reshape(-1))
     n = data.n
-    resid = data.y - data.x @ theta
-    # one more pass rather than z'y - z'x theta, which cancels
-    g_init = data.z.T @ resid / n
-    gamma = -zx / n
-    if variance == "robust":
-        sigma = _robust_meat(data.z, resid) / n
-    else:
-        sigma = float(np.mean(resid**2)) * zz / n
+    # an overflow below leaves a non-finite entry that MomentModel names
+    with np.errstate(over="ignore", invalid="ignore"):
+        resid = data.y - data.x @ theta
+        # one more pass rather than z'y - z'x theta, which cancels
+        g_init = data.z.T @ resid / n
+        gamma = -zx / n
+        if variance == "robust":
+            sigma = _robust_meat(data.z, resid) / n
+        else:
+            sigma = float(np.mean(resid**2)) * zz / n
     return MomentModel(gamma=gamma, sigma=sigma, h_deriv=h,
                        g_init=g_init, h_init=float(h @ theta), n=n)
 
@@ -219,7 +243,10 @@ def build_b(data: IVData, scale: np.ndarray | None = None) -> np.ndarray:
     """
     if not data.suspect:
         raise EmptySuspectSet("no suspect instrument indices supplied")
-    b = (data.z.T @ data.z)[:, list(data.suspect)] / data.n
+    with np.errstate(over="ignore", invalid="ignore"):
+        b = (data.z.T @ data.z)[:, list(data.suspect)] / data.n
+    if not np.all(np.isfinite(b)):
+        raise OutOfRange("z: the cross-product z'z overflows; rescale the data")
     if scale is not None:
         scale = np.asarray(scale, dtype=float).reshape(-1)
         if scale.shape[0] != b.shape[1]:

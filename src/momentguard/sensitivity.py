@@ -40,10 +40,9 @@ import math
 from dataclasses import dataclass, field, replace
 
 import numpy as np
-from scipy.optimize import brentq
 
 from ._linalg import orth_complement, solve_psd
-from .critval import _check_alpha, cv_alpha, norm_quantile
+from .critval import _brentq, _check_alpha, cv_alpha, norm_quantile
 from .errors import (
     DegeneratePath,
     DimensionMismatch,
@@ -492,12 +491,11 @@ _LOG_LAM_STEP = math.log(16.0)
 def _root(fn, lo: float, hi: float) -> float:
     """Root of ``fn`` given ``fn(lo) < 0 <= fn(hi)``."""
     eps = np.finfo(float).eps
-    x, res = brentq(fn, lo, hi, xtol=4.0 * eps, rtol=4.0 * eps,
-                    full_output=True, disp=False)
-    if not res.converged:
+    try:
+        return _brentq(fn, lo, hi, xtol=4.0 * eps, rtol=4.0 * eps)
+    except SolverFailure as exc:
         raise SolverFailure(f"first-order condition: root search on "
-                            f"[{lo!r}, {hi!r}] did not converge: {res.flag}")
-    return x
+                            f"[{lo!r}, {hi!r}] did not converge: {exc}") from None
 
 
 def _argmin(front: SensitivityFrontier, weights) -> FrontierKnot:

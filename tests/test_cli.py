@@ -1,5 +1,9 @@
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -397,3 +401,32 @@ class TestProblemFile:
         code2, out2, _ = run(capsys, ["ci", "--problem", path, "--mixed"])
         assert code1 == 0 and code2 == 0
         assert out1 != out2
+
+
+class TestOverflowingIV:
+    def test_ci_exits_2_without_warning(self, tmp_path):
+        rng = np.random.default_rng(17)
+        n = 500
+        z0 = rng.normal(size=(n, 3))
+        z = 1e160 * np.column_stack(
+            [z0, z0[:, 0] + z0[:, 1] + 1e-3 * rng.normal(size=n)])
+        y = rng.normal(size=n)
+        x = z0[:, 0] + rng.normal(size=n)
+        for name, arr in (("y.csv", y[:, None]), ("x.csv", x[:, None]),
+                          ("z.csv", z)):
+            np.savetxt(tmp_path / name, arr, delimiter=",", comments="",
+                       header=",".join(f"c{i}" for i in range(arr.shape[1])),
+                       fmt="%.17g")
+        doc = {"iv": {"y": "y.csv", "x": "x.csv", "z": "z.csv", "suspect": [1, 3]},
+               "misspec": {"p": 2, "m_grid": [0.0, 1.0]}, "alpha": 0.05}
+        env = dict(os.environ)
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        env["PYTHONPATH"] = os.pathsep.join(
+            [src] + [p for p in env.get("PYTHONPATH", "").split(os.pathsep) if p])
+        proc = subprocess.run(
+            [sys.executable, "-m", "momentguard.cli", "ci", "--problem",
+             write_problem(tmp_path, doc)],
+            capture_output=True, text=True, env=env, timeout=120)
+        assert proc.returncode == 2, proc.stderr
+        assert "Warning" not in proc.stderr and "Traceback" not in proc.stderr
+        assert "z:" in proc.stderr

@@ -5,6 +5,7 @@ import io
 import json
 import math
 import tempfile
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -87,5 +88,77 @@ def test_fuzz_problem_files(doc):
             with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
                 code = main([command, "--problem", path])
             assert code in (0, 2, 3, 4), err.getvalue()
+            if code == 0:
+                assert "nan" not in out.getvalue().lower()
+
+
+@st.composite
+def iv_problems(draw):
+    """Small raw-IV problems: (arrays, problem section), some degenerate."""
+    n = draw(st.sampled_from([3, 20, 200]))
+    d_g = draw(st.integers(1, 4))
+    rng = np.random.default_rng(draw(st.integers(0, 2**16)))
+    z = rng.normal(size=(n, d_g))
+    x = z @ rng.normal(size=d_g) + rng.normal(size=n)
+    y = 0.5 * x + rng.normal(size=n)
+    flaw = draw(st.sampled_from([None, "duplicate", "scale", "nan"]))
+    if flaw == "duplicate" and d_g > 1:
+        z[:, -1] = z[:, 0]
+    elif flaw == "scale":
+        z[:, draw(st.integers(0, d_g - 1))] *= draw(st.sampled_from([1e160, 1e-160]))
+    elif flaw == "nan":
+        arr = draw(st.sampled_from([y, x, z]))
+        arr.flat[draw(st.integers(0, arr.size - 1))] = math.nan
+    suspect = draw(st.lists(st.integers(0, d_g - 1), min_size=1, max_size=d_g,
+                            unique=True))
+    misspec = {"p": draw(st.sampled_from([2, "inf"])),
+               "m_grid": sorted(draw(st.lists(st.floats(0.0, 3.0), min_size=1,
+                                               max_size=3)))}
+    return {"y": y, "x": x, "z": z}, {"suspect": suspect, "misspec": misspec}
+
+
+def iv_example(flaw):
+    """``TestGramCertificate``'s design: ``z`` scaled to 1e160 (its cross-
+    products overflow) or with an exactly duplicated column (dropped by the
+    pivoted QR)."""
+    rng = np.random.default_rng(17)
+    n = 500
+    z0 = rng.normal(size=(n, 3))
+    last = z0[:, 0] if flaw == "duplicate" else (
+        z0[:, 0] + z0[:, 1] + 1e-3 * rng.normal(size=n))
+    z = np.column_stack([z0, last]) * (1e160 if flaw == "scale" else 1.0)
+    arrays = {"y": rng.normal(size=n), "x": z0[:, 0] + rng.normal(size=n), "z": z}
+    return arrays, {"suspect": [1, 3], "misspec": {"p": 2, "m_grid": [0.0, 1.0]}}
+
+
+@settings(max_examples=40, derandomize=True, deadline=None)
+@given(problem=iv_problems())
+@example(problem=iv_example("scale"))
+@example(problem=iv_example("duplicate"))
+def test_fuzz_iv_problem_files(problem):
+    """Any IV problem file ends in a typed exit code without a traceback or a
+    RuntimeWarning, and exit 0 prints no NaN."""
+    arrays, spec = problem
+    with tempfile.TemporaryDirectory() as tmp:
+        for name, arr in arrays.items():
+            np.savetxt(Path(tmp) / f"{name}.csv", arr.reshape(arr.shape[0], -1),
+                       delimiter=",", header=name, comments="", fmt="%.17g")
+        doc = {"iv": {"y": "y.csv", "x": "x.csv", "z": "z.csv",
+                      "suspect": spec["suspect"]},
+               "misspec": spec["misspec"], "alpha": 0.05}
+        path = str(Path(tmp) / "prob.json")
+        Path(path).write_text(json.dumps(doc))
+        for command in ("ci", "path", "spectest"):
+            out, err = io.StringIO(), io.StringIO()
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                    code = main([command, "--problem", path])
+            assert code in (0, 2, 3, 4), err.getvalue()
+            assert "Traceback" not in err.getvalue()
+            assert "Warning" not in err.getvalue()
+            # the one warning a command may give is the dropped columns'
+            assert all(issubclass(w.category, UserWarning)
+                       and "collinear" in str(w.message) for w in caught), caught
             if code == 0:
                 assert "nan" not in out.getvalue().lower()

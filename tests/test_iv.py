@@ -10,6 +10,7 @@ from momentguard.errors import (
     ConstraintViolated,
     DimensionMismatch,
     EmptySuspectSet,
+    OutOfRange,
 )
 from momentguard.iv import (
     IVData,
@@ -269,11 +270,13 @@ class TestGramCertificate:
                       z=z, suspect=(1, 3))
         qr_calls = []
 
+        pivoted_qr = iv._pivoted_qr
+
         def counted_qr(*args, **kwargs):
             qr_calls.append(1)
-            return scipy.linalg.qr(*args, **kwargs)
+            return pivoted_qr(*args, **kwargs)
 
-        monkeypatch.setattr(iv, "qr", counted_qr)
+        monkeypatch.setattr(iv, "_pivoted_qr", counted_qr)
         keep = self.qr_keeps(z)
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
@@ -287,6 +290,34 @@ class TestGramCertificate:
             assert qr_calls
         if eps == 1e-3 and scale == 1.0:
             assert not qr_calls
+
+
+def overflowing_design():
+    """``TestGramCertificate``'s design at scale 1e160, eps 1e-3: full rank,
+    but ``z'z`` overflows."""
+    rng = np.random.default_rng(17)
+    n = 500
+    z0 = rng.normal(size=(n, 3))
+    z = 1e160 * np.column_stack([z0, z0[:, 0] + z0[:, 1] + 1e-3 * rng.normal(size=n)])
+    return IVData(y=rng.normal(size=n), x=z0[:, 0] + rng.normal(size=n), z=z,
+                  suspect=(1, 3))
+
+
+class TestOverflow:
+    """An overflowing cross-product is a typed error naming ``z``, with no
+    RuntimeWarning on the way."""
+
+    @pytest.mark.parametrize("variance", ["robust", "homoskedastic"])
+    def test_build_model(self, variance):
+        data = overflowing_design()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            with pytest.raises(OutOfRange, match="^z:"):
+                build_model(data, [1.0], variance)
+            with pytest.raises(OutOfRange, match="^z:"):
+                tsls(data)
+            with pytest.raises(OutOfRange, match="^z:"):
+                build_b(data)
 
 
 def dense_design(seed, n, d_g=5):
