@@ -21,10 +21,13 @@ k_delta``, at which the quadratic budget binds.
 The two-sided efficiency bound compares the best possible expected CI length
 at correct specification against the optimized fixed-length interval; its
 numerator is a Gaussian integral of the modulus and its denominator the
-minimized bias-aware length over delta. The fixed-length interval at delta is
-built on ``k_delta``, and every frontier point is ``k_delta`` for some delta,
-so that denominator is the shortest two-sided CI over the frontier, found
-exactly by the CI selector's minimization.
+minimized bias-aware length over delta. The numerator needs the modulus at
+every quadrature node and at the tail's edge, and one sweep along the
+frontier gives all of them (:func:`momentguard.sensitivity._argmin_sweep`).
+The fixed-length interval at delta is built on ``k_delta``, and every
+frontier point is ``k_delta`` for some delta, so that denominator is the
+shortest two-sided CI over the frontier, found exactly by the CI selector's
+minimization. :func:`efficiency_report` reads both bounds off one frontier.
 
 The numerator's Gauss-Legendre rule is numpy's ``leggauss``: the nodes are
 the eigenvalues of the Legendre Jacobi matrix (Golub and Welsch 1969), each
@@ -48,7 +51,8 @@ from .errors import (
     TooManyInvalidMoments,
 )
 from .model import MisspecSet, MomentModel, Sensitivity
-from .sensitivity import SensitivityFrontier, _argmin, _weights, frontier
+from .sensitivity import (FrontierPoints, SensitivityFrontier, _argmin,
+                          _argmin_sweep, _weights, frontier)
 
 #: Gauss-Legendre nodes for the expected-modulus integral.
 QUAD_NODES = 201
@@ -101,17 +105,28 @@ def half_modulus(model: MomentModel, mset: MisspecSet,
     return _modulus(frontier(model, mset), mset.m, delta)
 
 
+def _moduli(front: SensitivityFrontier, m: float,
+            deltas: np.ndarray) -> tuple[FrontierPoints, np.ndarray]:
+    """The minimizing frontier point and the modulus at each delta, from the
+    unit frontier of a set of size m."""
+    deltas = np.asarray(deltas, dtype=float)
+    bad = deltas[~((deltas > 0.0) & (deltas < math.inf))]
+    if bad.size:
+        raise InfeasibleDelta(f"delta must be positive and finite, got {bad[0]}")
+    pts = _argmin_sweep(front, np.full(deltas.size, 2.0 * m), deltas)
+    return pts, 2.0 * m * pts.bbar + deltas * pts.sd
+
+
 def _modulus(front: SensitivityFrontier, m: float,
              delta: float) -> ModulusSolution:
     """The modulus at ``delta`` from the unit frontier of a set of size m."""
-    if not (0.0 < delta < math.inf):
-        raise InfeasibleDelta(f"delta must be positive and finite, got {delta}")
-    kn = _argmin(front, lambda bbar, sd: (2.0 * m, delta))
+    pts, omega = _moduli(front, m, np.array([delta], dtype=float))
+    kn = pts.knot(0)
     sd = math.sqrt(kn.var)
     scale = 0.5 * delta / sd
     theta_star = scale * kn.mu
     c_star = front.model.gamma @ theta_star + scale * (front.model.sigma @ kn.k)
-    return ModulusSolution(delta=float(delta), omega=2.0 * m * kn.bbar + delta * sd,
+    return ModulusSolution(delta=float(delta), omega=float(omega[0]),
                            omega_prime=sd, theta_star=theta_star, c_star=c_star,
                            k_delta=kn.k)
 
@@ -140,32 +155,30 @@ def kappa_two_sided(model: MomentModel, mset: MisspecSet,
     specification relative to the optimized fixed-length interval.
     """
     a = _check_alpha(alpha)
+    return _kappa_two_sided(frontier(model, mset), mset.m, a)
+
+
+def _kappa_two_sided(front: SensitivityFrontier, m: float, a: float) -> float:
     z1 = norm_quantile(1.0 - a)
-    front = frontier(model, mset)
-
-    def modulus(delta: float) -> ModulusSolution:
-        return _modulus(front, mset.m, delta)
-
     # numerator: integral of omega(2(z1 - z)) phi(z) below z1, quadrature on
     # the last QUAD_SPAN quantile units plus a concave linear-growth tail
+    # from the modulus at its edge, every delta in one sweep
     nodes, weights = _gauss_legendre()
     lo, hi = z1 - QUAD_SPAN, z1
     z = 0.5 * (hi - lo) * nodes + 0.5 * (hi + lo)
     w = 0.5 * (hi - lo) * weights
-    numer = float(np.sum(
-        w * np.array([modulus(2.0 * (z1 - zi)).omega * norm_pdf(zi)
-                      for zi in z])))
-    edge = modulus(2.0 * QUAD_SPAN)
+    pts, omega = _moduli(front, m, np.append(2.0 * (z1 - z), 2.0 * QUAD_SPAN))
+    numer = float(np.sum(w * omega[:-1] * [norm_pdf(zi) for zi in z]))
     u = z1 - QUAD_SPAN
-    numer += edge.omega * norm_cdf(u) + 2.0 * edge.omega_prime * (
+    numer += float(omega[-1]) * norm_cdf(u) + 2.0 * float(pts.sd[-1]) * (
         u * norm_cdf(u) + norm_pdf(u))
 
     # denominator: half the shortest fixed-length interval over delta, the
     # frontier's shortest CI (each frontier point is k_delta at
     # delta = 2 m sd / lam')
-    kn = _argmin(front, _weights("ci_length", mset.m, a))
+    kn = _argmin(front, _weights("ci_length", m, a))
     sd = math.sqrt(kn.var)
-    return numer / (2.0 * cv_alpha(mset.m * kn.bbar / sd, a) * sd)
+    return numer / (2.0 * cv_alpha(m * kn.bbar / sd, a) * sd)
 
 
 def kappa_one_sided(model: MomentModel, mset: MisspecSet, alpha: float = 0.05,
@@ -174,13 +187,20 @@ def kappa_one_sided(model: MomentModel, mset: MisspecSet, alpha: float = 0.05,
     at ``d_b = z_{1-alpha} + z_beta``.
     """
     a = _check_alpha(alpha)
+    _check_beta(beta)
+    return _kappa_one_sided(frontier(model, mset), mset.m, a, beta)
+
+
+def _check_beta(beta: float) -> None:
     if not (0.0 < beta < 1.0):
         raise OutOfRange(f"beta must lie in (0, 1), got {beta}")
+
+
+def _kappa_one_sided(front: SensitivityFrontier, m: float, a: float,
+                     beta: float) -> float:
     d_b = norm_quantile(1.0 - a) + norm_quantile(beta)
-    front = frontier(model, mset)
-    sol1 = _modulus(front, mset.m, d_b)
-    sol2 = _modulus(front, mset.m, 2.0 * d_b)
-    return sol2.omega / (sol1.omega + d_b * sol1.omega_prime)
+    pts, omega = _moduli(front, m, np.array([d_b, 2.0 * d_b]))
+    return float(omega[1] / (omega[0] + d_b * pts.sd[0]))
 
 
 def gls_subspace_sensitivity(model: MomentModel,
@@ -212,9 +232,13 @@ def gls_subspace_sensitivity(model: MomentModel,
 
 def efficiency_report(model: MomentModel, mset: MisspecSet,
                       alpha: float = 0.05, beta: float = 0.8) -> EfficiencyReport:
-    """Bundle the two-sided and one-sided bounds with the universal floor."""
+    """Bundle the two-sided and one-sided bounds with the universal floor,
+    both read off one frontier."""
+    a = _check_alpha(alpha)
+    front = frontier(model, mset)
+    _check_beta(beta)
     return EfficiencyReport(
-        kappa_two_sided=kappa_two_sided(model, mset, alpha),
-        kappa_one_sided=kappa_one_sided(model, mset, alpha, beta),
+        kappa_two_sided=_kappa_two_sided(front, mset.m, a),
+        kappa_one_sided=_kappa_one_sided(front, mset.m, a, beta),
         universal_lower=universal_lower_bound(alpha),
         alpha=alpha, beta=beta)

@@ -10,9 +10,11 @@ constraint ``H = -k' Gamma`` and a sliding bound on worst-case bias is:
   ``L^-1 B = U S V'`` diagonalize Sigma and ``B B'`` at once; in the
   coordinates ``z = U' L' k`` the variance is ``||z||^2``, the unit bias is
   ``||S z_1||`` (``z_1``: the first d_gamma coordinates) and each point of
-  the path costs O(d_g d_theta). The frontier keeps knots on a log-spaced
-  lambda grid for display (``momentguard path``); selection does not read
-  them;
+  the path costs O(d_g d_theta). The evaluator takes a vector of lambdas
+  and solves their d_theta x d_theta systems in one stacked call; a single
+  point is the same evaluator on one lambda. The frontier keeps knots on a
+  log-spaced lambda grid for display (``momentguard path``), built in one
+  such call; selection does not read them;
 * p = inf — a piecewise-linear homotopy in the penalty weight, analogous to
   the LAR-LASSO path, computed exactly between breakpoints until no event is
   reachable, so the path is complete on ``[0, inf]``.
@@ -28,9 +30,13 @@ same path serves every magnitude m, with the worst-case bias simply rescaled.
 length, worst-case MSE or a one-sided excess-length quantile at a given m:
 each criterion is convex and nondecreasing in the bias and the sd, so its
 minimizer is the one sign change of a first-order condition along the path
-(:func:`_argmin`). The same minimizer gives the modulus of continuity, the
-frontier's minimum of ``2 m bbar + delta sd``, and the shortest CI in the
+(:func:`_argmin`). The same minimizer gives the shortest CI in the
 denominator of the two-sided efficiency bound (:mod:`momentguard.efficiency`).
+With fixed weights, as in the modulus of continuity, the frontier's minimum
+of ``2 m bbar + delta sd``, the root is where the ratio ``lam' / sd`` reaches
+``2 m / delta``, and :func:`_argmin_sweep` finds it for every delta at once:
+one sorted lookup and a closed-form quadratic per delta on an inf-path,
+vectorized safeguarded Newton steps on the l2 path.
 """
 
 from __future__ import annotations
@@ -78,9 +84,46 @@ class FrontierKnot:
     mu: np.ndarray
 
 
+@dataclass(frozen=True)
+class FrontierPoints:
+    """Frontier points in bulk: row i of each array is one point, with the
+    fields of :class:`FrontierKnot`."""
+
+    lam: np.ndarray
+    k: np.ndarray
+    bbar: np.ndarray
+    var: np.ndarray
+    mu: np.ndarray
+
+    @property
+    def sd(self) -> np.ndarray:
+        return np.sqrt(self.var)
+
+    def knot(self, i: int) -> FrontierKnot:
+        return FrontierKnot(lam=float(self.lam[i]), k=self.k[i],
+                            bbar=float(self.bbar[i]), var=float(self.var[i]),
+                            mu=self.mu[i])
+
+
+_DOUBLE_MAX = np.finfo(float).max
+
+
 def _t_pair(lam: float) -> tuple[float, float]:
     """``t = lam / (1 + lam)`` and ``1 - t``, each to full relative precision."""
     return (1.0, 0.0) if math.isinf(lam) else (lam / (1.0 + lam), 1.0 / (1.0 + lam))
+
+
+def _t_pairs(lam: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """:func:`_t_pair` at each lam of a vector, as columns."""
+    # capped at the largest double, lam = inf gives t = 1 without inf / inf
+    finite = np.minimum(lam, _DOUBLE_MAX)[:, None]
+    return finite / (1.0 + finite), 1.0 / (1.0 + lam[:, None])
+
+
+def _norms(x: np.ndarray) -> np.ndarray:
+    """Euclidean norm of each row; hypot scales its arguments, so no square
+    under- or overflows."""
+    return np.hypot.reduce(x, axis=-1, initial=0.0)
 
 
 class _L2Path:
@@ -93,6 +136,10 @@ class _L2Path:
     where w vanishes on the suspect directions and the path ends at the GLS
     sensitivity that ignores them, which exists when
     ``d_gamma <= d_g - d_theta``.
+
+    Every evaluation takes a vector of penalties and solves one stacked
+    d_theta x d_theta system per penalty; a single point is a one-element
+    view of the same evaluator.
     """
 
     def __init__(self, model: MomentModel, b_mat: np.ndarray):
@@ -110,19 +157,24 @@ class _L2Path:
         if not max(self.s[0], np.max(np.abs(self.a))) < math.sqrt(np.finfo(float).max):
             raise SingularSystem("sigma is too small against b_mat or gamma: the "
                                  "path's squares exceed double precision")
-        self.h = model.h_deriv
+        self.s2 = self.s**2
+        self.h = model.h_deriv[:, None]
         #: the suspect directions leave d_theta moments to identify theta,
         #: so the bias reaches 0 at lam = inf
         self.ends_unbiased = b.shape[1] <= model.d_g - model.d_theta
 
+    def points(self, lams: np.ndarray) -> FrontierPoints:
+        """Frontier points at each penalty in ``lams``, all in ``[0, inf]``."""
+        k, bbar, var, mu = self._fields(*_t_pairs(lams))
+        for lam, v in zip(lams, var):
+            _checked_var(float(v), float(lam))
+        return FrontierPoints(lam=lams, k=k, bbar=bbar, var=var, mu=mu)
+
     def knot(self, lam: float) -> FrontierKnot:
         """Frontier point at ``lam`` in ``[0, inf]``."""
-        w, _, mu, a_mu = self._solve(*_t_pair(lam))
-        z = -w * a_mu
-        bias = self.s * z[:self.s.shape[0]]
-        return FrontierKnot(lam=float(lam), k=self.to_k @ z,
-                            bbar=math.sqrt(bias @ bias),
-                            var=_checked_var(float(z @ z), lam), mu=mu)
+        k, bbar, var, mu = self._fields(*_t_pair(lam))
+        return FrontierKnot(lam=float(lam), k=k, bbar=float(bbar),
+                            var=_checked_var(float(var), lam), mu=mu)
 
     @functools.cached_property
     def end(self) -> tuple[float, float, float]:
@@ -133,23 +185,61 @@ class _L2Path:
         """``bbar``, ``sd`` and ``lam * bbar`` at ``lam`` in ``[0, inf]``, all
         finite at lam = inf."""
         t, one_minus_t = _t_pair(lam)
-        w, den, _, a_mu = self._solve(t, one_minus_t)
-        d_gam = self.s.shape[0]
-        # hypot scales its arguments, so a tiny lam does not underflow
-        bbar = math.hypot(*(self.s * (one_minus_t / den) * a_mu[:d_gam]))
-        lam_bbar = math.hypot(*(self.s * (t / den) * a_mu[:d_gam]))
-        return bbar, math.hypot(*(w * a_mu)), lam_bbar
+        w, den, _, _, a_mu = self._solve(t, one_minus_t)
+        # bbar and lam bbar are (1 - t) and t times one norm, taken at the
+        # scale of the problem, so a tiny lam does not underflow
+        v = float(_norms(self.s * a_mu[:self.s.shape[0]] / den))
+        return one_minus_t * v, float(_norms(w * a_mu)), t * v
 
-    def _solve(self, t: float, one_minus_t: float):
-        """Weights w, their denominators, mu and ``A mu`` at t."""
-        den = one_minus_t + t * self.s**2
-        w = np.ones(self.a.shape[0])
-        w[:self.s.shape[0]] = one_minus_t / den
+    def _fields(self, t, one_minus_t):
+        """k, bbar, var and mu at t."""
+        w, _, _, mu, a_mu = self._solve(t, one_minus_t)
+        z = -w * a_mu
+        bias = self.s * z[..., :self.s.shape[0]]
+        return (z @ self.to_k.T, np.sqrt((bias * bias).sum(axis=-1)),
+                (z * z).sum(axis=-1), mu)
+
+    def _solve(self, t, one_minus_t):
+        """Weights w, their denominators, the Gram ``A' diag(w) A``, mu and
+        ``A mu`` at t. A float t gives one point; a column of n values gives
+        n points, one per row, from one stacked solve."""
+        den = one_minus_t + t * self.s2
+        w = np.ones(np.shape(t)[:-1] + self.a.shape[:1])
+        w[..., :self.s.shape[0]] = one_minus_t / den
+        gram = (self.a.T * w[..., None, :]) @ self.a
         try:
-            mu = np.linalg.solve((self.a.T * w) @ self.a, self.h)
+            mu = np.linalg.solve(gram, self.h)[..., 0]
         except np.linalg.LinAlgError as exc:
             raise SingularSystem("Gamma' W Gamma is singular") from exc
-        return w, den, mu, self.a @ mu
+        return w, den, gram, mu, mu @ self.a.T
+
+    def _log_gap(self, u: np.ndarray, log_c: np.ndarray):
+        """``F = log(lam bbar / sd) - log_c`` at each ``lam = exp(u)`` and its
+        slope ``dF/du``, which lies in [0, 1].
+
+        With ``v = s (A mu)_1 / den``, ``bbar = (1 - t) ||v||`` and
+        ``lam bbar = t ||v||``. Differentiating the ridge solution gives
+        ``d bbar^2 / d lam = -2 (1 - t)^3 E`` with
+        ``E = sum(s^2 v^2 / den) - (1 - t) rho' (A' W A)^-1 rho`` and
+        ``rho = A_1' (s v / den)``; the frontier's ``d var = -lam d bbar^2``
+        then gives ``dF/du = 1 - t E (1 / ||v||^2 + t (1 - t) / var)``.
+        """
+        lam = np.exp(u)
+        t, one_minus_t = _t_pairs(lam)
+        w, den, gram, _, a_mu = self._solve(t, one_minus_t)
+        t, one_minus_t = t[:, 0], one_minus_t[:, 0]
+        d_gam = self.s.shape[0]
+        v = self.s * a_mu[:, :d_gam] / den
+        v_norm, sd = _norms(v), _norms(w * a_mu)
+        sv = self.s * v / den
+        rho = sv @ self.a[:d_gam]
+        proj = np.einsum("ij,ij->i", rho,
+                         np.linalg.solve(gram, rho[..., None])[..., 0])
+        e = np.einsum("ij,ij->i", sv, self.s * v) - one_minus_t * proj
+        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+            f = u - np.log1p(lam) + np.log(v_norm) - np.log(sd) - log_c
+            slope = 1.0 - t * e * (1.0 / v_norm**2 + t * one_minus_t / sd**2)
+        return f, slope
 
 
 @dataclass(frozen=True)
@@ -413,7 +503,8 @@ def frontier(model: MomentModel, mset: MisspecSet) -> SensitivityFrontier:
     path = _L2Path(model, mset.b_mat)
     scale = np.trace(model.sigma) / b_sq
     lams = np.concatenate([[0.0], scale * np.logspace(-6.0, 6.0, L2_GRID_POINTS)])
-    return SensitivityFrontier(knots=tuple(path.knot(lam) for lam in lams),
+    pts = path.points(lams)
+    return SensitivityFrontier(knots=tuple(pts.knot(i) for i in range(lams.size)),
                                set=unit, model=model, kind="l2", l2_path=path)
 
 
@@ -484,15 +575,16 @@ def knot_at(front: SensitivityFrontier, lam: float) -> FrontierKnot:
 #: ``log(lam)`` range of the l2 root: the smallest positive and the largest
 #: finite double, and the step of the search for its bracket.
 _LOG_LAM_MIN = math.log(5e-324)
-_LOG_LAM_MAX = math.log(np.finfo(float).max)
+_LOG_LAM_MAX = math.log(_DOUBLE_MAX)
 _LOG_LAM_STEP = math.log(16.0)
 
 
-def _root(fn, lo: float, hi: float) -> float:
-    """Root of ``fn`` given ``fn(lo) < 0 <= fn(hi)``."""
-    eps = np.finfo(float).eps
+def _root(fn, lo: float, hi: float,
+          xtol: float = 4.0 * np.finfo(float).eps) -> float:
+    """Root of ``fn`` given ``fn(lo) < 0 <= fn(hi)``, to within ``xtol`` plus
+    4 eps relative."""
     try:
-        return _brentq(fn, lo, hi, xtol=4.0 * eps, rtol=4.0 * eps)
+        return _brentq(fn, lo, hi, xtol=xtol, rtol=4.0 * np.finfo(float).eps)
     except SolverFailure as exc:
         raise SolverFailure(f"first-order condition: root search on "
                             f"[{lo!r}, {hi!r}] did not converge: {exc}") from None
@@ -513,6 +605,9 @@ def _argmin(front: SensitivityFrontier, weights) -> FrontierKnot:
     the root needs only scalars. Past the last knot k stands still and the
     root is ``lam = a sd / b``, where mu has moved on; the same holds on a
     segment where only mu moves.
+
+    For weights that do not depend on the point, :func:`_argmin_sweep` gives
+    the same minimizer for many pairs of weights in one pass.
     """
     def gap(bbar: float, sd: float, lam_prime: float) -> float:
         a, b = weights(bbar, sd)
@@ -571,8 +666,167 @@ def _argmin(front: SensitivityFrontier, weights) -> FrontierKnot:
         return gap((1.0 - w) * lo.bbar + w * hi.bbar, math.sqrt(max(var, 0.0)),
                    (1.0 - w) * lo.lam + w * hi.lam)
 
-    w = _root(gap_segment, 0.0, 1.0)
+    # relative in w: on the first segment lam = w lam_hi
+    w = _root(gap_segment, 0.0, 1.0, np.finfo(float).tiny)
     return knot_at(front, (1.0 - w) * lo.lam + w * hi.lam)
+
+
+#: Most steps of the l2 sweep; a Newton step gains digits quadratically, and
+#: a safeguarding step replaces one that leaves the bracket or stalls.
+_SWEEP_MAXITER = 100
+
+
+def _argmin_sweep(front: SensitivityFrontier, a: np.ndarray,
+                  b: np.ndarray) -> FrontierPoints:
+    """Frontier point minimizing ``a[i] bbar + b[i] sd`` for each pair of fixed
+    weights, ``a >= 0`` and ``b > 0``: what :func:`_argmin` returns for
+    ``weights = lambda bbar, sd: (a[i], b[i])``, for every pair in one pass.
+
+    With fixed weights the first-order root is where the ratio ``lam' / sd``,
+    nondecreasing along the frontier, reaches ``c = a / b``. On an inf-path
+    one ``searchsorted`` of every c among the knots' ratios finds its segment,
+    where bbar and lam are linear and the variance quadratic in the segment
+    weight, so the root solves a quadratic in closed form; past the last knot
+    it is ``lam = c sd``. On the l2 path ``F(u) = log(lam bbar / sd) - log c``
+    rises with slope in [0, 1] in ``u = log(lam)``, is at most 0 at the root
+    of its linearization at lam = 0, and every c takes safeguarded Newton
+    steps from there at once.
+    """
+    a = np.asarray(a, dtype=float)
+    b = np.asarray(b, dtype=float)
+    first = front.knots[0]
+    if front.kind == "single" or first.bbar == 0.0:
+        return _repeat_knot(first, a.size)
+    if front.kind == "l2":
+        return front.l2_path.points(_l2_roots(front.l2_path, first, a, b))
+    return _linf_points(front, a, b)
+
+
+def _repeat_knot(kn: FrontierKnot, n: int) -> FrontierPoints:
+    return FrontierPoints(lam=np.full(n, kn.lam), k=np.tile(kn.k, (n, 1)),
+                          bbar=np.full(n, kn.bbar), var=np.full(n, kn.var),
+                          mu=np.tile(kn.mu, (n, 1)))
+
+
+def _l2_roots(path: _L2Path, first: FrontierKnot, a: np.ndarray,
+              b: np.ndarray) -> np.ndarray:
+    """The minimizing penalty on the l2 path for each pair of weights: 0 where
+    the root lies below every positive double (and where ``a = 0``), inf
+    where the criterion still falls at the unbiased end."""
+    lam = np.zeros(a.size)
+    todo = a > 0.0
+    if path.ends_unbiased:
+        _, sd_end, lam_bbar_end = path.end
+        at_end = todo & (b * lam_bbar_end - a * sd_end <= 0.0)
+        lam[at_end] = math.inf
+        todo &= ~at_end
+    idx = np.flatnonzero(todo)
+    log_c = np.log(a[idx]) - np.log(b[idx])
+    u = np.clip(log_c + 0.5 * math.log(first.var) - math.log(first.bbar),
+                _LOG_LAM_MIN, _LOG_LAM_MAX)
+    lo = np.full(idx.size, -math.inf)
+    hi = np.full(idx.size, math.inf)
+    moved = np.full(idx.size, math.inf)
+    tol = 4.0 * np.finfo(float).eps
+    for _ in range(_SWEEP_MAXITER):
+        if idx.size == 0:
+            return lam
+        f, slope = path._log_gap(u, log_c)
+        if np.any(np.isnan(f)):
+            raise SolverFailure("first-order condition: NaN on the l2 path at "
+                                f"lambda={float(np.exp(u[np.isnan(f)][0]))!r}")
+        below = f < 0.0
+        lo = np.where(below, u, lo)
+        hi = np.where(below, hi, u)
+        # the root lies below every positive double (m -> 0), or above the
+        # largest one, where only an unbiased end can hold it
+        floor = ~below & (u == _LOG_LAM_MIN)
+        ceiling = below & (u == _LOG_LAM_MAX)
+        if np.any(ceiling) and not path.ends_unbiased:
+            raise SolverFailure("could not bracket the l2 penalty")
+        lam[idx[ceiling]] = math.inf
+        # Newton's step for 1/c - sd / lam' in 1/lam, which is linear in 1/lam
+        # near lam = 0 and again where the ratio levels off or grows
+        # linearly at large lam
+        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+            newton = u - np.log1p(np.expm1(f) / slope)
+        # a step that leaves a known bracket or fails to halve is replaced by
+        # twice the Newton step, to bracket the root closely when the
+        # iterates near it from one side, or by bisection of a bracket that
+        # is already close; without a bracket, step outward
+        bracketed = np.isfinite(lo) & np.isfinite(hi)
+        take = ((lo <= newton) & (newton <= hi)
+                & ~(bracketed & (np.abs(newton - u) > 0.5 * moved)))
+        probe = 2.0 * newton - u
+        probe_ok = ((lo < probe) & (probe < hi)
+                    & (hi - lo > 4.0 * np.abs(newton - u)))
+        step = np.where(take, newton, np.where(
+            bracketed, np.where(probe_ok, probe, 0.5 * (lo + hi)),
+            np.where(below, lo + _LOG_LAM_STEP, hi - _LOG_LAM_STEP)))
+        step = np.clip(step, _LOG_LAM_MIN, _LOG_LAM_MAX)
+        moved = np.abs(step - u)
+        root = ~floor & ~ceiling & (moved <= tol * (1.0 + np.abs(u)))
+        lam[idx[root]] = np.exp(step[root])
+        keep = ~(floor | ceiling | root)
+        idx, u, lo, hi = idx[keep], step[keep], lo[keep], hi[keep]
+        log_c, moved = log_c[keep], moved[keep]
+    if idx.size:
+        raise SolverFailure("first-order condition: the l2 sweep did not "
+                            f"converge in {_SWEEP_MAXITER} steps")
+    return lam
+
+
+def _linf_points(front: SensitivityFrontier, a: np.ndarray,
+                 b: np.ndarray) -> FrontierPoints:
+    """:func:`_argmin_sweep` on an inf-path."""
+    knots = front.knots
+    lams = np.array([kn.lam for kn in knots])
+    var = np.array([kn.var for kn in knots])
+    ks = np.array([kn.k for kn in knots])
+    mus = np.array([kn.mu for kn in knots])
+    c = a / b
+    # the first knot whose ratio reaches c ends the segment holding the root
+    j = np.searchsorted(np.maximum.accumulate(lams / np.sqrt(var)), c, side="left")
+    last = len(knots) - 1
+    past = j > last
+    inner = (j > 0) & ~past
+    jh = np.minimum(j, last)
+    jl = np.maximum(jh - 1, 0)
+    # G = lam - c sd changes sign where lam^2 = c^2 var, a quadratic in the
+    # weight w; scaled by the upper knot's lam, where lam >= c sd, every
+    # coefficient is at most of order one
+    dk = ks[jh] - ks[jl]
+    v2 = np.einsum("ij,jk,ik->i", dk, front.model.sigma, dk)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        r = np.where(inner, c / lams[jh], 0.0)
+        x0 = lams[jl] / lams[jh]
+    x0 = np.where(inner, x0, 0.0)
+    dx = 1.0 - x0
+    q0, q1, q2 = r * r * var[jl], r * r * var[jh], r * r * v2
+    c2 = dx * dx - q2
+    c1 = 2.0 * x0 * dx - (q1 - q0 - q2)
+    c0 = x0 * x0 - q0
+    root_disc = np.sqrt(np.maximum(c1 * c1 - 4.0 * c2 * c0, 0.0))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        w = np.where(c1 > 0.0, -2.0 * c0 / (c1 + root_disc),
+                     (root_disc - c1) / (2.0 * c2))
+    # at either end of the path w = 1 picks the knot itself
+    w = np.where(inner & (lams[jh] > lams[jl]), np.clip(w, 0.0, 1.0), 1.0)
+    lam = np.where(inner, (1.0 - w) * lams[jl] + w * lams[jh], 0.0)
+    k = (1.0 - w)[:, None] * ks[jl] + w[:, None] * ks[jh]
+    mu = (1.0 - w)[:, None] * mus[jl] + w[:, None] * mus[jh]
+    bbar = np.abs(k @ front.set.b_mat).sum(axis=1)
+    var_k = np.einsum("ij,jk,ik->i", k, front.model.sigma, k)
+    # past the last knot k stands still and mu moves on
+    lam_past = a * np.sqrt(var[last]) / b
+    lam = np.where(past, lam_past, lam)
+    mu = mu + np.where(past, lam_past - lams[last], 0.0)[:, None] * front.mu_slope
+    ends = ~inner
+    bbar = np.where(ends, np.where(past, knots[last].bbar, knots[0].bbar), bbar)
+    var_k = np.where(ends, var[jh], var_k)
+    for lam_i, v in zip(lam[inner], var_k[inner]):
+        _checked_var(float(v), float(lam_i))
+    return FrontierPoints(lam=lam, k=k, bbar=bbar, var=var_k, mu=mu)
 
 
 def select_lambda(front: SensitivityFrontier, m: float, alpha: float = 0.05,

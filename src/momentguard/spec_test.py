@@ -15,7 +15,9 @@ once per ``(model, B, p)``: the supremum is homogeneous of degree two in M,
 and because the quantile increases in the noncentrality, the smallest
 magnitude the test does not reject solves ``F(S; df, M^2 ncp(1)) = 1 - alpha``.
 One root-find over the noncentrality gives it, the lower end of the one-sided
-confidence set [m_min, inf) for the misspecification magnitude.
+confidence set [m_min, inf) for the misspecification magnitude; where
+rounding leaves the test rejecting at that root, m_min steps up by a few ulps
+to the first magnitude the test accepts.
 """
 
 from __future__ import annotations
@@ -28,7 +30,7 @@ import numpy as np
 from ._linalg import RANK_RTOL, sym_sqrt_psd
 from .critval import _check_alpha, noncentral_chisq_ncp, noncentral_chisq_quantile
 from .errors import (DimensionMismatch, JustIdentified, RankDeficiency,
-                     VertexEnumerationTooLarge)
+                     SolverFailure, VertexEnumerationTooLarge)
 from .model import MisspecSet, MomentModel
 
 #: Largest d_gamma for which exact sign-vertex enumeration is attempted.
@@ -39,6 +41,10 @@ _LOW_BLOCK = 12
 
 #: Most entries in one chunk's matrix of vertex values (memory cap).
 _CHUNK_VALUES = 1 << 16
+
+#: Most steps of ``m_min`` up to where the test accepts: the k-th step puts it
+#: ``2^k`` eps above the noncentrality root, well past both solvers' 4 eps.
+_ACCEPT_STEPS = 16
 
 
 @dataclass(frozen=True)
@@ -186,8 +192,22 @@ def spec_test_grid(model: MomentModel, b_mat: np.ndarray, p: float,
             raise RankDeficiency(
                 "the noncentrality is zero for every M because B lies in the "
                 "span of the moment Jacobian; no finite M avoids rejection")
-        m_min = math.sqrt(noncentral_chisq_ncp(stat, df, 1.0 - a) / unit)
+        m_min = _accepted(stat, df, unit, a,
+                          math.sqrt(noncentral_chisq_ncp(stat, df, 1.0 - a) / unit))
     return stat, m_min, [_decide(stat, df, ms.m**2 * unit, a) for ms in msets]
+
+
+def _accepted(stat: float, df: int, unit: float, alpha: float,
+              root: float) -> float:
+    """The first of ``root`` and ``root (1 + 2^k eps)``, k = 0, 1, ..., at
+    which the test accepts. At the root S equals the critical value, so
+    rounding in the two solves can leave the test rejecting there."""
+    eps = float(np.finfo(float).eps)
+    for m in [root] + [root * (1.0 + 2.0**k * eps) for k in range(_ACCEPT_STEPS)]:
+        if not _decide(stat, df, m**2 * unit, alpha).reject:
+            return m
+    raise SolverFailure(f"the test still rejects {_ACCEPT_STEPS} steps above "
+                        f"the noncentrality root m={root!r}")
 
 
 def m_lower_ci(model: MomentModel, b_mat: np.ndarray, p: float,
@@ -196,9 +216,11 @@ def m_lower_ci(model: MomentModel, b_mat: np.ndarray, p: float,
 
     Returns 0 when the central test already accepts. Otherwise solves
     ``F(S; df, ncp*) = 1 - alpha`` for the noncentrality in one bracketed
-    root-find and returns ``sqrt(ncp* / ncp(1))``: rejection is monotone in
-    m because the critical value increases with the noncentrality
-    ``m^2 ncp(1)``. Raises RankDeficiency when ``ncp(1)`` is zero, since then
-    no finite magnitude explains a rejection.
+    root-find and returns ``sqrt(ncp* / ncp(1))``, stepped up by a few ulps
+    where rounding leaves :func:`test_at_m` rejecting there, so the test
+    accepts at the returned value: rejection is monotone in m because the
+    critical value increases with the noncentrality ``m^2 ncp(1)``. Raises
+    RankDeficiency when ``ncp(1)`` is zero, since then no finite magnitude
+    explains a rejection.
     """
     return spec_test_grid(model, b_mat, p, (), alpha)[1]

@@ -83,11 +83,15 @@ def test_fuzz_problem_files(doc):
     with tempfile.TemporaryDirectory() as tmp:
         path = str(Path(tmp) / "prob.json")
         Path(path).write_text(json.dumps(doc))
-        for command in ("ci", "path", "efficiency", "spectest"):
+        for command in ("ci", "path", "efficiency", "spectest", "simulate"):
+            argv = [command, "--problem", path]
+            if command == "simulate":
+                argv += ["--reps", "1000", "--seed", "7"]  # the fewest it accepts
             out, err = io.StringIO(), io.StringIO()
             with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-                code = main([command, "--problem", path])
+                code = main(argv)
             assert code in (0, 2, 3, 4), err.getvalue()
+            assert "Traceback" not in err.getvalue()
             if code == 0:
                 assert "nan" not in out.getvalue().lower()
 

@@ -8,6 +8,7 @@ from momentguard._linalg import sym_sqrt_psd
 from momentguard import efficiency
 from momentguard.critval import cv_alpha, norm_cdf, norm_pdf, norm_quantile
 from momentguard.efficiency import (
+    efficiency_report,
     gls_subspace_sensitivity,
     half_modulus,
     kappa_linear_subspace,
@@ -19,7 +20,7 @@ from momentguard.errors import InfeasibleDelta, TooManyInvalidMoments
 from momentguard.model import MisspecSet, MomentModel
 from momentguard.oracle import grid_modulus
 from momentguard.robust_ci import two_sided_ci
-from momentguard.sensitivity import frontier, linf_path
+from momentguard.sensitivity import _argmin, _weights, frontier, linf_path
 from modulus_oracle import half_modulus as oracle_half_modulus
 
 
@@ -311,21 +312,68 @@ class TestKappaTwoSided:
             ms = MisspecSet(b, p, mval)
             front = frontier(model, ms)
 
-            def omega(delta):
-                return efficiency._modulus(front, mval, delta)
+            def omega(deltas):
+                pts, values = efficiency._moduli(front, mval, deltas)
+                return values, pts.sd
 
             # the numerator as kappa_two_sided computes it
-            edge = omega(2.0 * efficiency.QUAD_SPAN)
-            numer = sum(wi * omega(2.0 * (z1 - zi)).omega * norm_pdf(zi)
-                        for zi, wi in zip(z, w))
-            numer += edge.omega * norm_cdf(lo) + 2.0 * edge.omega_prime * (
+            (edge,), (edge_sd,) = omega([2.0 * efficiency.QUAD_SPAN])
+            numer = sum(wi * om * norm_pdf(zi)
+                        for zi, wi, om in zip(z, w, omega(2.0 * (z1 - z))[0]))
+            numer += edge * norm_cdf(lo) + 2.0 * edge_sd * (
                 lo * norm_cdf(lo) + norm_pdf(lo))
             denom = numer / (2.0 * kappa_two_sided(model, ms, alpha))
+            deltas = np.geomspace(1e-3, 1e3, 800)
             scan = min(
-                cv_alpha(max(sol.omega / (2.0 * sol.omega_prime) - 0.5 * d, 0.0),
-                         alpha) * sol.omega_prime
-                for d in np.geomspace(1e-3, 1e3, 800) for sol in [omega(d)])
+                cv_alpha(max(om / (2.0 * sd) - 0.5 * d, 0.0), alpha) * sd
+                for d, om, sd in zip(deltas, *omega(deltas)))
             assert denom <= scan * (1.0 + 1e-12), (trial, denom / scan - 1.0)
+
+
+def kappas_per_delta(model, mset, alpha=0.05, beta=0.8):
+    """Both kappas with the modulus found one delta at a time, one scalar
+    ``_argmin`` root per quadrature node, the tail edge and each one-sided
+    delta: the reference for the package's single sweep over all deltas."""
+    front = frontier(model, mset)
+    m = mset.m
+
+    def modulus(delta):
+        kn = _argmin(front, lambda bbar, sd: (2.0 * m, delta))
+        sd = math.sqrt(kn.var)
+        return 2.0 * m * kn.bbar + delta * sd, sd
+
+    z1 = norm_quantile(1.0 - alpha)
+    nodes, weights = np.polynomial.legendre.leggauss(efficiency.QUAD_NODES)
+    lo, hi = z1 - efficiency.QUAD_SPAN, z1
+    z = 0.5 * (hi - lo) * nodes + 0.5 * (hi + lo)
+    w = 0.5 * (hi - lo) * weights
+    numer = float(np.sum(w * np.array([modulus(2.0 * (z1 - zi))[0] * norm_pdf(zi)
+                                       for zi in z])))
+    edge, edge_sd = modulus(2.0 * efficiency.QUAD_SPAN)
+    numer += edge * norm_cdf(lo) + 2.0 * edge_sd * (lo * norm_cdf(lo) + norm_pdf(lo))
+    kn = _argmin(front, _weights("ci_length", m, alpha))
+    sd = math.sqrt(kn.var)
+    two_sided = numer / (2.0 * cv_alpha(m * kn.bbar / sd, alpha) * sd)
+    d_b = z1 + norm_quantile(beta)
+    omega1, sd1 = modulus(d_b)
+    return two_sided, modulus(2.0 * d_b)[0] / (omega1 + d_b * sd1)
+
+
+@pytest.mark.parametrize("p", [2.0, np.inf])
+def test_kappas_match_per_delta_reference(p):
+    rng = np.random.default_rng([31, int(math.isinf(p))])
+    for trial in range(48):
+        d_g = int(rng.integers(2, 6))
+        d_th = int(rng.integers(1, min(d_g, 2) + 1))
+        model = random_model(d_g, d_th, int(rng.integers(1 << 30)))
+        mset = MisspecSet(rng.normal(size=(d_g, int(rng.integers(1, d_g + 1)))), p,
+                          float(10.0 ** rng.uniform(-1.0, 1.0)))
+        rep = efficiency_report(model, mset)
+        two_sided, one_sided = kappas_per_delta(model, mset)
+        assert rep.kappa_two_sided == pytest.approx(two_sided, rel=1e-12), trial
+        assert rep.kappa_one_sided == pytest.approx(one_sided, rel=1e-12), trial
+        assert kappa_two_sided(model, mset) == rep.kappa_two_sided
+        assert kappa_one_sided(model, mset) == rep.kappa_one_sided
 
 
 class TestKappaOneSided:

@@ -11,6 +11,8 @@ from momentguard.errors import DimensionMismatch, OutOfRange, SingularSystem
 from momentguard.model import MisspecSet, MomentModel
 from momentguard.oracle import kkt_sensitivity, vertex_bias
 from momentguard.sensitivity import (
+    _argmin,
+    _argmin_sweep,
     frontier,
     knot_at,
     l2_sensitivity,
@@ -498,6 +500,94 @@ class TestSelectLambdaExact:
             kn = knot_at(front, select_lambda(front, m, 0.05, criterion).lambda_star)
             value = float(criterion_values(criterion, m, [kn.bbar], [kn.var])[0])
             assert value <= oracle * (1.0 + 1e-12), (trial, value / oracle - 1.0)
+
+
+class TestArgminSweep:
+    """The sweep for fixed weights against the scalar minimizer, one pair of
+    weights ``(2 m, delta)`` at a time."""
+
+    @staticmethod
+    def assert_matches(front, m, deltas):
+        deltas = np.asarray(deltas, dtype=float)
+        pts = _argmin_sweep(front, np.full(deltas.size, 2.0 * m), deltas)
+        for i, delta in enumerate(deltas):
+            kn = _argmin(front, lambda bbar, sd, d=delta: (2.0 * m, d))
+            if kn.lam in (0.0, math.inf):
+                assert pts.lam[i] == kn.lam, (delta, pts.lam[i])
+            else:
+                assert pts.lam[i] == pytest.approx(kn.lam, rel=1e-12), delta
+            sd = math.sqrt(kn.var)
+            assert pts.sd[i] == pytest.approx(sd, rel=1e-13), delta
+            assert 2.0 * m * pts.bbar[i] + delta * pts.sd[i] == pytest.approx(
+                2.0 * m * kn.bbar + delta * sd, rel=1e-13), delta
+            np.testing.assert_allclose(pts.k[i], kn.k, rtol=0.0,
+                                       atol=1e-10 * np.max(np.abs(kn.k)))
+            np.testing.assert_allclose(pts.mu[i], kn.mu, rtol=0.0,
+                                       atol=1e-9 * np.max(np.abs(kn.mu)))
+        return pts
+
+    @pytest.mark.parametrize("p", [2, math.inf])
+    @pytest.mark.parametrize("d_th", [1, 2])
+    @pytest.mark.parametrize("beyond", [False, True])
+    def test_random_problems(self, p, d_th, beyond):
+        # beyond: d_gamma > d_g - d_theta, so the bias never reaches zero
+        rng = np.random.default_rng([7, d_th, int(beyond), int(math.isinf(p))])
+        for trial in range(6):
+            d_g = int(rng.integers(d_th + 1, 6))
+            free = d_g - d_th
+            d_gam = int(rng.integers(free + 1, d_g + 1) if beyond
+                        else rng.integers(1, free + 1))
+            model = random_model(d_g, d_th, int(rng.integers(1 << 30)))
+            front = frontier(model, MisspecSet(rng.normal(size=(d_g, d_gam)), p, 1.0))
+            self.assert_matches(front, float(rng.uniform(0.3, 3.0)),
+                                np.geomspace(0.05, 16.0, 15))
+
+    def test_unbiased_end(self):
+        # a large M against a small delta: the criterion still falls at lam = inf
+        model = random_model(5, 1, 70)
+        front = frontier(model, MisspecSet(np.eye(5)[:, 3:], 2, 1.0))
+        pts = self.assert_matches(front, 1.0, [1e-3, 0.5, 16.0])
+        assert pts.lam[0] == math.inf and pts.bbar[0] == 0.0
+        assert 0.0 < pts.lam[2] < math.inf
+
+    @pytest.mark.parametrize("p", [2, math.inf])
+    def test_tiny_magnitude_first_knot(self, p):
+        # at m = 5e-324 and delta = 16 the root lies below every positive
+        # double: the efficient knot itself
+        model = MomentModel(gamma=np.fliplr(np.eye(3)), sigma=np.eye(3),
+                            h_deriv=[0.0, 0.0, 1.0], g_init=np.zeros(3),
+                            h_init=0.0, n=1)
+        front = frontier(model, MisspecSet(np.eye(3)[:, :1], p, 1.0))
+        self.assert_matches(front, 2.2e-311, [0.5, 16.0])
+        pts = self.assert_matches(front, 5e-324, [0.5, 16.0])
+        assert pts.lam[1] == 0.0 and pts.bbar[1] == front.knots[0].bbar
+
+    def test_past_last_linf_knot(self):
+        model = random_model(5, 1, 71)
+        front = frontier(model, MisspecSet(np.eye(5)[:, 3:], math.inf, 1.0))
+        lam_last = front.knots[-1].lam
+        pts = self.assert_matches(front, 1e3, [1e-3, 0.01, 16.0])
+        assert pts.lam[0] > lam_last and pts.lam[1] > lam_last
+        np.testing.assert_array_equal(pts.k[0], front.knots[-1].k)
+
+    @pytest.mark.parametrize("p", [2, math.inf])
+    def test_unbiased_first_knot(self, p):
+        model = MomentModel(gamma=np.eye(2), sigma=np.eye(2), h_deriv=[1.0, 0.0],
+                            g_init=np.zeros(2), h_init=0.0, n=1)
+        front = frontier(model, MisspecSet(np.eye(2)[:, 1:], p, 1.0))
+        pts = self.assert_matches(front, 1.0, [0.1, 1.0, 16.0])
+        assert np.all(pts.bbar == 0.0) and np.all(pts.lam == 0.0)
+
+    @pytest.mark.parametrize("p", [2, math.inf])
+    def test_zero_magnitude(self, p):
+        model = random_model(4, 1, 72)
+        b = np.random.default_rng(73).normal(size=(4, 2))
+        single = frontier(model, MisspecSet(b, p, 0.0))
+        assert single.kind == "single"
+        self.assert_matches(single, 0.0, [0.1, 16.0])
+        pts = self.assert_matches(frontier(model, MisspecSet(b, p, 1.0)), 0.0,
+                                  [0.1, 16.0])
+        assert np.all(pts.lam == 0.0)
 
 
 class TestScaleOutsideDoublePrecision:

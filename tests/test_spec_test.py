@@ -232,6 +232,27 @@ class TestMLowerCI:
         if accepted:
             assert m_min == pytest.approx(accepted[0], abs=grid[1] - grid[0])
 
+    def test_accepts_at_own_m_min(self):
+        # [m_min, inf) is the acceptance region: the test must accept at
+        # m_min itself, where S meets the critical value and rounding decides
+        rng = np.random.default_rng(23)
+        cases = [(random_overidentified(22, d_g=2, d_th=1, scale=2.0),
+                  np.array([[0.4], [1.0]]), 2)]
+        for trial in range(48):
+            d_g = int(rng.integers(2, 6))
+            d_th = int(rng.integers(1, d_g))
+            cases.append((random_overidentified(2300 + trial, d_g=d_g, d_th=d_th,
+                                                scale=float(rng.uniform(1.0, 4.0))),
+                          rng.normal(size=(d_g, int(rng.integers(1, d_g + 1)))),
+                          (2, np.inf)[trial % 2]))
+        positive = 0
+        for m, b, p in cases:
+            m_min = m_lower_ci(m, b, p, 0.05)
+            if m_min > 0.0:
+                positive += 1
+                assert not run_test_at_m(m, MisspecSet(b, p, m_min), 0.05).reject
+        assert positive >= 40
+
     def test_jacobian_span_raises(self):
         # B inside the Jacobian's span: the noncentrality is 0 for every M
         m = make_model([[-1.0], [-0.8], [0.3]], np.eye(3), [0.5, -0.9, 0.7])
