@@ -6,8 +6,8 @@ to standard output with a ``#``-prefixed metadata header.
 
 Subcommands: ``ci`` (robust CI per magnitude), ``path`` (frontier knots),
 ``efficiency`` (kappa bounds), ``spectest`` (S statistic and the lower bound
-on the magnitude), ``simulate`` (Monte Carlo coverage in the limiting
-experiment).
+on the magnitude), ``simulate`` (Monte Carlo coverage of the interval that
+``ci`` prints, in the limiting experiment).
 
 Exit codes: 0 success, 2 input validation, 3 numerical failure,
 4 dimension/feasibility.
@@ -26,6 +26,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
+from .critval import _check_alpha
 from .errors import (
     DimensionMismatch,
     FeasibilityError,
@@ -36,9 +37,9 @@ from .errors import (
 from .iv import IVData, build_b, build_model, drop_collinear_instruments
 from .model import MisspecSet, MomentModel
 from .oracle import adversarial_c, mc_coverage
-from .robust_ci import ci_from_sensitivity
+from .robust_ci import ci_curve
 from .efficiency import efficiency_report
-from .sensitivity import frontier, knot_at, select_lambda
+from .sensitivity import frontier
 from .spec_test import spec_test_grid
 
 _EXIT_VALIDATION = 2
@@ -63,7 +64,6 @@ class ProblemFile:
     beta: float = 0.8
     mixed: bool = False
     h_deriv: np.ndarray | None = None
-    raw: dict = field(default_factory=dict)
 
 
 def _parse(convert, value, name: str):
@@ -76,8 +76,8 @@ def _parse(convert, value, name: str):
 
 def _m_grid(values, name: str) -> list[float]:
     grid = _parse(lambda v: [float(m) for m in v], values, name)
-    if sorted(grid) != grid or any(m < 0 for m in grid):
-        raise ValidationError(f"{name} must be ascending and nonnegative")
+    if not grid or sorted(grid) != grid or any(m < 0 for m in grid):
+        raise ValidationError(f"{name} must be nonempty, ascending and nonnegative")
     return grid
 
 
@@ -109,7 +109,7 @@ def parse_problem(path: str | Path) -> ProblemFile:
     if not isinstance(doc, dict):
         raise ValidationError("problem file must hold a JSON object")
     base = path.parent
-    prob = ProblemFile(raw=doc)
+    prob = ProblemFile()
 
     has_model = "model" in doc
     has_iv = "iv" in doc
@@ -171,21 +171,6 @@ def parse_problem(path: str | Path) -> ProblemFile:
     return prob
 
 
-def dump_problem(prob: ProblemFile) -> str:
-    """Serialize the parsed representation back to problem-file JSON."""
-    def fmt(x):
-        if isinstance(x, float):
-            return float(f"{x:.17g}")
-        if isinstance(x, (list, tuple)):
-            return [fmt(v) for v in x]
-        if isinstance(x, np.ndarray):
-            return fmt(x.tolist())
-        if isinstance(x, dict):
-            return {k: fmt(v) for k, v in x.items()}
-        return x
-    return json.dumps(fmt(prob.raw), indent=2, sort_keys=True)
-
-
 def _resolve(prob: ProblemFile):
     """Materialize (model, b_mat, model_for_ci) from the problem description."""
     data = None
@@ -234,18 +219,12 @@ def _emit(command: str, args, header_cols: list[str], rows,
 
 def cmd_ci(prob: ProblemFile, args) -> None:
     model, b_mat, model_ci = _resolve(prob)
-    mset1 = MisspecSet(b_mat, prob.p, 1.0)
-    front = frontier(model, mset1)
-    rows = []
-    for m in prob.m_grid:
-        mset = MisspecSet(b_mat, prob.p, m)
-        choice = select_lambda(front, m, args.alpha, prob.criterion)
-        kn = knot_at(front, choice.lambda_star)
-        ci = ci_from_sensitivity(model_ci, mset, kn.k, args.alpha,
-                                 lambda_star=choice.lambda_star)
-        rows.append((float(m), ci.estimate, ci.estimate - ci.half_length,
-                     ci.estimate + ci.half_length, ci.max_bias, ci.std_error,
-                     float(choice.lambda_star)))
+    front = frontier(model, MisspecSet(b_mat, prob.p, 1.0))
+    rows = [(m, ci.estimate, ci.estimate - ci.half_length,
+             ci.estimate + ci.half_length, ci.max_bias, ci.std_error,
+             float(ci.lambda_star))
+            for m, ci in ci_curve(model_ci, b_mat, prob.p, prob.m_grid, front,
+                                  args.alpha, prob.criterion)]
     _emit("ci", args,
           ["m", "estimate", "lower", "upper", "max_bias", "std_error",
            "lambda_star"], rows)
@@ -283,19 +262,14 @@ def cmd_spectest(prob: ProblemFile, args) -> None:
 
 def cmd_simulate(prob: ProblemFile, args) -> None:
     model, b_mat, _ = _resolve(prob)
-    front = None
+    front = frontier(model, MisspecSet(b_mat, prob.p, 1.0))
     rows = []
-    for m in prob.m_grid:
+    for m, ci in ci_curve(model, b_mat, prob.p, prob.m_grid, front, args.alpha):
         mset = MisspecSet(b_mat, prob.p, m)
-        if front is None:
-            front = frontier(model, mset.scaled(1.0))
-        choice = select_lambda(front, m, args.alpha, "ci_length")
-        kn = knot_at(front, choice.lambda_star)
-        c = adversarial_c(mset, kn.k)
-        rep = mc_coverage(model, mset, args.alpha, c, args.reps, args.seed)
-        rows.append((float(m), rep.replications, rep.nominal, rep.coverage,
-                     rep.mc_stderr,
-                     *[float(v) for v in rep.worst_c]))
+        c = adversarial_c(mset, ci.k)
+        rep = mc_coverage(model, mset, ci, c, args.reps, args.seed)
+        rows.append((m, args.reps, 1.0 - args.alpha, rep.coverage,
+                     rep.mc_stderr, *[float(v) for v in c]))
     cols = (["m", "replications", "nominal", "coverage", "mc_stderr"]
             + [f"c_{i+1}" for i in range(model.d_g)])
     _emit("simulate", args, cols, rows, extra_meta=f" seed={args.seed}")
@@ -336,9 +310,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         prob = parse_problem(args.problem)
-        if args.alpha is not None:
-            prob.raw["alpha"] = args.alpha
-        args.alpha = args.alpha if args.alpha is not None else prob.alpha
+        args.alpha = _check_alpha(prob.alpha if args.alpha is None else args.alpha)
         if args.m_grid is not None:
             prob.m_grid = _m_grid(args.m_grid.split(","), "--m-grid")
         if args.variance is not None:

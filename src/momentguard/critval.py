@@ -59,6 +59,11 @@ def _check_alpha(alpha: float) -> float:
     return a
 
 
+def _check_beta(beta: float) -> None:
+    if not (0.0 < beta < 1.0):
+        raise OutOfRange(f"beta must lie in (0, 1), got {beta}")
+
+
 def _brentq(f, xa: float, xb: float, xtol: float, rtol: float,
             maxiter: int = 100) -> float:
     """Root of ``f`` on a bracket by Brent's method (Brent 1973, ch. 4).

@@ -43,13 +43,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._linalg import orth_complement, solve_psd
-from .critval import _check_alpha, cv_alpha, norm_cdf, norm_pdf, norm_quantile
-from .errors import (
-    InfeasibleDelta,
-    OutOfRange,
-    RankDeficiency,
-    TooManyInvalidMoments,
-)
+from .critval import (_check_alpha, _check_beta, cv_alpha, norm_cdf, norm_pdf,
+                      norm_quantile)
+from .errors import InfeasibleDelta, RankDeficiency, TooManyInvalidMoments
 from .model import MisspecSet, MomentModel, Sensitivity
 from .sensitivity import (FrontierPoints, SensitivityFrontier, _argmin,
                           _argmin_sweep, _weights, frontier)
@@ -102,7 +98,16 @@ def half_modulus(model: MomentModel, mset: MisspecSet,
     ``omega' = sd = sqrt(k' Sigma k)`` of the implied optimal sensitivity.
     The quadratic budget always binds at the solution.
     """
-    return _modulus(frontier(model, mset), mset.m, delta)
+    pts, omega = _moduli(frontier(model, mset), mset.m,
+                         np.array([delta], dtype=float))
+    kn = pts.knot(0)
+    sd = math.sqrt(kn.var)
+    scale = 0.5 * delta / sd
+    theta_star = scale * kn.mu
+    c_star = model.gamma @ theta_star + scale * (model.sigma @ kn.k)
+    return ModulusSolution(delta=float(delta), omega=float(omega[0]),
+                           omega_prime=sd, theta_star=theta_star, c_star=c_star,
+                           k_delta=kn.k)
 
 
 def _moduli(front: SensitivityFrontier, m: float,
@@ -115,20 +120,6 @@ def _moduli(front: SensitivityFrontier, m: float,
         raise InfeasibleDelta(f"delta must be positive and finite, got {bad[0]}")
     pts = _argmin_sweep(front, np.full(deltas.size, 2.0 * m), deltas)
     return pts, 2.0 * m * pts.bbar + deltas * pts.sd
-
-
-def _modulus(front: SensitivityFrontier, m: float,
-             delta: float) -> ModulusSolution:
-    """The modulus at ``delta`` from the unit frontier of a set of size m."""
-    pts, omega = _moduli(front, m, np.array([delta], dtype=float))
-    kn = pts.knot(0)
-    sd = math.sqrt(kn.var)
-    scale = 0.5 * delta / sd
-    theta_star = scale * kn.mu
-    c_star = front.model.gamma @ theta_star + scale * (front.model.sigma @ kn.k)
-    return ModulusSolution(delta=float(delta), omega=float(omega[0]),
-                           omega_prime=sd, theta_star=theta_star, c_star=c_star,
-                           k_delta=kn.k)
 
 
 def universal_lower_bound(alpha: float) -> float:
@@ -191,11 +182,6 @@ def kappa_one_sided(model: MomentModel, mset: MisspecSet, alpha: float = 0.05,
     return _kappa_one_sided(frontier(model, mset), mset.m, a, beta)
 
 
-def _check_beta(beta: float) -> None:
-    if not (0.0 < beta < 1.0):
-        raise OutOfRange(f"beta must lie in (0, 1), got {beta}")
-
-
 def _kappa_one_sided(front: SensitivityFrontier, m: float, a: float,
                      beta: float) -> float:
     d_b = norm_quantile(1.0 - a) + norm_quantile(beta)
@@ -235,8 +221,8 @@ def efficiency_report(model: MomentModel, mset: MisspecSet,
     """Bundle the two-sided and one-sided bounds with the universal floor,
     both read off one frontier."""
     a = _check_alpha(alpha)
-    front = frontier(model, mset)
     _check_beta(beta)
+    front = frontier(model, mset)
     return EfficiencyReport(
         kappa_two_sided=_kappa_two_sided(front, mset.m, a),
         kappa_one_sided=_kappa_one_sided(front, mset.m, a, beta),

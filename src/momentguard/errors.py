@@ -71,10 +71,6 @@ class DegeneratePath(NumericalError):
     """The homotopy hit an unresolvable tie or stalled before termination."""
 
 
-class NoFeasibleKKTPoint(NumericalError):
-    """Exhaustive KKT enumeration found no feasible stationary point (a bug)."""
-
-
 class NoValidS(NumericalError):
     """No weighting-matrix factor reproduces the requested sensitivity."""
 
@@ -107,10 +103,6 @@ class VertexEnumerationTooLarge(FeasibilityError):
 
 class CNotInSet(FeasibilityError):
     """The supplied perturbation is not a member of the misspecification set."""
-
-
-class DimensionTooLarge(FeasibilityError):
-    """A brute-force oracle was asked to run beyond its supported size."""
 
 
 class EmptyFrontier(ValidationError):

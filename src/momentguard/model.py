@@ -125,11 +125,6 @@ class MisspecSet:
     def d_gamma(self) -> int:
         return self.b_mat.shape[1]
 
-    @property
-    def holder_conjugate(self) -> float:
-        """Dual exponent: 1 for p = inf, 2 for p = 2."""
-        return 1.0 if math.isinf(self.p) else 2.0
-
     def scaled(self, m: float) -> "MisspecSet":
         """Same shape (b_mat, p) with a different magnitude."""
         return MisspecSet(self.b_mat, self.p, m)

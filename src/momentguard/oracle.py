@@ -1,10 +1,10 @@
-"""Independent brute-force validators used by the test suite.
+"""Monte Carlo coverage of a robust CI in the Gaussian limiting experiment.
 
-Each routine answers the same question as a production solver through a
-different, dumber route: exhaustive lattices, KKT enumeration over sign
-patterns, vertex enumeration, plain bisection, and a seeded Monte Carlo
-harness for the Gaussian limiting experiment. None of them call the module
-they validate.
+:func:`mc_coverage` counts how often a given two-sided interval covers
+``H theta`` when the moments are perturbed by a member ``c`` of the set, such
+as the bias-maximizing :func:`adversarial_c`; ``momentguard simulate`` runs
+it on the interval that ``momentguard ci`` prints. The brute-force
+validators of the solvers live with the tests.
 
 Randomness is produced by numpy's Philox counter-based bit generator with an
 explicit integer seed; normal deviates come from the inverse-cdf transform of
@@ -15,13 +15,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import product
 
 import numpy as np
 
 from ._linalg import sym_sqrt_psd
-from .errors import CNotInSet, DimensionTooLarge, NoFeasibleKKTPoint, OutOfRange
+from .errors import CNotInSet, OutOfRange
 from .model import MisspecSet, MomentModel, Sensitivity
+from .robust_ci import RobustCI
 
 
 # -- reproducible normals ------------------------------------------------------
@@ -88,190 +88,12 @@ def standard_normals(seed: int, shape: tuple[int, ...]) -> np.ndarray:
     return _normal_quantile(u)
 
 
-# -- folded-normal critical value ----------------------------------------------
-
-def _phi(x: float) -> float:
-    return 0.5 * math.erfc(-x / math.sqrt(2.0))
-
-
-def cv_alpha_oracle(b: float, alpha: float) -> float:
-    """Plain 200-iteration bisection for the 1-alpha quantile of |N(b, 1)|."""
-    lo, hi = 0.0, float(b) + 20.0
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        if _phi(mid - b) - _phi(-mid - b) < 1.0 - alpha:
-            lo = mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
-
-
-# -- worst-case bias by vertex enumeration --------------------------------------
-
-def vertex_bias(k: Sensitivity, mset: MisspecSet) -> float:
-    """Worst-case |k'c| over an l-infinity set by enumerating all sign vertices."""
-    if not math.isinf(mset.p):
-        raise OutOfRange("vertex enumeration applies to p = inf sets only")
-    d_gam = mset.d_gamma
-    if d_gam > 14:
-        raise DimensionTooLarge(f"refusing to enumerate 2^{d_gam} vertices")
-    v = mset.b_mat.T @ np.asarray(k, dtype=float).reshape(-1)
-    best = 0.0
-    for signs in product((-1.0, 1.0), repeat=d_gam):
-        best = max(best, abs(float(np.dot(v, signs))))
-    return mset.m * best
-
-
-# -- penalized sensitivity by KKT enumeration -----------------------------------
-
-def kkt_sensitivity(model: MomentModel, b_mat: np.ndarray,
-                    lam: float) -> Sensitivity:
-    """Solve ``min k'Sigma k/2 + lam*||B'k||_1  s.t.  H = -k'Gamma`` exactly.
-
-    Enumerates all 3^d_gamma sign patterns of ``B'k``, solves the KKT linear
-    system implied by each pattern, and keeps the feasible point with the
-    smallest objective. Independent of the homotopy it validates.
-    """
-    b = np.atleast_2d(np.asarray(b_mat, dtype=float))
-    d_g = model.d_g
-    d_th = model.d_theta
-    d_gam = b.shape[1]
-    if d_gam > 12:
-        raise DimensionTooLarge(f"refusing to enumerate 3^{d_gam} sign patterns")
-    sigma, gamma, h = model.sigma, model.gamma, model.h_deriv
-    tol = 1e-9
-
-    best_obj = math.inf
-    best_k = None
-    for pattern in product((-1.0, 0.0, 1.0), repeat=d_gam):
-        s = np.array(pattern)
-        zero = np.flatnonzero(s == 0.0)
-        nz = np.flatnonzero(s != 0.0)
-        n_z = zero.shape[0]
-        # unknowns: k (d_g), xi_zero (n_z in [-1,1]), mu (d_th)
-        dim = d_g + n_z + d_th
-        lhs = np.zeros((dim, dim))
-        rhs = np.zeros(dim)
-        lhs[:d_g, :d_g] = sigma
-        lhs[:d_g, d_g:d_g + n_z] = lam * b[:, zero]
-        lhs[:d_g, d_g + n_z:] = gamma
-        rhs[:d_g] = -lam * (b[:, nz] @ s[nz]) if nz.size else 0.0
-        lhs[d_g:d_g + n_z, :d_g] = b[:, zero].T
-        lhs[d_g + n_z:, :d_g] = gamma.T
-        rhs[d_g + n_z:] = -h
-        try:
-            sol = np.linalg.solve(lhs, rhs)
-        except np.linalg.LinAlgError:
-            continue
-        k = sol[:d_g]
-        xi = sol[d_g:d_g + n_z]
-        v = b.T @ k
-        scale = max(np.max(np.abs(v)), 1.0)
-        if lam > 0.0 and np.any(np.abs(xi) > 1.0 + tol):
-            continue
-        if np.any(np.abs(v[zero]) > tol * scale):
-            continue
-        if nz.size and np.any(v[nz] * s[nz] < -tol * scale):
-            continue
-        obj = 0.5 * k @ sigma @ k + lam * np.sum(np.abs(v))
-        if obj < best_obj - 1e-15:
-            best_obj, best_k = obj, k
-    if best_k is None:
-        raise NoFeasibleKKTPoint(
-            "no sign pattern produced a feasible stationary point")
-    return best_k
-
-
-# -- lattice modulus -------------------------------------------------------------
-
-def grid_modulus(model: MomentModel, mset: MisspecSet, delta: float,
-                 grid_n: int = 200, zoom_rounds: int = 3) -> float:
-    """Lower bound on the modulus by exhaustive lattice maximization.
-
-    Lays a lattice over (theta, gamma), keeps points satisfying both the set
-    membership and the quadratic budget, and returns twice the best objective.
-    Each zoom round shrinks the window around the incumbent by a factor of 6
-    (windows overlap heavily, so a flat-direction argmax several spacings off
-    stays covered), so the value only uses feasible points and converges to
-    the modulus from below as ``grid_n`` grows. Supports d_theta <= 2 and
-    d_gamma <= 2.
-    """
-    d_th, d_gam = model.d_theta, mset.d_gamma
-    if d_th > 2 or d_gam > 2:
-        raise DimensionTooLarge("lattice oracle supports d_theta <= 2, d_gamma <= 2")
-    sigma_inv = np.linalg.inv(model.sigma)
-    half = 0.5 * delta
-    b = mset.b_mat
-    m = mset.m
-
-    # any feasible theta satisfies ||Gamma theta|| <= ||c|| + half*sqrt(eigmax)
-    sig_eig = np.linalg.eigvalsh(model.sigma)
-    c_rad = m * np.linalg.norm(b, 2) * math.sqrt(d_gam)
-    gam_smin = np.linalg.svd(model.gamma, compute_uv=False)[-1]
-    th_rad = 1.05 * (c_rad + half * math.sqrt(sig_eig[-1])) / gam_smin + 1e-12
-
-    def axis(center: float, rad: float) -> np.ndarray:
-        return np.linspace(center - rad, center + rad, grid_n)
-
-    th_centers = np.zeros(d_th)
-    ga_centers = np.zeros(d_gam)
-    th_r, ga_r = th_rad, m if m > 0 else 0.0
-    best_val = -math.inf
-    best_th = np.zeros(d_th)
-    best_ga = np.zeros(d_gam)
-
-    for _ in range(zoom_rounds + 1):
-        th_axes = [np.append(axis(th_centers[j], th_r), 0.0) for j in range(d_th)]
-        ga_axes = [np.append(axis(ga_centers[j], ga_r), 0.0) for j in range(d_gam)]
-        th_grid = np.stack(np.meshgrid(*th_axes, indexing="ij"),
-                           axis=-1).reshape(-1, d_th)
-        ga_grid = np.stack(np.meshgrid(*ga_axes, indexing="ij"),
-                           axis=-1).reshape(-1, d_gam)
-        if math.isinf(mset.p):
-            ok = np.all(np.abs(ga_grid) <= m + 1e-12, axis=1)
-        else:
-            ok = np.sum(ga_grid**2, axis=1) <= m * m + 1e-12
-        ga_grid = ga_grid[ok]
-
-        c_pts = ga_grid @ b.T                        # (G, d_g)
-        t_pts = th_grid @ model.gamma.T              # (T, d_g)
-        hval = th_grid @ model.h_deriv               # (T,)
-        # quadratic form (c - Gamma theta)' Sigma^{-1} (c - Gamma theta),
-        # expanded and chunked over gamma to bound memory
-        cq = np.einsum("ij,jk,ik->i", c_pts, sigma_inv, c_pts)
-        tq = np.einsum("ij,jk,ik->i", t_pts, sigma_inv, t_pts)
-        si_t = sigma_inv @ t_pts.T                   # (d_g, T)
-        budget = half * half + 1e-12
-        chunk = max(1, int(2**22 // max(t_pts.shape[0], 1)))
-        for g0 in range(0, c_pts.shape[0], chunk):
-            g1 = min(g0 + chunk, c_pts.shape[0])
-            q = cq[g0:g1, None] - 2.0 * (c_pts[g0:g1] @ si_t) + tq[None, :]
-            feas = q <= budget
-            if not feas.any():
-                continue
-            vals = np.where(feas, hval[None, :], -math.inf)
-            flat = int(np.argmax(vals))
-            gi, ti = divmod(flat, vals.shape[1])
-            if vals[gi, ti] > best_val:
-                best_val = float(vals[gi, ti])
-                best_th = th_grid[ti]
-                best_ga = ga_grid[g0 + gi]
-        th_centers, ga_centers = best_th, best_ga
-        th_r /= 6.0
-        ga_r /= 6.0
-
-    return 2.0 * best_val
-
-
 # -- Monte Carlo coverage in the limiting experiment -----------------------------
 
 @dataclass(frozen=True)
 class CoverageReport:
-    replications: int
-    nominal: float
     coverage: float
     mc_stderr: float
-    worst_c: np.ndarray
 
 
 def adversarial_c(mset: MisspecSet, k: Sensitivity) -> np.ndarray:
@@ -299,38 +121,30 @@ def membership_gamma(mset: MisspecSet, c: np.ndarray) -> np.ndarray:
     return gamma
 
 
-def mc_coverage(model: MomentModel, mset: MisspecSet, alpha: float,
+def mc_coverage(model: MomentModel, mset: MisspecSet, ci: RobustCI,
                 c: np.ndarray, reps: int, seed: int,
                 theta: np.ndarray | None = None) -> CoverageReport:
-    """Empirical coverage of the optimal robust CI in the Gaussian limit.
+    """Empirical coverage of a two-sided robust CI in the Gaussian limit.
 
     Simulates ``Y = -Gamma theta + c + Sigma^{1/2} eps`` with seeded,
-    platform-stable normals, forms the length-optimal bias-aware CI for the
-    target ``H theta``, and reports the fraction of replications covering it.
-    The perturbation ``c`` must be a member of the set.
+    platform-stable normals, centers the interval at ``k'Y`` with the
+    sensitivity and half-length of ``ci`` (on the root-n scale), and reports
+    the fraction of replications covering the target ``H theta``. The
+    perturbation ``c`` must be a member of the set.
     """
-    from .critval import cv_alpha
-    from .sensitivity import frontier, knot_at, select_lambda
-
     if reps < 1000:
         raise OutOfRange(f"reps must be at least 1000, got {reps}")
+    if ci.half_length is None:
+        raise OutOfRange(f"mc_coverage needs a two-sided CI, got {ci.side}")
     c = np.asarray(c, dtype=float).reshape(-1)
     membership_gamma(mset, c)
     theta = np.zeros(model.d_theta) if theta is None else (
         np.asarray(theta, dtype=float).reshape(-1))
 
-    front = frontier(model, mset)
-    choice = select_lambda(front, mset.m, alpha, "ci_length")
-    kn = knot_at(front, choice.lambda_star)
-    sd = math.sqrt(kn.var)
-    half = cv_alpha(mset.m * kn.bbar / sd, alpha) * sd
-
     eps = standard_normals(seed, (int(reps), model.d_g))
     y = -model.gamma @ theta + c + eps @ sym_sqrt_psd(model.sigma)
     target = float(model.h_deriv @ theta)
-    center = y @ kn.k
-    covered = np.abs(center - target) <= half
-    coverage = float(np.mean(covered))
+    half = ci.half_length * math.sqrt(model.n)
+    coverage = float(np.mean(np.abs(y @ ci.k - target) <= half))
     stderr = math.sqrt(max(coverage * (1.0 - coverage), 0.0) / reps)
-    return CoverageReport(replications=int(reps), nominal=1.0 - alpha,
-                          coverage=coverage, mc_stderr=stderr, worst_c=c)
+    return CoverageReport(coverage=coverage, mc_stderr=stderr)

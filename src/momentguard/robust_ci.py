@@ -14,7 +14,7 @@ re-estimation with identical first-order behavior.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -47,7 +47,8 @@ class RobustCI:
 
     ``half_length`` is set for two-sided intervals, ``lower`` for lower
     one-sided ones; ``max_bias`` and ``std_error`` are already on the scale of
-    the estimate (divided by sqrt(n)).
+    the estimate (divided by sqrt(n)). ``k`` is the sensitivity the interval
+    was built on.
     """
 
     estimate: float
@@ -55,6 +56,7 @@ class RobustCI:
     std_error: float
     lambda_star: float | None
     side: str
+    k: Sensitivity = field(compare=False)
     half_length: float | None = None
     lower: float | None = None
 
@@ -78,13 +80,16 @@ def ci_from_sensitivity(model: MomentModel, mset: MisspecSet, k: Sensitivity,
     half = cv_alpha(bias / sd, alpha) * sd / root_n
     return RobustCI(estimate=one_step(model, k), max_bias=bias / root_n,
                     std_error=sd / root_n, lambda_star=lambda_star,
-                    side="two_sided", half_length=half)
+                    side="two_sided", k=k, half_length=half)
 
 
 def two_sided_ci(model: MomentModel, mset: MisspecSet,
-                 front: SensitivityFrontier, alpha: float = 0.05) -> RobustCI:
-    """Length-optimal two-sided robust CI over the computed frontier."""
-    choice = select_lambda(front, mset.m, alpha, "ci_length")
+                 front: SensitivityFrontier, alpha: float = 0.05,
+                 criterion: str = "ci_length") -> RobustCI:
+    """Two-sided robust CI at the frontier point minimizing ``criterion``
+    ("ci_length" or "mse"); ``front`` may be built on another model's
+    variance than the one that forms the interval."""
+    choice = select_lambda(front, mset.m, alpha, criterion)
     kn = knot_at(front, choice.lambda_star)
     return ci_from_sensitivity(model, mset, kn.k, alpha,
                                lambda_star=choice.lambda_star)
@@ -106,20 +111,21 @@ def one_sided_ci(model: MomentModel, mset: MisspecSet, k: Sensitivity,
     lower = est - bias / root_n - norm_quantile(1.0 - alpha) * sd / root_n
     return RobustCI(estimate=est, max_bias=bias / root_n,
                     std_error=sd / root_n, lambda_star=lambda_star,
-                    side="lower_one_sided", lower=lower)
+                    side="lower_one_sided", k=k, lower=lower)
 
 
 def ci_curve(model: MomentModel, b_mat: np.ndarray, p: float,
-             m_grid, front: SensitivityFrontier,
-             alpha: float = 0.05) -> list[tuple[float, RobustCI]]:
-    """Robust CI for every magnitude in an ascending grid, reusing one frontier."""
+             m_grid, front: SensitivityFrontier, alpha: float = 0.05,
+             criterion: str = "ci_length") -> list[tuple[float, RobustCI]]:
+    """:func:`two_sided_ci` for every magnitude in an ascending grid, reusing
+    one frontier."""
     m_grid = np.asarray(m_grid, dtype=float).reshape(-1)
     if np.any(m_grid < 0.0) or np.any(np.diff(m_grid) < 0.0):
         raise OutOfRange("m_grid must be nonnegative and ascending")
     out = []
     for m in m_grid:
         mset = MisspecSet(b_mat, p, float(m))
-        out.append((float(m), two_sided_ci(model, mset, front, alpha)))
+        out.append((float(m), two_sided_ci(model, mset, front, alpha, criterion)))
     return out
 
 

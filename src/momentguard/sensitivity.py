@@ -48,7 +48,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from ._linalg import orth_complement, solve_psd
-from .critval import _brentq, _check_alpha, cv_alpha, norm_quantile
+from .critval import _brentq, _check_alpha, _check_beta, cv_alpha, norm_quantile
 from .errors import (
     DegeneratePath,
     DimensionMismatch,
@@ -529,8 +529,7 @@ def _weights(criterion: str, m: float, alpha: float, beta: float = 0.8):
         def weights(bbar: float, sd: float) -> tuple[float, float]:
             return m * m * bbar, sd
     elif criterion == "one_sided_quantile":
-        if not (0.0 < beta < 1.0):
-            raise OutOfRange(f"beta must lie in (0, 1), got {beta}")
+        _check_beta(beta)
         weight = norm_quantile(1.0 - alpha) + norm_quantile(beta)
         if not weight > 0.0:
             raise OutOfRange("z_{1-alpha} + z_beta must be positive, got "

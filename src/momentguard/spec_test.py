@@ -54,7 +54,6 @@ class SpecTestResult:
     ncp_bar: float
     critical_value: float
     reject: bool
-    m_min: float | None = None
 
 
 def _whiten(model: MomentModel) -> tuple[np.ndarray, np.ndarray]:

@@ -19,13 +19,8 @@ from momentguard.efficiency import (
 )
 from momentguard.iv import IVData, build_b, build_model, tsls
 from momentguard.model import MisspecSet, MomentModel
-from momentguard.oracle import (
-    adversarial_c,
-    kkt_sensitivity,
-    mc_coverage,
-    standard_normals,
-)
-from momentguard.robust_ci import ci_from_sensitivity, one_step
+from momentguard.oracle import adversarial_c, mc_coverage, standard_normals
+from momentguard.robust_ci import ci_from_sensitivity, one_step, two_sided_ci
 from momentguard.sensitivity import (
     frontier,
     knot_at,
@@ -36,6 +31,7 @@ from momentguard.sensitivity import (
 )
 from momentguard.spec_test import m_lower_ci, noncentrality_sup, s_statistic
 from momentguard.spec_test import test_at_m as run_test_at_m
+from oracles import kkt_sensitivity
 
 Z95 = norm_quantile(0.95)
 Z975 = norm_quantile(0.975)
@@ -193,14 +189,12 @@ def test_c6_limiting_experiment_coverage():
         for p in (2.0, np.inf):
             for m_val in (0.5, 2.0):
                 mset = MisspecSet(b, p, m_val)
-                front = frontier(model, mset)
-                kn = knot_at(front,
-                             select_lambda(front, m_val, 0.05).lambda_star)
-                c = adversarial_c(mset, kn.k)
-                rep = mc_coverage(model, mset, 0.05, c, reps, seed=1000 + i)
+                ci = two_sided_ci(model, mset, frontier(model, mset))
+                c = adversarial_c(mset, ci.k)
+                rep = mc_coverage(model, mset, ci, c, reps, seed=1000 + i)
                 all_cover = all_cover and (
                     rep.coverage >= 0.95 - 3.0 * rep.mc_stderr)
-                ratio = m_val * kn.bbar / math.sqrt(kn.var)
+                ratio = ci.max_bias / ci.std_error
                 if ratio >= 1.0:
                     wald_checks += 1
                     si = np.linalg.inv(sigma)

@@ -8,8 +8,11 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from momentguard.cli import dump_problem, main, parse_problem
+from momentguard.cli import main
 from momentguard.critval import cv_alpha
+from momentguard.model import MisspecSet, MomentModel
+from momentguard.robust_ci import ci_curve
+from momentguard.sensitivity import frontier
 
 
 def write_problem(tmp_path, doc, name="prob.json"):
@@ -77,6 +80,29 @@ class TestCmdCi:
                                     "--m-grid", "0.25,0.75"])
         _, rows = parse_csv(out)
         assert [float(r["m"]) for r in rows] == [0.25, 0.75]
+
+    def test_mse_criterion(self, tmp_path, capsys):
+        doc = scalar_doc()
+        doc["model"].update(gamma=[[-1.0], [-0.8]], sigma=[[1.0, 0.2], [0.2, 2.0]],
+                            g_init=[0.05, -0.02])
+        doc["misspec"]["b_mat"] = [[0.0], [1.0]]
+        path = write_problem(tmp_path, doc)
+        code, out, _ = run(capsys, ["ci", "--problem", path, "--criterion", "mse"])
+        assert code == 0
+        doc["options"] = {"criterion": "mse"}
+        assert run(capsys, ["ci", "--problem",
+                            write_problem(tmp_path, doc, "mse.json")])[1] == out
+        model = MomentModel(**doc["model"])
+        b = np.array(doc["misspec"]["b_mat"])
+        curve = ci_curve(model, b, 2, doc["misspec"]["m_grid"],
+                         frontier(model, MisspecSet(b, 2, 1.0)), 0.05, "mse")
+        _, rows = parse_csv(out)
+        assert [float(r["lambda_star"]) for r in rows] == [
+            ci.lambda_star for _, ci in curve]
+        assert [float(r["upper"]) for r in rows] == [
+            ci.estimate + ci.half_length for _, ci in curve]
+        _, by_length = parse_csv(run(capsys, ["ci", "--problem", path])[1])
+        assert rows[-1]["lambda_star"] != by_length[-1]["lambda_star"]
 
 
 class TestCmdPath:
@@ -247,18 +273,10 @@ class TestCmdSimulate:
         assert out1 == out2
 
 
-class TestProblemFile:
-    def test_round_trip(self, tmp_path):
-        path = write_problem(tmp_path, scalar_doc())
-        prob = parse_problem(path)
-        text = dump_problem(prob)
-        path2 = tmp_path / "again.json"
-        path2.write_text(text)
-        prob2 = parse_problem(path2)
-        assert dump_problem(prob2) == text
-        np.testing.assert_array_equal(prob.model.gamma, prob2.model.gamma)
-        assert prob.m_grid == prob2.m_grid
+COMMANDS = ["ci", "path", "efficiency", "spectest", "simulate"]
 
+
+class TestProblemFile:
     def test_requires_exactly_one_source(self, tmp_path, capsys):
         doc = scalar_doc()
         doc["iv"] = {"y": "y.csv", "x": "x.csv", "z": "z.csv"}
@@ -355,6 +373,28 @@ class TestProblemFile:
         assert out == ""
         assert "validation error" in err and "Traceback" not in err
         assert field in err
+
+    @pytest.mark.parametrize("command", COMMANDS)
+    @pytest.mark.parametrize("flag, in_file", [
+        ("nan", 0.05), ("0", 0.05), ("2", 0.05), (None, "nan")])
+    def test_invalid_alpha_exit_code(self, tmp_path, capsys, command, flag,
+                                     in_file):
+        doc = scalar_doc()
+        doc["alpha"] = in_file
+        extra = [] if flag is None else ["--alpha", flag]
+        code, out, err = run(capsys, [command, "--problem",
+                                      write_problem(tmp_path, doc), *extra])
+        assert code == 2, err
+        assert out == ""
+        assert "alpha must lie in (0, 1)" in err and "Traceback" not in err
+
+    @pytest.mark.parametrize("command", COMMANDS)
+    def test_empty_m_grid_exit_code(self, tmp_path, capsys, command):
+        code, out, err = run(capsys, [command, "--problem",
+                                      write_problem(tmp_path, scalar_doc(m_grid=[]))])
+        assert code == 2, err
+        assert out == ""
+        assert "m_grid must be nonempty" in err and "Traceback" not in err
 
     def test_csv_matrix_reference(self, tmp_path, capsys):
         rng = np.random.default_rng(1)

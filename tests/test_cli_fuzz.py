@@ -18,6 +18,9 @@ from momentguard.cli import main
 #: Entries that make a field degenerate: zero, non-finite, tiny, huge.
 SPECIAL = [0.0, math.nan, math.inf, -math.inf, 1e-300, 1e12]
 
+#: Levels outside (0, 1), which every command rejects with exit 2.
+BAD_ALPHA = [math.nan, 0.0, 1.0, 1.5, -0.1]
+
 
 @st.composite
 def problem_docs(draw):
@@ -49,12 +52,13 @@ def problem_docs(draw):
     else:
         b_mat = {"identity_columns": draw(st.lists(
             st.one_of(st.integers(-1, 3), st.booleans()), min_size=1, max_size=d_g))}
-    m_grid = draw(st.lists(st.floats(0.0, 3.0), min_size=1, max_size=3))
+    m_grid = draw(st.lists(st.floats(0.0, 3.0), min_size=0, max_size=3))
     if draw(st.booleans()):
         m_grid.sort()
     misspec = {"b_mat": b_mat, "p": draw(st.sampled_from([2, "inf", 1])),
                "m_grid": m_grid}
-    return {"model": model, "misspec": misspec, "alpha": 0.05}
+    alpha = draw(st.one_of(st.floats(0.001, 0.5), st.sampled_from(BAD_ALPHA)))
+    return {"model": model, "misspec": misspec, "alpha": alpha}
 
 
 #: Just-identified, with a magnitude far below every other scale.

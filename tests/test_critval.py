@@ -15,7 +15,7 @@ from momentguard.critval import (
     norm_quantile,
 )
 from momentguard.errors import InvalidBias, OutOfRange, SolverFailure
-from momentguard.oracle import cv_alpha_oracle
+from oracles import cv_alpha_oracle
 
 Z975 = 1.959963984540054
 Z95 = 1.6448536269514722

@@ -18,10 +18,10 @@ from momentguard.efficiency import (
 )
 from momentguard.errors import InfeasibleDelta, TooManyInvalidMoments
 from momentguard.model import MisspecSet, MomentModel
-from momentguard.oracle import grid_modulus
 from momentguard.robust_ci import two_sided_ci
 from momentguard.sensitivity import _argmin, _weights, frontier, linf_path
 from modulus_oracle import half_modulus as oracle_half_modulus
+from oracles import grid_modulus
 
 
 def random_model(d_g, d_th, seed):

@@ -124,11 +124,6 @@ class TestValidByConstruction:
 
 
 class TestMisspecSet:
-    def test_holder_conjugate(self):
-        b = np.eye(2)
-        assert MisspecSet(b, 2, 1.0).holder_conjugate == 2.0
-        assert MisspecSet(b, np.inf, 1.0).holder_conjugate == 1.0
-
     def test_invalid_p(self):
         with pytest.raises(OutOfRange):
             MisspecSet(np.eye(2), 1, 1.0)

@@ -2,16 +2,21 @@ import numpy as np
 import pytest
 
 from momentguard._linalg import sym_sqrt_psd
-from momentguard.errors import CNotInSet, DimensionTooLarge, OutOfRange
+from momentguard.errors import CNotInSet, OutOfRange
 from momentguard.model import MisspecSet, MomentModel
 from momentguard.oracle import (
     adversarial_c,
-    cv_alpha_oracle,
-    grid_modulus,
-    kkt_sensitivity,
     mc_coverage,
     membership_gamma,
     standard_normals,
+)
+from momentguard.robust_ci import one_sided_ci, two_sided_ci
+from momentguard.sensitivity import frontier
+from oracles import (
+    DimensionTooLarge,
+    cv_alpha_oracle,
+    grid_modulus,
+    kkt_sensitivity,
     vertex_bias,
 )
 
@@ -23,6 +28,10 @@ def random_model(d_g, d_th, seed):
     return MomentModel(gamma=rng.normal(size=(d_g, d_th)), sigma=sigma,
                        h_deriv=rng.normal(size=d_th),
                        g_init=np.zeros(d_g), h_init=0.0, n=100)
+
+
+def optimal_ci(model, mset):
+    return two_sided_ci(model, mset, frontier(model, mset), 0.05)
 
 
 class TestStandardNormals:
@@ -125,43 +134,41 @@ class TestMcCoverage:
         m = random_model(3, 1, 9)
         ms = MisspecSet(np.eye(3)[:, 1:], 2, 0.5)
         c = adversarial_c(ms, np.ones(3))
-        r1 = mc_coverage(m, ms, 0.05, c, 2000, seed=11)
-        r2 = mc_coverage(m, ms, 0.05, c, 2000, seed=11)
-        assert r1.coverage == r2.coverage
-        np.testing.assert_array_equal(r1.worst_c, r2.worst_c)
+        ci = optimal_ci(m, ms)
+        r1 = mc_coverage(m, ms, ci, c, 2000, seed=11)
+        r2 = mc_coverage(m, ms, ci, c, 2000, seed=11)
+        assert r1 == r2
 
     def test_wald_coverage_correct_specification(self):
         m = random_model(3, 1, 10)
         ms = MisspecSet(np.eye(3)[:, 1:], 2, 0.0)
-        rep = mc_coverage(m, ms, 0.05, np.zeros(3), 20000, seed=12)
+        rep = mc_coverage(m, ms, optimal_ci(m, ms), np.zeros(3), 20000, seed=12)
         assert rep.coverage >= 0.95 - 3.0 * rep.mc_stderr
         assert rep.coverage <= 0.95 + 4.0 * rep.mc_stderr
 
     def test_worst_case_coverage_and_z_mean(self):
-        from momentguard.critval import cv_alpha
-        from momentguard.sensitivity import frontier, knot_at, select_lambda
         m = random_model(3, 1, 13)
         ms = MisspecSet(np.random.default_rng(14).normal(size=(3, 2)), np.inf, 1.0)
-        front = frontier(m, ms)
-        kn = knot_at(front, select_lambda(front, 1.0, 0.05).lambda_star)
-        c = adversarial_c(ms, kn.k)
+        ci = optimal_ci(m, ms)
+        c = adversarial_c(ms, ci.k)
         reps = 40000
-        rep = mc_coverage(m, ms, 0.05, c, reps, seed=15)
+        rep = mc_coverage(m, ms, ci, c, reps, seed=15)
         assert rep.coverage >= 0.95 - 3.0 * rep.mc_stderr
         # the standardized center should sit at the worst-case bias
-        sd = np.sqrt(kn.k @ m.sigma @ kn.k)
+        sd = np.sqrt(ci.k @ m.sigma @ ci.k)
         eps = standard_normals(15, (reps, m.d_g))
         y = c + eps @ sym_sqrt_psd(m.sigma)
-        z = (y @ kn.k) / sd
-        expect = abs(float(kn.k @ c)) / sd
+        z = (y @ ci.k) / sd
+        expect = abs(float(ci.k @ c)) / sd
         assert abs(abs(z.mean()) - expect) <= 3.0 / np.sqrt(reps) * (1 + expect)
 
     def test_theta_shift_equivariance(self):
         m = random_model(3, 2, 16)
         ms = MisspecSet(np.eye(3)[:, 2:], 2, 0.5)
         c = adversarial_c(ms, np.ones(3))
-        base = mc_coverage(m, ms, 0.05, c, 5000, seed=17)
-        shifted = mc_coverage(m, ms, 0.05, c, 5000, seed=17,
+        ci = optimal_ci(m, ms)
+        base = mc_coverage(m, ms, ci, c, 5000, seed=17)
+        shifted = mc_coverage(m, ms, ci, c, 5000, seed=17,
                               theta=5.0 * np.ones(2))
         assert base.coverage == shifted.coverage
 
@@ -169,13 +176,21 @@ class TestMcCoverage:
         m = random_model(3, 1, 18)
         ms = MisspecSet(np.eye(3)[:, :1], 2, 1.0)
         with pytest.raises(CNotInSet):
-            mc_coverage(m, ms, 0.05, np.array([0.0, 1.0, 0.0]), 2000, seed=19)
+            mc_coverage(m, ms, optimal_ci(m, ms), np.array([0.0, 1.0, 0.0]),
+                        2000, seed=19)
 
     def test_min_reps(self):
         m = random_model(3, 1, 20)
         ms = MisspecSet(np.eye(3)[:, :1], 2, 0.0)
         with pytest.raises(OutOfRange):
-            mc_coverage(m, ms, 0.05, np.zeros(3), 10, seed=21)
+            mc_coverage(m, ms, optimal_ci(m, ms), np.zeros(3), 10, seed=21)
+
+    def test_rejects_one_sided_ci(self):
+        m = random_model(3, 1, 22)
+        ms = MisspecSet(np.eye(3)[:, :1], 2, 1.0)
+        ci = one_sided_ci(m, ms, frontier(m, ms).knots[0].k)
+        with pytest.raises(OutOfRange, match="two-sided"):
+            mc_coverage(m, ms, ci, np.zeros(3), 2000, seed=23)
 
 
 class TestAdversarialC:

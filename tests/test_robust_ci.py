@@ -156,6 +156,31 @@ class TestCiCurve:
             assert ci.half_length == pytest.approx(again.half_length, rel=1e-9)
             assert ci.estimate == pytest.approx(again.estimate, rel=1e-12)
 
+    @pytest.mark.parametrize("p", [2.0, math.inf])
+    def test_mse_matches_per_m_reference(self, p):
+        # the sensitivity comes from one model's frontier and the interval
+        # from another model's variance, as with the CLI's --mixed
+        m = random_model(4, 1, 21)
+        m_ci = MomentModel(gamma=m.gamma, sigma=m.sigma + 0.3 * np.eye(4),
+                           h_deriv=m.h_deriv, g_init=m.g_init, h_init=m.h_init,
+                           n=m.n)
+        b = np.random.default_rng(22).normal(size=(4, 2))
+        front = frontier(m, MisspecSet(b, p, 1.0))
+        grid = [0.0, 0.3, 1.0, 2.5]
+        curve = ci_curve(m_ci, b, p, grid, front, 0.05, criterion="mse")
+        lengths = ci_curve(m_ci, b, p, grid, front, 0.05)
+        assert [mval for mval, _ in curve] == grid
+        for (mval, ci), (_, by_length) in zip(curve, lengths):
+            # select_lambda -> knot_at -> ci_from_sensitivity for each m
+            choice = select_lambda(front, mval, 0.05, "mse")
+            kn = knot_at(front, choice.lambda_star)
+            ref = ci_from_sensitivity(m_ci, MisspecSet(b, p, mval), kn.k, 0.05,
+                                      lambda_star=choice.lambda_star)
+            assert ci == ref
+            np.testing.assert_array_equal(ci.k, ref.k)
+            if mval > 0.0:
+                assert ci.lambda_star != by_length.lambda_star
+
     def test_rejects_unsorted_grid(self):
         m = scalar_model()
         b = np.array([[1.0]])
@@ -261,6 +286,5 @@ class TestCiFromSensitivity:
         ms = MisspecSet(b, 2, 1.0)
         front = frontier(m, ms)
         ci = two_sided_ci(m, ms, front, 0.05)
-        kn = knot_at(front, ci.lambda_star)
-        again = ci_from_sensitivity(m, ms, kn.k, 0.05, ci.lambda_star)
+        again = ci_from_sensitivity(m, ms, ci.k, 0.05, ci.lambda_star)
         assert again.half_length == pytest.approx(ci.half_length, rel=1e-12)

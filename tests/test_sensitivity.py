@@ -9,7 +9,6 @@ from momentguard.critval import norm_quantile
 from momentguard.efficiency import gls_subspace_sensitivity
 from momentguard.errors import DimensionMismatch, OutOfRange, SingularSystem
 from momentguard.model import MisspecSet, MomentModel
-from momentguard.oracle import kkt_sensitivity, vertex_bias
 from momentguard.sensitivity import (
     _argmin,
     _argmin_sweep,
@@ -20,6 +19,7 @@ from momentguard.sensitivity import (
     select_lambda,
     worst_case_bias,
 )
+from oracles import kkt_sensitivity, vertex_bias
 
 
 def random_model(d_g, d_th, seed, n=200):
