@@ -261,13 +261,17 @@ def cmd_spectest(prob: ProblemFile, args) -> None:
 
 
 def cmd_simulate(prob: ProblemFile, args) -> None:
-    model, b_mat, _ = _resolve(prob)
+    if args.seed < 0:
+        raise ValidationError(f"--seed must be nonnegative, got {args.seed}")
+    model, b_mat, model_ci = _resolve(prob)
     front = frontier(model, MisspecSet(b_mat, prob.p, 1.0))
     rows = []
-    for m, ci in ci_curve(model, b_mat, prob.p, prob.m_grid, front, args.alpha):
+    # the intervals `ci` prints, each simulated under the variance it was built on
+    for m, ci in ci_curve(model_ci, b_mat, prob.p, prob.m_grid, front,
+                          args.alpha, prob.criterion):
         mset = MisspecSet(b_mat, prob.p, m)
         c = adversarial_c(mset, ci.k)
-        rep = mc_coverage(model, mset, ci, c, args.reps, args.seed)
+        rep = mc_coverage(model_ci, mset, ci, c, args.reps, args.seed)
         rows.append((m, args.reps, 1.0 - args.alpha, rep.coverage,
                      rep.mc_stderr, *[float(v) for v in c]))
     cols = (["m", "replications", "nominal", "coverage", "mc_stderr"]

@@ -10,11 +10,17 @@ Because the moments are linear in the parameter, the one-step estimate
 ``k @ (z'y/n)`` does not depend on the initial estimator at all; this module
 exposes that form directly so callers can verify the invariance.
 
-Each call makes its own pass over ``z`` and allocates nothing of its size.
-:func:`build_model` forms ``z'z`` and ``z'[x y]`` once and sums the robust
-variance over row blocks; :func:`build_b` reads the suspect columns out of
-``z'z``; :func:`drop_collinear_instruments` runs a pivoted QR only when
-``z'z`` cannot certify full rank. Nothing is cached between calls.
+A large ``z`` is read twice per problem. :func:`drop_collinear_instruments`
+forms the cross-products ``W = [z'z z'x z'y]`` in one pass over row blocks,
+certifies full rank from its ``z'z`` block, and returns data that carries
+``W`` (sliced to the kept columns when the QR drops some). :func:`build_model`,
+:func:`tsls`, :func:`build_b` and :func:`linear_one_step` read the ``W`` their
+data carries, or form it with the same pass when it carries none, as data
+built by the ``IVData`` constructor does. :func:`build_model` then makes one
+more blocked pass, summing ``z'resid`` and the robust variance together. No
+call allocates a temporary the size of ``z``. The caller's ``IVData`` is
+never written to, so nothing is cached between calls: to share ``W``, pass the
+data that :func:`drop_collinear_instruments` returns on to the other calls.
 
 The pivoted QR (Businger and Golub 1965) is scipy's: numpy has none, and one
 that breaks exact ties between collinear columns differently would keep
@@ -26,8 +32,9 @@ raises OutOfRange naming the array.
 
 from __future__ import annotations
 
+import copy
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -41,7 +48,7 @@ from .errors import (
 )
 from .model import MomentModel, Sensitivity, _check_finite
 
-#: Rows per block of the robust variance sum. A block of ``z`` and its
+#: Rows per block of the passes over ``z``. A block of ``z`` and its
 #: residual-weighted copy (4096 x 30 doubles, about 1 MB each) fit in L2.
 _CHUNK_ROWS = 4096
 
@@ -60,6 +67,10 @@ class IVData:
     x: np.ndarray
     z: np.ndarray
     suspect: tuple[int, ...] = ()
+    #: ``W = [z'z z'x z'y]``, read-only, on the data that
+    #: :func:`drop_collinear_instruments` returns; ``None`` otherwise.
+    _cross: np.ndarray | None = field(default=None, init=False, repr=False,
+                                      compare=False)
 
     def __post_init__(self):
         y = np.asarray(self.y, dtype=float).reshape(-1)
@@ -127,47 +138,84 @@ def _pivoted_qr(z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return r_mat, piv
 
 
+def _cross_matrix(data: IVData) -> np.ndarray:
+    """``W = [z'z z'x z'y]``: the one ``data`` carries, else one pass over
+    blocks of ``_CHUNK_ROWS`` rows. An overflow is left in ``W`` as a
+    non-finite entry for the caller to check."""
+    if data._cross is not None:
+        return data._cross
+    z, x, y = data.z, data.x, data.y
+    d = z.shape[1]
+    w = np.zeros((d, d + x.shape[1] + 1))
+    with np.errstate(over="ignore", invalid="ignore"):
+        for lo in range(0, data.n, _CHUNK_ROWS):
+            hi = lo + _CHUNK_ROWS
+            zb = z[lo:hi]
+            w[:, :d] += zb.T @ zb
+            w[:, d:] += zb.T @ np.column_stack([x[lo:hi], y[lo:hi]])
+    return w
+
+
+def _cross_products(data: IVData) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``(z'z, z'x, z'y)``, read out of :func:`_cross_matrix`, unchecked."""
+    w = _cross_matrix(data)
+    d = data.z.shape[1]
+    return w[:, :d], w[:, d:-1], w[:, -1]
+
+
+def _finite_cross_products(data: IVData) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """:func:`_cross_products`, raising OutOfRange, naming the array, when a
+    product overflows."""
+    prods = _cross_products(data)
+    for name, prod in zip("zxy", prods):
+        if not np.all(np.isfinite(prod)):
+            raise OutOfRange(f"{name}: the cross-product z'{name} overflows; "
+                             f"rescale the data")
+    return prods
+
+
+def _carrying(data: IVData, w: np.ndarray) -> IVData:
+    """A shallow copy of ``data`` that carries ``w`` read-only. It holds the
+    same arrays, so the constructor's finiteness pass is not run again."""
+    w.flags.writeable = False
+    out = copy.copy(data)
+    object.__setattr__(out, "_cross", w)
+    return out
+
+
 def drop_collinear_instruments(data: IVData) -> IVData:
     """Drop linearly dependent instrument columns, warning with their indices.
 
     A column is dropped when the pivoted QR of ``z`` gives it a diagonal
     entry ``|r_ii| <= RANK_RTOL |r_11|``. The QR reads ``z`` many times and
-    copies it twice, so it runs only when ``z'z`` (one pass, no copy) cannot
-    certify that the QR would keep every column; see
+    copies it twice, so it runs only when the ``z'z`` block of the
+    cross-products ``W = [z'z z'x z'y]`` (one pass, no copy) cannot certify
+    that the QR would keep every column; see
     :func:`_gram_certifies_full_rank`. The certificate never changes which
     columns are kept: when it fails, or when ``z'z`` overflows, the QR
     decides.
+
+    The returned data carries ``W``, sliced to the kept columns when some are
+    dropped, for the other calls of this module to read; ``data`` itself is
+    left as it is.
     """
     z = data.z
-    with np.errstate(over="ignore", invalid="ignore"):
-        gram = z.T @ z
-    if _gram_certifies_full_rank(gram, data.n):
-        return data
+    d = z.shape[1]
+    w = _cross_matrix(data)
+    if _gram_certifies_full_rank(w[:, :d], data.n):
+        return _carrying(data, w)
     r_mat, piv = _pivoted_qr(z)
     diag = np.abs(np.diag(r_mat))
     rank = int(np.sum(diag > RANK_RTOL * diag[0]))
-    if rank == z.shape[1]:
-        return data
+    if rank == d:
+        return _carrying(data, w)
     keep = np.sort(piv[:rank])
-    dropped = sorted(set(range(z.shape[1])) - set(keep.tolist()))
+    dropped = sorted(set(range(d)) - set(keep.tolist()))
     warnings.warn(f"dropping collinear instrument columns {dropped}")
     remap = {old: new for new, old in enumerate(keep.tolist())}
     suspect = tuple(remap[i] for i in data.suspect if i in remap)
-    return IVData(y=data.y, x=data.x, z=z[:, keep], suspect=suspect)
-
-
-def _cross_products(data: IVData) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """``(z'z, z'x, z'y)`` from two passes over ``z``: the Gram, then ``x``
-    and ``y`` together. Raises OutOfRange, naming the array, when a product
-    overflows."""
-    with np.errstate(over="ignore", invalid="ignore"):
-        zz = data.z.T @ data.z
-        zxy = data.z.T @ np.column_stack([data.x, data.y])
-    for name, prod in (("z", zz), ("x", zxy[:, :-1]), ("y", zxy[:, -1])):
-        if not np.all(np.isfinite(prod)):
-            raise OutOfRange(f"{name}: the cross-product z'{name} overflows; "
-                             f"rescale the data")
-    return zz, zxy[:, :-1], zxy[:, -1]
+    kept = IVData(y=data.y, x=data.x, z=z[:, keep], suspect=suspect)
+    return _carrying(kept, w[np.ix_(keep, np.r_[keep, d:w.shape[1]])])
 
 
 def _tsls(zz: np.ndarray, zx: np.ndarray, zy: np.ndarray) -> np.ndarray:
@@ -181,17 +229,21 @@ def _tsls(zz: np.ndarray, zx: np.ndarray, zy: np.ndarray) -> np.ndarray:
 
 def tsls(data: IVData) -> np.ndarray:
     """Two-stage least squares estimate of the structural coefficients."""
-    return _tsls(*_cross_products(data))
+    return _tsls(*_finite_cross_products(data))
 
 
-def _robust_meat(z: np.ndarray, resid: np.ndarray) -> np.ndarray:
-    """``sum_i resid_i^2 z_i z_i'``, summed over blocks of ``_CHUNK_ROWS`` rows
-    so that the residual-weighted ``z`` is never formed whole."""
-    meat = np.zeros((z.shape[1], z.shape[1]))
+def _resid_sums(z: np.ndarray, resid: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``(z'resid, sum_i resid_i^2 z_i z_i')`` from one pass over blocks of
+    ``_CHUNK_ROWS`` rows, so that the residual-weighted ``z`` is never formed
+    whole."""
+    d = z.shape[1]
+    z_resid, meat = np.zeros(d), np.zeros((d, d))
     for lo in range(0, z.shape[0], _CHUNK_ROWS):
-        zr = z[lo:lo + _CHUNK_ROWS] * resid[lo:lo + _CHUNK_ROWS, None]
+        zb, rb = z[lo:lo + _CHUNK_ROWS], resid[lo:lo + _CHUNK_ROWS]
+        z_resid += rb @ zb
+        zr = zb * rb[:, None]
         meat += zr.T @ zr
-    return meat
+    return z_resid, meat
 
 
 def build_model(data: IVData, h_deriv, variance: str = "robust",
@@ -203,10 +255,11 @@ def build_model(data: IVData, h_deriv, variance: str = "robust",
     "homoskedastic" scales the instrument second moments by the mean squared
     residual. ``theta_init`` defaults to the 2SLS estimate.
 
-    ``z'z``, ``z'x`` and ``z'y`` are formed once and shared by the 2SLS
-    estimate, the Jacobian ``-z'x/n`` and the homoskedastic variance. The
-    robust variance is summed over row blocks, so no temporary the size of
-    ``z`` is allocated.
+    ``z'z``, ``z'x`` and ``z'y`` come from the cross-products ``data``
+    carries (see :func:`drop_collinear_instruments`), else from one pass, and
+    are shared by the 2SLS estimate, the Jacobian ``-z'x/n`` and the
+    homoskedastic variance. One more pass over row blocks sums ``z'resid``
+    and the robust variance, so no temporary the size of ``z`` is allocated.
     """
     if variance not in ("robust", "homoskedastic"):
         raise DimensionMismatch(
@@ -215,20 +268,22 @@ def build_model(data: IVData, h_deriv, variance: str = "robust",
     if h.shape[0] != data.x.shape[1]:
         raise DimensionMismatch(
             f"h_deriv must have length d_theta={data.x.shape[1]}")
-    zz, zx, zy = _cross_products(data)
+    zz, zx, zy = _finite_cross_products(data)
     theta = _tsls(zz, zx, zy) if theta_init is None else (
         np.asarray(theta_init, dtype=float).reshape(-1))
     n = data.n
     # an overflow below leaves a non-finite entry that MomentModel names
     with np.errstate(over="ignore", invalid="ignore"):
         resid = data.y - data.x @ theta
-        # one more pass rather than z'y - z'x theta, which cancels
-        g_init = data.z.T @ resid / n
-        gamma = -zx / n
+        # z'resid is a pass of its own rather than z'y - z'x theta, which cancels
         if variance == "robust":
-            sigma = _robust_meat(data.z, resid) / n
+            z_resid, meat = _resid_sums(data.z, resid)
+            sigma = meat / n
         else:
+            z_resid = data.z.T @ resid
             sigma = float(np.mean(resid**2)) * zz / n
+        g_init = z_resid / n
+        gamma = -zx / n
     return MomentModel(gamma=gamma, sigma=sigma, h_deriv=h,
                        g_init=g_init, h_init=float(h @ theta), n=n)
 
@@ -236,15 +291,15 @@ def build_model(data: IVData, h_deriv, variance: str = "robust",
 def build_b(data: IVData, scale: np.ndarray | None = None) -> np.ndarray:
     """Sample second-moment matrix ``z' z_I / n`` of the suspect instruments.
 
-    The columns are read out of ``z'z``, so ``z_I`` is never copied out of
-    ``z``. They follow the suspect indices in ascending order; ``scale``
-    optionally multiplies each column (per-unit standardization of the
-    corresponding direct effect).
+    The columns are read out of the ``z'z`` that ``data`` carries (else
+    that one pass forms), so ``z_I`` is never copied out of ``z``. They
+    follow the suspect indices in ascending order; ``scale`` optionally
+    multiplies each column (per-unit standardization of the corresponding
+    direct effect).
     """
     if not data.suspect:
         raise EmptySuspectSet("no suspect instrument indices supplied")
-    with np.errstate(over="ignore", invalid="ignore"):
-        b = (data.z.T @ data.z)[:, list(data.suspect)] / data.n
+    b = _cross_products(data)[0][:, list(data.suspect)] / data.n
     if not np.all(np.isfinite(b)):
         raise OutOfRange("z: the cross-product z'z overflows; rescale the data")
     if scale is not None:
@@ -267,12 +322,13 @@ def linear_one_step(data: IVData, k: Sensitivity,
     if k.shape[0] != data.z.shape[1]:
         raise DimensionMismatch(
             f"k must have length d_g={data.z.shape[1]}, got {k.shape[0]}")
+    _, zx, zy = _cross_products(data)
     if h_deriv is not None:
         h = np.asarray(h_deriv, dtype=float).reshape(-1)
-        gamma = -(data.z.T @ data.x) / data.n
+        gamma = -zx / data.n
         resid = np.max(np.abs(h + k @ gamma))
         if resid > 1e-6 * max(1.0, float(np.max(np.abs(h)))):
             raise ConstraintViolated(
                 f"k does not satisfy the constraint for this data "
                 f"(residual {resid:.3e})")
-    return float(k @ (data.z.T @ data.y) / data.n)
+    return float(k @ zy / data.n)

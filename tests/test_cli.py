@@ -8,6 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from momentguard import cli
 from momentguard.cli import main
 from momentguard.critval import cv_alpha
 from momentguard.model import MisspecSet, MomentModel
@@ -271,6 +272,66 @@ class TestCmdSimulate:
         _, out2, _ = run(capsys, ["simulate", "--problem", path,
                                   "--reps", "2000", "--seed", "7"])
         assert out1 == out2
+
+    @pytest.mark.parametrize("case", ["mse", "mixed"])
+    def test_simulates_the_printed_intervals(self, tmp_path, capsys, monkeypatch, case):
+        if case == "mse":
+            doc = scalar_doc(m_grid=[0.0, 0.5, 1.0, 2.0])
+            doc["model"].update(gamma=[[-1.0], [-0.8]], sigma=[[1.0, 0.2], [0.2, 2.0]],
+                                g_init=[0.05, -0.02])
+            doc["misspec"]["b_mat"] = [[0.0], [1.0]]
+            flags = ["--criterion", "mse"]
+        else:
+            rng = np.random.default_rng(2)
+            n = 400
+            z = rng.normal(size=(n, 3))
+            x = z @ np.array([1.0, 0.5, 0.3]) + rng.normal(size=n)
+            y = 0.5 * x + rng.normal(size=n) * np.sqrt(0.5 + z[:, 0] ** 2)
+            for name, arr in (("y.csv", y[:, None]), ("x.csv", x[:, None]), ("z.csv", z)):
+                np.savetxt(tmp_path / name, arr, delimiter=",", comments="",
+                           header=",".join(f"col{i}" for i in range(arr.shape[1])))
+            doc = {"iv": {"y": "y.csv", "x": "x.csv", "z": "z.csv", "suspect": [2]},
+                   "misspec": {"p": 2, "m_grid": [0.0, 1.0, 3.0]}, "alpha": 0.05}
+            flags = ["--mixed"]
+        path = write_problem(tmp_path, doc)
+        code, out, _ = run(capsys, ["ci", "--problem", path] + flags)
+        assert code == 0
+        _, rows = parse_csv(out)
+        # the flag changes the intervals, so the comparison below can fail
+        assert parse_csv(run(capsys, ["ci", "--problem", path])[1])[1] != rows
+
+        simulated = []
+        real = cli.mc_coverage
+
+        def recording(model, mset, ci, c, reps, seed):
+            simulated.append((model, ci))
+            return real(model, mset, ci, c, reps, seed)
+
+        monkeypatch.setattr(cli, "mc_coverage", recording)
+        code, _, _ = run(capsys, ["simulate", "--problem", path, "--reps", "1000"] + flags)
+        assert code == 0
+        assert len(simulated) == len(rows)
+        for row, (model, ci) in zip(rows, simulated):
+            assert float(row["estimate"]) == ci.estimate
+            assert float(row["upper"]) == ci.estimate + ci.half_length
+            assert float(row["max_bias"]) == ci.max_bias
+            assert float(row["std_error"]) == ci.std_error
+            assert float(row["lambda_star"]) == ci.lambda_star
+            # simulated under the variance the interval was built on
+            assert ci.std_error == pytest.approx(
+                math.sqrt(ci.k @ model.sigma @ ci.k / model.n), rel=1e-12)
+
+    def test_negative_seed_exit_code(self, tmp_path, capsys, monkeypatch):
+        def no_work(prob):
+            raise AssertionError("work done before the seed was checked")
+
+        monkeypatch.setattr(cli, "_resolve", no_work)
+        code, out, err = run(capsys, ["simulate", "--problem",
+                                      write_problem(tmp_path, scalar_doc()),
+                                      "--seed", "-1"])
+        assert code == 2
+        assert "--seed" in err and "Traceback" not in err
+        assert out == ""
 
 
 COMMANDS = ["ci", "path", "efficiency", "spectest", "simulate"]

@@ -102,30 +102,43 @@ def test_fuzz_problem_files(doc):
 
 @st.composite
 def iv_problems(draw):
-    """Small raw-IV problems: (arrays, problem section), some degenerate."""
-    n = draw(st.sampled_from([3, 20, 200]))
-    d_g = draw(st.integers(1, 4))
+    """Small raw-IV problems: (arrays, problem section, seed), some
+    degenerate: collinear or overflowing instruments, non-finite data,
+    suspect sets that are empty or out of range, negative seeds."""
+    n = draw(st.sampled_from([3, 20, 200, 400]))
+    d_g = draw(st.integers(1, 5))
     rng = np.random.default_rng(draw(st.integers(0, 2**16)))
     z = rng.normal(size=(n, d_g))
     x = z @ rng.normal(size=d_g) + rng.normal(size=n)
     y = 0.5 * x + rng.normal(size=n)
-    flaw = draw(st.sampled_from([None, "duplicate", "scale", "nan"]))
+    flaw = draw(st.sampled_from([None, None, "duplicate", "combination", "scale",
+                                 "scale_all", "nan"]))
     if flaw == "duplicate" and d_g > 1:
         z[:, -1] = z[:, 0]
+    elif flaw == "combination" and d_g > 2:
+        z[:, -1] = z[:, 0] - 2.0 * z[:, 1]
     elif flaw == "scale":
         z[:, draw(st.integers(0, d_g - 1))] *= draw(st.sampled_from([1e160, 1e-160]))
+    elif flaw == "scale_all":
+        z *= 1e160  # every entry of z'z overflows
     elif flaw == "nan":
         arr = draw(st.sampled_from([y, x, z]))
         arr.flat[draw(st.integers(0, arr.size - 1))] = math.nan
     suspect = draw(st.lists(st.integers(0, d_g - 1), min_size=1, max_size=d_g,
                             unique=True))
+    bad_suspect = draw(st.sampled_from([None, None, None, "empty", "out_of_range"]))
+    if bad_suspect == "empty":
+        suspect = []
+    elif bad_suspect == "out_of_range":
+        suspect.append(draw(st.sampled_from([-1, d_g])))
     misspec = {"p": draw(st.sampled_from([2, "inf"])),
                "m_grid": sorted(draw(st.lists(st.floats(0.0, 3.0), min_size=1,
                                                max_size=3)))}
-    return {"y": y, "x": x, "z": z}, {"suspect": suspect, "misspec": misspec}
+    seed = draw(st.one_of(st.integers(0, 2**32), st.integers(-2**32, -1)))
+    return {"y": y, "x": x, "z": z}, {"suspect": suspect, "misspec": misspec}, seed
 
 
-def iv_example(flaw):
+def iv_example(flaw, seed=7):
     """``TestGramCertificate``'s design: ``z`` scaled to 1e160 (its cross-
     products overflow) or with an exactly duplicated column (dropped by the
     pivoted QR)."""
@@ -136,17 +149,18 @@ def iv_example(flaw):
         z0[:, 0] + z0[:, 1] + 1e-3 * rng.normal(size=n))
     z = np.column_stack([z0, last]) * (1e160 if flaw == "scale" else 1.0)
     arrays = {"y": rng.normal(size=n), "x": z0[:, 0] + rng.normal(size=n), "z": z}
-    return arrays, {"suspect": [1, 3], "misspec": {"p": 2, "m_grid": [0.0, 1.0]}}
+    return arrays, {"suspect": [1, 3], "misspec": {"p": 2, "m_grid": [0.0, 1.0]}}, seed
 
 
-@settings(max_examples=40, derandomize=True, deadline=None)
+@settings(max_examples=60, derandomize=True, deadline=None)
 @given(problem=iv_problems())
 @example(problem=iv_example("scale"))
 @example(problem=iv_example("duplicate"))
+@example(problem=iv_example("duplicate", seed=-1))
 def test_fuzz_iv_problem_files(problem):
-    """Any IV problem file ends in a typed exit code without a traceback or a
-    RuntimeWarning, and exit 0 prints no NaN."""
-    arrays, spec = problem
+    """Any IV problem file ends in a typed exit code on every command without
+    a traceback or a RuntimeWarning, and exit 0 prints no NaN."""
+    arrays, spec, seed = problem
     with tempfile.TemporaryDirectory() as tmp:
         for name, arr in arrays.items():
             np.savetxt(Path(tmp) / f"{name}.csv", arr.reshape(arr.shape[0], -1),
@@ -156,17 +170,22 @@ def test_fuzz_iv_problem_files(problem):
                "misspec": spec["misspec"], "alpha": 0.05}
         path = str(Path(tmp) / "prob.json")
         Path(path).write_text(json.dumps(doc))
-        for command in ("ci", "path", "spectest"):
+        for command in ("ci", "path", "efficiency", "spectest", "simulate"):
+            argv = [command, "--problem", path, "--seed", str(seed)]
+            if command == "simulate":
+                argv += ["--reps", "1000"]
             out, err = io.StringIO(), io.StringIO()
             with warnings.catch_warnings(record=True) as caught:
                 warnings.simplefilter("always")
                 with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-                    code = main([command, "--problem", path])
+                    code = main(argv)
             assert code in (0, 2, 3, 4), err.getvalue()
             assert "Traceback" not in err.getvalue()
             assert "Warning" not in err.getvalue()
             # the one warning a command may give is the dropped columns'
             assert all(issubclass(w.category, UserWarning)
                        and "collinear" in str(w.message) for w in caught), caught
+            if command == "simulate" and seed < 0:
+                assert code == 2
             if code == 0:
                 assert "nan" not in out.getvalue().lower()

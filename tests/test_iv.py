@@ -40,6 +40,13 @@ def synthetic(seed, n=800, d_g=4, gamma_direct=0.0, hetero=False):
     return IVData(y=y, x=x, z=z, suspect=(d_g - 1,)), theta0
 
 
+def holds_callers_arrays(cleaned, data):
+    """Whether ``cleaned`` is ``data`` passed through: the caller's own
+    ``y``, ``x`` and ``z`` arrays and the same suspect set."""
+    return (cleaned.y is data.y and cleaned.x is data.x and cleaned.z is data.z
+            and cleaned.suspect == data.suspect)
+
+
 class TestTsls:
     def test_just_identified_collapses_to_iv(self):
         rng = np.random.default_rng(0)
@@ -244,9 +251,12 @@ class TestCollinear:
             cleaned = drop_collinear_instruments(data)
         assert cleaned.z.shape[1] == 2
 
-    def test_full_rank_passthrough(self):
+    def test_full_rank_passthrough(self, monkeypatch):
         data, _ = synthetic(16)
-        assert drop_collinear_instruments(data) is data
+        checked = []
+        monkeypatch.setattr(iv, "_check_finite", lambda a, name: checked.append(name))
+        assert holds_callers_arrays(drop_collinear_instruments(data), data)
+        assert not checked  # the copy does not run the finiteness pass again
 
 
 class TestGramCertificate:
@@ -281,7 +291,7 @@ class TestGramCertificate:
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
             cleaned = drop_collinear_instruments(data)
-        assert (cleaned is data) == (keep.size == 4)
+        assert holds_callers_arrays(cleaned, data) == (keep.size == 4)
         assert bool(caught) == (keep.size < 4)
         np.testing.assert_array_equal(cleaned.z, z[:, keep])
         if eps <= 1e-9 or scale == 1e160:
@@ -376,3 +386,53 @@ class TestSinglePass:
         finally:
             tracemalloc.stop()
         assert peak < 0.5 * data.z.nbytes
+
+
+def rel_err(a, b):
+    a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
+    return float(np.max(np.abs(a - b)) / np.max(np.abs(b)))
+
+
+class TestCarriedCross:
+    """The data ``drop_collinear_instruments`` returns carries ``[z'z z'x
+    z'y]``; every call that reads it matches the same call on data carrying
+    none, and the caller's data is never written to."""
+
+    @pytest.mark.parametrize("n", [iv._CHUNK_ROWS - 1, iv._CHUNK_ROWS + 1,
+                                   3 * iv._CHUNK_ROWS + 17])
+    @pytest.mark.parametrize("variance", ["robust", "homoskedastic"])
+    @pytest.mark.parametrize("collinear", [False, True], ids=["full_rank", "dropped"])
+    def test_matches_uncarried(self, n, variance, collinear):
+        data = dense_design(n, n)
+        if collinear:
+            # a combination of the two non-suspect columns 0 and 2
+            z = np.column_stack([data.z, data.z[:, 0] - 2.0 * data.z[:, 2]])
+            data = IVData(y=data.y, x=data.x, z=z, suspect=data.suspect)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            cleaned = drop_collinear_instruments(data)
+        assert bool(caught) == collinear
+        assert cleaned.z.shape[1] == 5
+        assert data._cross is None
+        assert cleaned._cross is not None and not cleaned._cross.flags.writeable
+        # the raw data, or for a dropped column the kept columns built afresh
+        bare = IVData(y=cleaned.y, x=cleaned.x, z=cleaned.z,
+                      suspect=cleaned.suspect) if collinear else data
+        assert bare._cross is None
+
+        h = [1.0, 0.0]
+        carried, fresh = build_model(cleaned, h, variance), build_model(bare, h, variance)
+        for name in ("gamma", "sigma", "h_init"):
+            assert rel_err(getattr(carried, name), getattr(fresh, name)) <= 1e-14, name
+        theta = tsls(bare)
+        assert rel_err(tsls(cleaned), theta) <= 1e-14
+        # g_init = z'(y - x theta)/n cancels, so its rounding is relative to
+        # the terms it is the difference of (a sliced W and one formed from
+        # the kept columns alone differ in the last bits)
+        terms = np.abs(bare.z).T @ (np.abs(bare.y) + np.abs(bare.x) @ np.abs(theta)) / n
+        assert np.max(np.abs(carried.g_init - fresh.g_init)) <= 1e-14 * np.max(terms)
+        assert rel_err(build_b(cleaned), build_b(bare)) <= 1e-14
+        si_g = np.linalg.solve(fresh.sigma, fresh.gamma)
+        k = -si_g @ np.linalg.solve(fresh.gamma.T @ si_g, fresh.h_deriv)
+        assert rel_err(linear_one_step(cleaned, k, h), linear_one_step(bare, k, h)) <= 1e-14
+        assert data._cross is None
