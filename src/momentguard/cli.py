@@ -74,6 +74,21 @@ def _parse(convert, value, name: str):
         raise ValidationError(f"{name}: {exc}") from None
 
 
+def _integer(value, name: str) -> int:
+    """A JSON integer; neither a boolean nor a number with a fraction part
+    counts as one."""
+    if type(value) is not int:
+        raise ValidationError(f"{name}: must be an integer, got {value!r}")
+    return value
+
+
+def _indices(values, name: str) -> list[int]:
+    """A JSON list of column indices, each an integer (see :func:`_integer`)."""
+    if not isinstance(values, list):
+        raise ValidationError(f"{name}: must be a list of integers, got {values!r}")
+    return [_integer(i, name) for i in values]
+
+
 def _m_grid(values, name: str) -> list[float]:
     grid = _parse(lambda v: [float(m) for m in v], values, name)
     if not grid or sorted(grid) != grid or any(m < 0 for m in grid):
@@ -125,7 +140,10 @@ def parse_problem(path: str | Path) -> ProblemFile:
         raise ValidationError(
             f"options.criterion must be 'ci_length' or 'mse', got {prob.criterion!r}")
     prob.beta = _parse(float, opts.get("beta", 0.8), "beta")
-    prob.mixed = bool(opts.get("mixed", False))
+    prob.mixed = opts.get("mixed", False)
+    if type(prob.mixed) is not bool:
+        raise ValidationError(
+            f"options.mixed: must be true or false, got {prob.mixed!r}")
 
     if has_model:
         sec = _section(doc, "model")
@@ -138,7 +156,7 @@ def parse_problem(path: str | Path) -> ProblemFile:
             h_deriv=_parse(_array, sec["h_deriv"], "h_deriv"),
             g_init=_parse(_array, sec["g_init"], "g_init"),
             h_init=_parse(float, sec["h_init"], "h_init"),
-            n=_parse(int, sec["n"], "n"))
+            n=_integer(sec["n"], "n"))
     else:
         sec = _section(doc, "iv")
         for key in ("y", "x", "z"):
@@ -147,8 +165,8 @@ def parse_problem(path: str | Path) -> ProblemFile:
         y = _read_matrix(sec["y"], base, "y").reshape(-1)
         x = _read_matrix(sec["x"], base, "x")
         z = _read_matrix(sec["z"], base, "z")
-        prob.iv_data = IVData(y=y, x=x, z=z, suspect=_parse(
-            lambda v: tuple(int(i) for i in v), sec.get("suspect", ()), "suspect"))
+        prob.iv_data = IVData(y=y, x=x, z=z,
+                              suspect=_indices(sec.get("suspect", []), "suspect"))
         prob.h_deriv = _parse(_array, sec.get(
             "h_deriv", [1.0] + [0.0] * (x.shape[1] - 1 if x.ndim == 2 else 0)),
             "h_deriv")
@@ -185,9 +203,8 @@ def _resolve(prob: ProblemFile):
     if isinstance(prob.b_spec, np.ndarray):
         b_mat = prob.b_spec
     elif isinstance(prob.b_spec, dict) and "identity_columns" in prob.b_spec:
-        cols = prob.b_spec["identity_columns"]
-        if not (isinstance(cols, list) and all(
-                type(i) is int and 0 <= i < model.d_g for i in cols)):
+        cols = _indices(prob.b_spec["identity_columns"], "identity_columns")
+        if not all(0 <= i < model.d_g for i in cols):
             raise DimensionMismatch(
                 f"identity_columns must be integers in [0, {model.d_g}), got {cols!r}")
         b_mat = np.eye(model.d_g)[:, cols]

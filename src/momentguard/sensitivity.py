@@ -10,11 +10,9 @@ constraint ``H = -k' Gamma`` and a sliding bound on worst-case bias is:
   ``L^-1 B = U S V'`` diagonalize Sigma and ``B B'`` at once; in the
   coordinates ``z = U' L' k`` the variance is ``||z||^2``, the unit bias is
   ``||S z_1||`` (``z_1``: the first d_gamma coordinates) and each point of
-  the path costs O(d_g d_theta). The evaluator takes a vector of lambdas
-  and solves their d_theta x d_theta systems in one stacked call; a single
-  point is the same evaluator on one lambda. The frontier keeps knots on a
-  log-spaced lambda grid for display (``momentguard path``), built in one
-  such call; selection does not read them;
+  the path costs O(d_g d_theta). The frontier keeps knots on a log-spaced
+  lambda grid for display (``momentguard path``), built in one stacked call;
+  selection reads only the first of them;
 * p = inf — a piecewise-linear homotopy in the penalty weight, analogous to
   the LAR-LASSO path, computed exactly between breakpoints until no event is
   reachable, so the path is complete on ``[0, inf]``.
@@ -24,13 +22,21 @@ subgradient of the unit bias at k (``B'k / bbar`` for p = 2, a sign vector for
 p = inf), ``Sigma k + lam' * B s + Gamma mu = 0`` where ``lam'`` is
 ``lam * bbar`` for p = 2 and ``lam`` for p = inf.
 
+Each norm has one path object that owns the evaluation of its path,
+``_L2Path`` or ``_LinfPath``, and a :class:`SensitivityFrontier` holds one of
+them; only :func:`frontier` and :func:`linf_path` choose which. Both answer
+the same four calls: ``knot(lam)`` for one point, ``points(lams)`` for many
+points in one stacked evaluation, ``roots(a, b)`` for the penalties that
+minimize fixed-weight criteria and ``argmin(weights)`` for the point that
+minimizes a point-dependent one.
+
 Paths are always computed for the unit set (m = 1); scale invariance means the
-same path serves every magnitude m, with the worst-case bias simply rescaled.
-:func:`select_lambda` then finds the exact point of the path minimizing CI
-length, worst-case MSE or a one-sided excess-length quantile at a given m:
-each criterion is convex and nondecreasing in the bias and the sd, so its
-minimizer is the one sign change of a first-order condition along the path
-(:func:`_argmin`). The same minimizer gives the shortest CI in the
+same path serves every magnitude m, 0 included, with the worst-case bias
+simply rescaled. :func:`select_lambda` then finds the exact point of the path
+minimizing CI length, worst-case MSE or a one-sided excess-length quantile at
+a given m: each criterion is convex and nondecreasing in the bias and the sd,
+so its minimizer is the one sign change of a first-order condition along the
+path (:func:`_argmin`). The same minimizer gives the shortest CI in the
 denominator of the two-sided efficiency bound (:mod:`momentguard.efficiency`).
 With fixed weights, as in the modulus of continuity, the frontier's minimum
 of ``2 m bbar + delta sd``, the root is where the ratio ``lam' / sd`` reaches
@@ -71,6 +77,9 @@ ACTIVE_ZERO_RTOL = 1e-11
 #: rounding residue in a direction that is zero can schedule them.
 MAX_EVENT_STEP = 1e12
 
+#: Grid size for the l2 penalty path.
+L2_GRID_POINTS = 50
+
 
 @dataclass(frozen=True)
 class FrontierKnot:
@@ -107,6 +116,16 @@ class FrontierPoints:
 
 _DOUBLE_MAX = np.finfo(float).max
 
+#: ``log(lam)`` range of the l2 root: the smallest positive and the largest
+#: finite double, and the step of the search for its bracket.
+_LOG_LAM_MIN = math.log(5e-324)
+_LOG_LAM_MAX = math.log(_DOUBLE_MAX)
+_LOG_LAM_STEP = math.log(16.0)
+
+#: Most steps of the l2 sweep; a Newton step gains digits quadratically, and
+#: a safeguarding step replaces one that leaves the bracket or stalls.
+_SWEEP_MAXITER = 100
+
 
 def _t_pair(lam: float) -> tuple[float, float]:
     """``t = lam / (1 + lam)`` and ``1 - t``, each to full relative precision."""
@@ -126,6 +145,31 @@ def _norms(x: np.ndarray) -> np.ndarray:
     return np.hypot.reduce(x, axis=-1, initial=0.0)
 
 
+def _checked_var(var: float, lam: float) -> float:
+    if not (0.0 < var < math.inf):  # k != 0 and sigma is PD: under/overflow
+        raise SingularSystem(f"variance {var!r} at lambda={lam!r}: the "
+                             "model's scale exceeds double precision")
+    return var
+
+
+def _gap(weights, bbar: float, sd: float, lam_prime: float) -> float:
+    """The first-order condition ``G = b lam' - a sd`` of :func:`_argmin`,
+    with ``(a, b) = weights(bbar, sd)``."""
+    a, b = weights(bbar, sd)
+    return b * lam_prime - a * sd
+
+
+def _root(fn, lo: float, hi: float,
+          xtol: float = 4.0 * np.finfo(float).eps) -> float:
+    """Root of ``fn`` given ``fn(lo) < 0 <= fn(hi)``, to within ``xtol`` plus
+    4 eps relative."""
+    try:
+        return _brentq(fn, lo, hi, xtol=xtol, rtol=4.0 * np.finfo(float).eps)
+    except SolverFailure as exc:
+        raise SolverFailure(f"first-order condition: root search on "
+                            f"[{lo!r}, {hi!r}] did not converge: {exc}") from None
+
+
 class _L2Path:
     """The p = 2 path in closed form at any ``lam = t / (1 - t)``, t in [0, 1].
 
@@ -137,9 +181,8 @@ class _L2Path:
     sensitivity that ignores them, which exists when
     ``d_gamma <= d_g - d_theta``.
 
-    Every evaluation takes a vector of penalties and solves one stacked
-    d_theta x d_theta system per penalty; a single point is a one-element
-    view of the same evaluator.
+    A stacked evaluation solves one d_theta x d_theta system per penalty in
+    one call; a single point solves its one system.
     """
 
     def __init__(self, model: MomentModel, b_mat: np.ndarray):
@@ -159,9 +202,26 @@ class _L2Path:
                                  "path's squares exceed double precision")
         self.s2 = self.s**2
         self.h = model.h_deriv[:, None]
+        self.b = b
+        self.trace_sigma = np.trace(model.sigma)
         #: the suspect directions leave d_theta moments to identify theta,
         #: so the bias reaches 0 at lam = inf
         self.ends_unbiased = b.shape[1] <= model.d_g - model.d_theta
+
+    @functools.cached_property
+    def knots(self) -> tuple[FrontierKnot, ...]:
+        """The efficient point at lam = 0, then L2_GRID_POINTS log-spaced
+        display knots, from one stacked evaluation."""
+        scale = self.trace_sigma / float(np.sum(self.b**2))
+        pts = self.points(np.concatenate(
+            [[0.0], scale * np.logspace(-6.0, 6.0, L2_GRID_POINTS)]))
+        return tuple(pts.knot(i) for i in range(pts.lam.size))
+
+    def knot(self, lam: float) -> FrontierKnot:
+        """Frontier point at ``lam`` in ``[0, inf]``."""
+        k, bbar, var, mu = self._fields(*_t_pair(lam))
+        return FrontierKnot(lam=float(lam), k=k, bbar=float(bbar),
+                            var=_checked_var(float(var), lam), mu=mu)
 
     def points(self, lams: np.ndarray) -> FrontierPoints:
         """Frontier points at each penalty in ``lams``, all in ``[0, inf]``."""
@@ -170,11 +230,109 @@ class _L2Path:
             _checked_var(float(v), float(lam))
         return FrontierPoints(lam=lams, k=k, bbar=bbar, var=var, mu=mu)
 
-    def knot(self, lam: float) -> FrontierKnot:
-        """Frontier point at ``lam`` in ``[0, inf]``."""
-        k, bbar, var, mu = self._fields(*_t_pair(lam))
-        return FrontierKnot(lam=float(lam), k=k, bbar=float(bbar),
-                            var=_checked_var(float(var), lam), mu=mu)
+    def roots(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+        """The minimizing penalty for each pair of fixed weights (see
+        :func:`_argmin_sweep`). ``F(u) = log(lam bbar / sd) - log c`` rises
+        with slope in [0, 1] in ``u = log(lam)`` and is at most 0 at the root
+        of its linearization at lam = 0, and every ``c = a / b`` takes
+        safeguarded Newton steps from there at once. The root is 0 where it
+        lies below every positive double (and where ``a = 0``), inf where the
+        criterion still falls at the unbiased end."""
+        first = self.knots[0]
+        lam = np.zeros(a.size)
+        todo = a > 0.0
+        if self.ends_unbiased:
+            _, sd_end, lam_bbar_end = self.end
+            at_end = todo & (b * lam_bbar_end - a * sd_end <= 0.0)
+            lam[at_end] = math.inf
+            todo &= ~at_end
+        idx = np.flatnonzero(todo)
+        log_c = np.log(a[idx]) - np.log(b[idx])
+        u = np.clip(log_c + 0.5 * math.log(first.var) - math.log(first.bbar),
+                    _LOG_LAM_MIN, _LOG_LAM_MAX)
+        lo = np.full(idx.size, -math.inf)
+        hi = np.full(idx.size, math.inf)
+        moved = np.full(idx.size, math.inf)
+        tol = 4.0 * np.finfo(float).eps
+        for _ in range(_SWEEP_MAXITER):
+            if idx.size == 0:
+                return lam
+            f, slope = self._log_gap(u, log_c)
+            if np.any(np.isnan(f)):
+                raise SolverFailure("first-order condition: NaN on the l2 path at "
+                                    f"lambda={float(np.exp(u[np.isnan(f)][0]))!r}")
+            below = f < 0.0
+            lo = np.where(below, u, lo)
+            hi = np.where(below, hi, u)
+            # the root lies below every positive double (m -> 0), or above the
+            # largest one, where only an unbiased end can hold it
+            floor = ~below & (u == _LOG_LAM_MIN)
+            ceiling = below & (u == _LOG_LAM_MAX)
+            if np.any(ceiling) and not self.ends_unbiased:
+                raise SolverFailure("could not bracket the l2 penalty")
+            lam[idx[ceiling]] = math.inf
+            # Newton's step for 1/c - sd / lam' in 1/lam, which is linear in
+            # 1/lam near lam = 0 and again where the ratio levels off or grows
+            # linearly at large lam
+            with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+                newton = u - np.log1p(np.expm1(f) / slope)
+            # a step that leaves a known bracket or fails to halve is replaced
+            # by twice the Newton step, to bracket the root closely when the
+            # iterates near it from one side, or by bisection of a bracket
+            # that is already close; without a bracket, step outward
+            bracketed = np.isfinite(lo) & np.isfinite(hi)
+            take = ((lo <= newton) & (newton <= hi)
+                    & ~(bracketed & (np.abs(newton - u) > 0.5 * moved)))
+            probe = 2.0 * newton - u
+            probe_ok = ((lo < probe) & (probe < hi)
+                        & (hi - lo > 4.0 * np.abs(newton - u)))
+            step = np.where(take, newton, np.where(
+                bracketed, np.where(probe_ok, probe, 0.5 * (lo + hi)),
+                np.where(below, lo + _LOG_LAM_STEP, hi - _LOG_LAM_STEP)))
+            step = np.clip(step, _LOG_LAM_MIN, _LOG_LAM_MAX)
+            moved = np.abs(step - u)
+            root = ~floor & ~ceiling & (moved <= tol * (1.0 + np.abs(u)))
+            lam[idx[root]] = np.exp(step[root])
+            keep = ~(floor | ceiling | root)
+            idx, u, lo, hi = idx[keep], step[keep], lo[keep], hi[keep]
+            log_c, moved = log_c[keep], moved[keep]
+        if idx.size:
+            raise SolverFailure("first-order condition: the l2 sweep did not "
+                                f"converge in {_SWEEP_MAXITER} steps")
+        return lam
+
+    def argmin(self, weights) -> FrontierKnot:
+        """:func:`_argmin` on the l2 path: one bracketed root in ``log(lam)``,
+        searched outward from the root of G linearized at lam = 0."""
+        first = self.knots[0]
+        sd0 = math.sqrt(first.var)
+        a0, b0 = weights(first.bbar, sd0)
+        if a0 == 0.0:  # G = -a sd at lam = 0
+            return first
+        if self.ends_unbiased and _gap(weights, *self.end) <= 0.0:
+            return self.knot(math.inf)
+        memo: dict[float, float] = {}
+
+        def gap(u: float) -> float:
+            if u not in memo:
+                memo[u] = _gap(weights, *self.scalars(math.exp(u)))
+            return memo[u]
+
+        # lam' = lam bbar_0 in the linearization
+        u = (math.log(a0) + math.log(sd0) - math.log(b0) - math.log(first.bbar)
+             if b0 > 0.0 else 0.0)
+        lo = hi = min(max(u, _LOG_LAM_MIN), _LOG_LAM_MAX)
+        while gap(hi) < 0.0:
+            if hi == _LOG_LAM_MAX:
+                if self.ends_unbiased:
+                    return self.knot(math.inf)
+                raise SolverFailure("could not bracket the l2 penalty")
+            lo, hi = hi, min(hi + _LOG_LAM_STEP, _LOG_LAM_MAX)
+        while gap(lo) >= 0.0:
+            if lo == _LOG_LAM_MIN:
+                return first  # the root lies below every positive double: m -> 0
+            lo, hi = max(lo - _LOG_LAM_STEP, _LOG_LAM_MIN), lo
+        return self.knot(math.exp(_root(gap, lo, hi)))
 
     @functools.cached_property
     def end(self) -> tuple[float, float, float]:
@@ -208,7 +366,10 @@ class _L2Path:
         w[..., :self.s.shape[0]] = one_minus_t / den
         gram = (self.a.T * w[..., None, :]) @ self.a
         try:
-            mu = np.linalg.solve(gram, self.h)[..., 0]
+            # numpy < 2 reads a (d_theta, 1) right-hand side beside a stack
+            # of systems as d_theta vectors; a stack of one is read as meant
+            h = self.h if gram.ndim == 2 else self.h[None]
+            mu = np.linalg.solve(gram, h)[..., 0]
         except np.linalg.LinAlgError as exc:
             raise SingularSystem("Gamma' W Gamma is singular") from exc
         return w, den, gram, mu, mu @ self.a.T
@@ -242,23 +403,144 @@ class _L2Path:
         return f, slope
 
 
+class _LinfPath:
+    """The p = inf path from its homotopy breakpoints ``knots``: linear in k
+    and mu between consecutive knots, so every point there is exact; from
+    the last knot on k is constant, while mu moves on at the rate
+    ``mu_slope``."""
+
+    def __init__(self, knots, mu_slope: np.ndarray, sigma: np.ndarray,
+                 b_mat: np.ndarray):
+        self.knots = tuple(knots)
+        self.lam = np.array([kn.lam for kn in knots])
+        self.k = np.array([kn.k for kn in knots])
+        self.mu = np.array([kn.mu for kn in knots])
+        self.bbar = np.array([kn.bbar for kn in knots])
+        self.var = np.array([kn.var for kn in knots])
+        self.mu_slope = mu_slope
+        self.sigma = sigma
+        self.b_mat = b_mat
+
+    def knot(self, lam: float) -> FrontierKnot:
+        """Frontier point at ``lam`` in ``[0, inf]``."""
+        j = int(np.searchsorted(self.lam, lam, side="right")) - 1
+        lo = self.knots[j]
+        if j == len(self.knots) - 1:
+            return FrontierKnot(lam=float(lam), k=lo.k, bbar=lo.bbar, var=lo.var,
+                                mu=lo.mu + (lam - lo.lam) * self.mu_slope)
+        if lam == lo.lam:
+            return lo
+        hi = self.knots[j + 1]
+        w = (lam - lo.lam) / (hi.lam - lo.lam)
+        k = (1.0 - w) * lo.k + w * hi.k
+        return FrontierKnot(lam=float(lam), k=k,
+                            bbar=float(np.sum(np.abs(self.b_mat.T @ k))),
+                            var=_checked_var(float(k @ self.sigma @ k), lam),
+                            mu=(1.0 - w) * lo.mu + w * hi.mu)
+
+    def points(self, lams: np.ndarray) -> FrontierPoints:
+        """:meth:`knot` at each penalty in ``lams``, all in ``[0, inf]``."""
+        last = self.lam.size - 1
+        j = np.searchsorted(self.lam, lams, side="right") - 1
+        jh = np.minimum(j + 1, last)
+        past = j == last
+        w = np.where(past, 0.0, (lams - self.lam[j])
+                     / np.where(past, 1.0, self.lam[jh] - self.lam[j]))
+        k = (1.0 - w)[:, None] * self.k[j] + w[:, None] * self.k[jh]
+        mu = ((1.0 - w)[:, None] * self.mu[j] + w[:, None] * self.mu[jh]
+              + np.where(past, lams - self.lam[j], 0.0)[:, None] * self.mu_slope)
+        # at a knot and past the last one, the knot's own bbar and variance
+        inner = w > 0.0
+        bbar = np.where(inner, np.abs(k @ self.b_mat).sum(axis=1), self.bbar[j])
+        var = np.where(inner, np.einsum("ij,jk,ik->i", k, self.sigma, k),
+                       self.var[j])
+        for lam, v in zip(lams[inner], var[inner]):
+            _checked_var(float(v), float(lam))
+        return FrontierPoints(lam=lams, k=k, bbar=bbar, var=var, mu=mu)
+
+    def roots(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+        """The minimizing penalty for each pair of fixed weights (see
+        :func:`_argmin_sweep`): one sorted lookup of ``c = a / b`` among the
+        knots' ratios finds its segment, where bbar and lam are linear and
+        the variance quadratic in the segment weight, so the root solves a
+        quadratic in closed form; past the last knot it is ``lam = c sd``."""
+        lams, var = self.lam, self.var
+        c = a / b
+        # the first knot whose ratio reaches c ends the segment holding the root
+        j = np.searchsorted(np.maximum.accumulate(lams / np.sqrt(var)), c, side="left")
+        last = lams.size - 1
+        past = j > last
+        inner = (j > 0) & ~past
+        jh = np.minimum(j, last)
+        jl = np.maximum(jh - 1, 0)
+        # G = lam - c sd changes sign where lam^2 = c^2 var, a quadratic in the
+        # weight w; scaled by the upper knot's lam, where lam >= c sd, every
+        # coefficient is at most of order one
+        dk = self.k[jh] - self.k[jl]
+        v2 = np.einsum("ij,jk,ik->i", dk, self.sigma, dk)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            r = np.where(inner, c / lams[jh], 0.0)
+            x0 = lams[jl] / lams[jh]
+        x0 = np.where(inner, x0, 0.0)
+        dx = 1.0 - x0
+        q0, q1, q2 = r * r * var[jl], r * r * var[jh], r * r * v2
+        c2 = dx * dx - q2
+        c1 = 2.0 * x0 * dx - (q1 - q0 - q2)
+        c0 = x0 * x0 - q0
+        root_disc = np.sqrt(np.maximum(c1 * c1 - 4.0 * c2 * c0, 0.0))
+        with np.errstate(divide="ignore", invalid="ignore"):
+            w = np.where(c1 > 0.0, -2.0 * c0 / (c1 + root_disc),
+                         (root_disc - c1) / (2.0 * c2))
+        # at either end of the path w = 1 picks the knot itself
+        w = np.where(inner & (lams[jh] > lams[jl]), np.clip(w, 0.0, 1.0), 1.0)
+        lam = np.where(inner, (1.0 - w) * lams[jl] + w * lams[jh], 0.0)
+        return np.where(past, a * np.sqrt(var[last]) / b, lam)
+
+    def argmin(self, weights) -> FrontierKnot:
+        """:func:`_argmin` on an inf-path: the first knot with ``G >= 0`` ends
+        the segment that holds the root, where bbar is linear and the
+        variance quadratic in the segment weight, so the root needs only
+        scalars. Past the last knot k stands still and the root is
+        ``lam = a sd / b``, where mu has moved on; the same holds on a
+        segment where only mu moves."""
+        knots = self.knots
+        j = next((j for j, kn in enumerate(knots)
+                  if _gap(weights, kn.bbar, math.sqrt(kn.var), kn.lam) >= 0.0), None)
+        if j == 0:  # G = -a sd at lam = 0
+            return knots[0]
+        if j is None:
+            last = knots[-1]
+            sd = math.sqrt(last.var)
+            a, b = weights(last.bbar, sd)
+            # b > 0 whenever alpha <= 1/2; otherwise L does not rise past here
+            return self.knot(a * sd / b) if b > 0.0 else last
+        lo, hi = knots[j - 1], knots[j]
+        dk = hi.k - lo.k
+        v2 = float(dk @ self.sigma @ dk)
+
+        def gap(w: float) -> float:
+            # exact at both ends: var(w) = (1-w) var_lo + w var_hi - w(1-w) v2
+            var = (1.0 - w) * lo.var + w * hi.var - w * (1.0 - w) * v2
+            return _gap(weights, (1.0 - w) * lo.bbar + w * hi.bbar,
+                        math.sqrt(max(var, 0.0)), (1.0 - w) * lo.lam + w * hi.lam)
+
+        # relative in w: on the first segment lam = w lam_hi
+        w = _root(gap, 0.0, 1.0, np.finfo(float).tiny)
+        return self.knot((1.0 - w) * lo.lam + w * hi.lam)
+
+
 @dataclass(frozen=True)
 class SensitivityFrontier:
-    """Ordered knots of the bias-variance frontier for a unit misspecification set.
-
-    ``kind`` records how the path was built: "l2" (closed-form grid, every
-    point recomputable exactly through ``l2_path``), "linf" (homotopy
-    breakpoints, the path is linear in k and mu between consecutive knots and
-    k is constant past the last one, where mu moves at the rate ``mu_slope``),
-    or "single" (one knot).
-    """
+    """Ordered knots of the bias-variance frontier for a unit misspecification
+    set, and the path object that evaluates the frontier at any penalty:
+    ``_L2Path`` for p = 2, whose knots are the efficient point and a display
+    grid, or ``_LinfPath`` for p = inf, whose knots are the homotopy's
+    breakpoints."""
 
     knots: tuple[FrontierKnot, ...]
     set: MisspecSet
     model: MomentModel
-    kind: str
-    mu_slope: np.ndarray | None = None
-    l2_path: _L2Path | None = field(default=None, repr=False, compare=False)
+    path: _L2Path | _LinfPath = field(repr=False, compare=False)
 
     def __post_init__(self):
         if len(self.knots) == 0:
@@ -286,20 +568,17 @@ def worst_case_bias(k: Sensitivity, mset: MisspecSet) -> float:
     return mset.m * float(dual)
 
 
+def _check_lam(lam: float) -> None:
+    if not lam >= 0.0:
+        raise OutOfRange(f"lambda must be nonnegative, got {lam}")
+
+
 def l2_sensitivity(model: MomentModel, b_mat: np.ndarray,
                    lam: float) -> Sensitivity:
     """Optimal sensitivity for an l2 set at penalty ``lam`` in ``[0, inf]``
     (ridge form)."""
-    if lam < 0.0:
-        raise OutOfRange(f"lambda must be nonnegative, got {lam}")
+    _check_lam(lam)
     return _L2Path(model, b_mat).knot(lam).k
-
-
-def _checked_var(var: float, lam: float) -> float:
-    if not (0.0 < var < math.inf):  # k != 0 and sigma is PD: under/overflow
-        raise SingularSystem(f"variance {var!r} at lambda={lam!r}: the "
-                             "model's scale exceeds double precision")
-    return var
 
 
 def _knot(model: MomentModel, unit_set: MisspecSet, lam: float,
@@ -320,18 +599,18 @@ def linf_path(model: MomentModel, b_mat: np.ndarray) -> SensitivityFrontier:
     inactive coordinate's stationarity bound ``|grad_i| = lam`` starts binding
     (and is added). Terminates when no further drop or add is reachable: k is
     constant from the last knot on, while the multiplier keeps moving at the
-    rate stored as ``mu_slope``. Steps are reckoned in lambda's natural unit,
+    rate of the last segment. Steps are reckoned in lambda's natural unit,
     so rescaling Sigma, B or H rescales lambda and k and leaves the events
     unchanged. When ``d_gamma > d_g - d_theta`` the path may run on through
     coordinate swaps after the active set first shrinks to d_theta members.
 
     When the efficient solution already has every penalized coordinate at
     zero it is unbiased and so optimal at every lambda: the path is that one
-    knot, with ``bbar = 0`` and ``mu_slope = 0``.
+    knot, with ``bbar = 0`` and a multiplier that stands still.
 
-    Returns the breakpoints mapped back to original coordinates via
-    ``k = T' kt``. Every knot satisfies the regularity constraint to solver
-    precision.
+    Returns the frontier of the breakpoints, mapped back to original
+    coordinates via ``k = T' kt``, and the ``_LinfPath`` built from them
+    once. Every knot satisfies the regularity constraint to solver precision.
     """
     b = np.atleast_2d(np.asarray(b_mat, dtype=float))
     mset = MisspecSet(b, math.inf, 1.0)
@@ -340,6 +619,11 @@ def linf_path(model: MomentModel, b_mat: np.ndarray) -> SensitivityFrontier:
             f"b_mat has {b.shape[0]} rows, model has d_g={model.d_g}")
     d_g = model.d_g
     d_gam = b.shape[1]
+
+    def done(knots, mu_slope) -> SensitivityFrontier:
+        path = _LinfPath(knots, mu_slope, model.sigma, mset.b_mat)
+        return SensitivityFrontier(knots=path.knots, set=mset, model=model,
+                                   path=path)
 
     b_perp = orth_complement(b)
     try:
@@ -376,8 +660,7 @@ def linf_path(model: MomentModel, b_mat: np.ndarray) -> SensitivityFrontier:
         # < d_theta), so there may be no active-set direction to compute;
         # B'T'kt vanishes exactly, whatever the rounding in T'kt
         knot = replace(_knot(model, mset, 0.0, t_mat.T @ kt, mu), bbar=0.0)
-        return SensitivityFrontier(knots=(knot,), set=mset, model=model, kind="linf",
-                                   mu_slope=np.zeros_like(mu))
+        return done([knot], np.zeros_like(mu))
     lam = 0.0
     # a penalized coordinate is active iff its coefficient is nonzero;
     # unpenalized coordinates never leave the active set
@@ -475,25 +758,16 @@ def linf_path(model: MomentModel, b_mat: np.ndarray) -> SensitivityFrontier:
     else:
         raise DegeneratePath(f"homotopy did not terminate within {max_events} events")
 
-    return SensitivityFrontier(knots=tuple(knots), set=mset, model=model,
-                               kind="linf", mu_slope=mu_delta)
-
-
-#: Grid size for the l2 penalty path.
-L2_GRID_POINTS = 50
+    return done(knots, mu_delta)
 
 
 def frontier(model: MomentModel, mset: MisspecSet) -> SensitivityFrontier:
     """Compute the sensitivity frontier for the unit version of ``mset``.
 
-    Dispatches on the norm: a lambda grid plus the efficient-GMM point for
-    p = 2, the exact homotopy for p = inf. A degenerate magnitude m = 0 short-
-    circuits to the single efficient-GMM knot.
+    Dispatches on the norm: the exact homotopy for p = inf (:func:`linf_path`),
+    the closed-form ``_L2Path`` for p = 2. The frontier does not depend on the
+    magnitude ``mset.m``, so one frontier serves every magnitude, 0 included.
     """
-    unit = mset.scaled(1.0)
-    if mset.m == 0.0:
-        return SensitivityFrontier(knots=(_L2Path(model, mset.b_mat).knot(0.0),),
-                                   set=unit, model=model, kind="single")
     b_sq = float(np.sum(mset.b_mat**2))
     if not (np.finfo(float).tiny <= b_sq < math.inf):
         raise SingularSystem(f"b_mat has squared norm {b_sq!r}: its scale "
@@ -501,11 +775,8 @@ def frontier(model: MomentModel, mset: MisspecSet) -> SensitivityFrontier:
     if math.isinf(mset.p):
         return linf_path(model, mset.b_mat)
     path = _L2Path(model, mset.b_mat)
-    scale = np.trace(model.sigma) / b_sq
-    lams = np.concatenate([[0.0], scale * np.logspace(-6.0, 6.0, L2_GRID_POINTS)])
-    pts = path.points(lams)
-    return SensitivityFrontier(knots=tuple(pts.knot(i) for i in range(lams.size)),
-                               set=unit, model=model, kind="l2", l2_path=path)
+    return SensitivityFrontier(knots=path.knots, set=mset.scaled(1.0),
+                               model=model, path=path)
 
 
 def _weights(criterion: str, m: float, alpha: float, beta: float = 0.8):
@@ -544,49 +815,15 @@ def _weights(criterion: str, m: float, alpha: float, beta: float = 0.8):
 
 
 def knot_at(front: SensitivityFrontier, lam: float) -> FrontierKnot:
-    """Frontier point at an arbitrary penalty value.
+    """Frontier point at a penalty ``lam`` in ``[0, inf]``.
 
-    Exact recomputation for l2 frontiers; linear interpolation in k and mu
-    between the bracketing breakpoints for inf-paths (the path is linear
-    there, so this is exact as well). Beyond the last knot k is constant and
-    mu moves on at the rate ``front.mu_slope``.
+    Exact recomputation on the l2 path; on an inf-path, linear interpolation
+    in k and mu between the bracketing breakpoints (the path is linear there,
+    so this is exact as well), and beyond the last knot k is constant while
+    mu moves on. A NaN or negative penalty raises :class:`OutOfRange`.
     """
-    if front.kind == "l2":
-        return front.l2_path.knot(lam)
-    lams = [kn.lam for kn in front.knots]
-    if lam <= lams[0]:
-        return front.knots[0]
-    if lam >= lams[-1]:
-        kn = front.knots[-1]
-        mu = kn.mu if front.mu_slope is None else (
-            kn.mu + (lam - kn.lam) * front.mu_slope)
-        return FrontierKnot(lam=float(lam), k=kn.k, bbar=kn.bbar, var=kn.var,
-                            mu=mu)
-    j = int(np.searchsorted(lams, lam, side="right")) - 1
-    lo, hi = front.knots[j], front.knots[j + 1]
-    if hi.lam <= lo.lam:
-        return hi
-    w = (lam - lo.lam) / (hi.lam - lo.lam)
-    return _knot(front.model, front.set, lam, (1.0 - w) * lo.k + w * hi.k,
-                 (1.0 - w) * lo.mu + w * hi.mu)
-
-
-#: ``log(lam)`` range of the l2 root: the smallest positive and the largest
-#: finite double, and the step of the search for its bracket.
-_LOG_LAM_MIN = math.log(5e-324)
-_LOG_LAM_MAX = math.log(_DOUBLE_MAX)
-_LOG_LAM_STEP = math.log(16.0)
-
-
-def _root(fn, lo: float, hi: float,
-          xtol: float = 4.0 * np.finfo(float).eps) -> float:
-    """Root of ``fn`` given ``fn(lo) < 0 <= fn(hi)``, to within ``xtol`` plus
-    4 eps relative."""
-    try:
-        return _brentq(fn, lo, hi, xtol=xtol, rtol=4.0 * np.finfo(float).eps)
-    except SolverFailure as exc:
-        raise SolverFailure(f"first-order condition: root search on "
-                            f"[{lo!r}, {hi!r}] did not converge: {exc}") from None
+    _check_lam(lam)
+    return front.path.knot(lam)
 
 
 def _argmin(front: SensitivityFrontier, weights) -> FrontierKnot:
@@ -598,81 +835,16 @@ def _argmin(front: SensitivityFrontier, weights) -> FrontierKnot:
     (``lam' = lam`` for p = inf, ``lam bbar`` for p = 2) makes
     ``d sd / d bbar = -lam' / sd``, so dL/dlam has the sign of
     ``G = b lam' - a sd``, which changes sign once: the minimizer is that
-    root. On the l2 path it is one bracketed root in ``log(lam)``. On an
-    inf-path the first knot with ``G >= 0`` ends the segment that holds it;
-    there bbar is linear and the variance quadratic in the segment weight, so
-    the root needs only scalars. Past the last knot k stands still and the
-    root is ``lam = a sd / b``, where mu has moved on; the same holds on a
-    segment where only mu moves.
+    root, which the path's ``argmin`` finds.
 
     For weights that do not depend on the point, :func:`_argmin_sweep` gives
     the same minimizer for many pairs of weights in one pass.
     """
-    def gap(bbar: float, sd: float, lam_prime: float) -> float:
-        a, b = weights(bbar, sd)
-        return b * lam_prime - a * sd
-
     first = front.knots[0]
-    sd0 = math.sqrt(first.var)
-    a0, b0 = weights(first.bbar, sd0)
-    # G = -a sd at lam = 0; an unbiased first knot is optimal on any criterion
-    if front.kind == "single" or a0 == 0.0 or first.bbar == 0.0:
+    # an unbiased first knot is optimal on any criterion
+    if first.bbar == 0.0:
         return first
-    if front.kind == "l2":
-        path = front.l2_path
-        if path.ends_unbiased and gap(*path.end) <= 0.0:
-            return path.knot(math.inf)
-        memo: dict[float, float] = {}
-
-        def gap_l2(u: float) -> float:
-            if u not in memo:
-                memo[u] = gap(*path.scalars(math.exp(u)))
-            return memo[u]
-
-        # start at the root of G linearized at lam = 0, where lam' = lam bbar_0,
-        # and step outward to a sign change
-        u = (math.log(a0) + math.log(sd0) - math.log(b0) - math.log(first.bbar)
-             if b0 > 0.0 else 0.0)
-        lo = hi = min(max(u, _LOG_LAM_MIN), _LOG_LAM_MAX)
-        while gap_l2(hi) < 0.0:
-            if hi == _LOG_LAM_MAX:
-                if path.ends_unbiased:
-                    return path.knot(math.inf)
-                raise SolverFailure("could not bracket the l2 penalty")
-            lo, hi = hi, min(hi + _LOG_LAM_STEP, _LOG_LAM_MAX)
-        while gap_l2(lo) >= 0.0:
-            if lo == _LOG_LAM_MIN:
-                return first  # the root lies below every positive double: m -> 0
-            lo, hi = max(lo - _LOG_LAM_STEP, _LOG_LAM_MIN), lo
-        return path.knot(math.exp(_root(gap_l2, lo, hi)))
-
-    knots = front.knots
-    j = next((j for j, kn in enumerate(knots)
-              if gap(kn.bbar, math.sqrt(kn.var), kn.lam) >= 0.0), None)
-    if j is None:
-        last = knots[-1]
-        sd = math.sqrt(last.var)
-        a, b = weights(last.bbar, sd)
-        # b > 0 whenever alpha <= 1/2; otherwise L does not rise past here
-        return knot_at(front, a * sd / b) if b > 0.0 else last
-    lo, hi = knots[j - 1], knots[j]
-    dk = hi.k - lo.k
-    v2 = float(dk @ front.model.sigma @ dk)
-
-    def gap_segment(w: float) -> float:
-        # exact at both ends: var(w) = (1-w) var_lo + w var_hi - w(1-w) v2
-        var = (1.0 - w) * lo.var + w * hi.var - w * (1.0 - w) * v2
-        return gap((1.0 - w) * lo.bbar + w * hi.bbar, math.sqrt(max(var, 0.0)),
-                   (1.0 - w) * lo.lam + w * hi.lam)
-
-    # relative in w: on the first segment lam = w lam_hi
-    w = _root(gap_segment, 0.0, 1.0, np.finfo(float).tiny)
-    return knot_at(front, (1.0 - w) * lo.lam + w * hi.lam)
-
-
-#: Most steps of the l2 sweep; a Newton step gains digits quadratically, and
-#: a safeguarding step replaces one that leaves the bracket or stalls.
-_SWEEP_MAXITER = 100
+    return front.path.argmin(weights)
 
 
 def _argmin_sweep(front: SensitivityFrontier, a: np.ndarray,
@@ -682,150 +854,21 @@ def _argmin_sweep(front: SensitivityFrontier, a: np.ndarray,
     ``weights = lambda bbar, sd: (a[i], b[i])``, for every pair in one pass.
 
     With fixed weights the first-order root is where the ratio ``lam' / sd``,
-    nondecreasing along the frontier, reaches ``c = a / b``. On an inf-path
-    one ``searchsorted`` of every c among the knots' ratios finds its segment,
-    where bbar and lam are linear and the variance quadratic in the segment
-    weight, so the root solves a quadratic in closed form; past the last knot
-    it is ``lam = c sd``. On the l2 path ``F(u) = log(lam bbar / sd) - log c``
-    rises with slope in [0, 1] in ``u = log(lam)``, is at most 0 at the root
-    of its linearization at lam = 0, and every c takes safeguarded Newton
-    steps from there at once.
+    nondecreasing along the frontier, reaches ``c = a / b``; the path's
+    ``roots`` find it for every pair at once.
     """
     a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)
     first = front.knots[0]
-    if front.kind == "single" or first.bbar == 0.0:
+    if first.bbar == 0.0:
         return _repeat_knot(first, a.size)
-    if front.kind == "l2":
-        return front.l2_path.points(_l2_roots(front.l2_path, first, a, b))
-    return _linf_points(front, a, b)
+    return front.path.points(front.path.roots(a, b))
 
 
 def _repeat_knot(kn: FrontierKnot, n: int) -> FrontierPoints:
     return FrontierPoints(lam=np.full(n, kn.lam), k=np.tile(kn.k, (n, 1)),
                           bbar=np.full(n, kn.bbar), var=np.full(n, kn.var),
                           mu=np.tile(kn.mu, (n, 1)))
-
-
-def _l2_roots(path: _L2Path, first: FrontierKnot, a: np.ndarray,
-              b: np.ndarray) -> np.ndarray:
-    """The minimizing penalty on the l2 path for each pair of weights: 0 where
-    the root lies below every positive double (and where ``a = 0``), inf
-    where the criterion still falls at the unbiased end."""
-    lam = np.zeros(a.size)
-    todo = a > 0.0
-    if path.ends_unbiased:
-        _, sd_end, lam_bbar_end = path.end
-        at_end = todo & (b * lam_bbar_end - a * sd_end <= 0.0)
-        lam[at_end] = math.inf
-        todo &= ~at_end
-    idx = np.flatnonzero(todo)
-    log_c = np.log(a[idx]) - np.log(b[idx])
-    u = np.clip(log_c + 0.5 * math.log(first.var) - math.log(first.bbar),
-                _LOG_LAM_MIN, _LOG_LAM_MAX)
-    lo = np.full(idx.size, -math.inf)
-    hi = np.full(idx.size, math.inf)
-    moved = np.full(idx.size, math.inf)
-    tol = 4.0 * np.finfo(float).eps
-    for _ in range(_SWEEP_MAXITER):
-        if idx.size == 0:
-            return lam
-        f, slope = path._log_gap(u, log_c)
-        if np.any(np.isnan(f)):
-            raise SolverFailure("first-order condition: NaN on the l2 path at "
-                                f"lambda={float(np.exp(u[np.isnan(f)][0]))!r}")
-        below = f < 0.0
-        lo = np.where(below, u, lo)
-        hi = np.where(below, hi, u)
-        # the root lies below every positive double (m -> 0), or above the
-        # largest one, where only an unbiased end can hold it
-        floor = ~below & (u == _LOG_LAM_MIN)
-        ceiling = below & (u == _LOG_LAM_MAX)
-        if np.any(ceiling) and not path.ends_unbiased:
-            raise SolverFailure("could not bracket the l2 penalty")
-        lam[idx[ceiling]] = math.inf
-        # Newton's step for 1/c - sd / lam' in 1/lam, which is linear in 1/lam
-        # near lam = 0 and again where the ratio levels off or grows
-        # linearly at large lam
-        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-            newton = u - np.log1p(np.expm1(f) / slope)
-        # a step that leaves a known bracket or fails to halve is replaced by
-        # twice the Newton step, to bracket the root closely when the
-        # iterates near it from one side, or by bisection of a bracket that
-        # is already close; without a bracket, step outward
-        bracketed = np.isfinite(lo) & np.isfinite(hi)
-        take = ((lo <= newton) & (newton <= hi)
-                & ~(bracketed & (np.abs(newton - u) > 0.5 * moved)))
-        probe = 2.0 * newton - u
-        probe_ok = ((lo < probe) & (probe < hi)
-                    & (hi - lo > 4.0 * np.abs(newton - u)))
-        step = np.where(take, newton, np.where(
-            bracketed, np.where(probe_ok, probe, 0.5 * (lo + hi)),
-            np.where(below, lo + _LOG_LAM_STEP, hi - _LOG_LAM_STEP)))
-        step = np.clip(step, _LOG_LAM_MIN, _LOG_LAM_MAX)
-        moved = np.abs(step - u)
-        root = ~floor & ~ceiling & (moved <= tol * (1.0 + np.abs(u)))
-        lam[idx[root]] = np.exp(step[root])
-        keep = ~(floor | ceiling | root)
-        idx, u, lo, hi = idx[keep], step[keep], lo[keep], hi[keep]
-        log_c, moved = log_c[keep], moved[keep]
-    if idx.size:
-        raise SolverFailure("first-order condition: the l2 sweep did not "
-                            f"converge in {_SWEEP_MAXITER} steps")
-    return lam
-
-
-def _linf_points(front: SensitivityFrontier, a: np.ndarray,
-                 b: np.ndarray) -> FrontierPoints:
-    """:func:`_argmin_sweep` on an inf-path."""
-    knots = front.knots
-    lams = np.array([kn.lam for kn in knots])
-    var = np.array([kn.var for kn in knots])
-    ks = np.array([kn.k for kn in knots])
-    mus = np.array([kn.mu for kn in knots])
-    c = a / b
-    # the first knot whose ratio reaches c ends the segment holding the root
-    j = np.searchsorted(np.maximum.accumulate(lams / np.sqrt(var)), c, side="left")
-    last = len(knots) - 1
-    past = j > last
-    inner = (j > 0) & ~past
-    jh = np.minimum(j, last)
-    jl = np.maximum(jh - 1, 0)
-    # G = lam - c sd changes sign where lam^2 = c^2 var, a quadratic in the
-    # weight w; scaled by the upper knot's lam, where lam >= c sd, every
-    # coefficient is at most of order one
-    dk = ks[jh] - ks[jl]
-    v2 = np.einsum("ij,jk,ik->i", dk, front.model.sigma, dk)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        r = np.where(inner, c / lams[jh], 0.0)
-        x0 = lams[jl] / lams[jh]
-    x0 = np.where(inner, x0, 0.0)
-    dx = 1.0 - x0
-    q0, q1, q2 = r * r * var[jl], r * r * var[jh], r * r * v2
-    c2 = dx * dx - q2
-    c1 = 2.0 * x0 * dx - (q1 - q0 - q2)
-    c0 = x0 * x0 - q0
-    root_disc = np.sqrt(np.maximum(c1 * c1 - 4.0 * c2 * c0, 0.0))
-    with np.errstate(divide="ignore", invalid="ignore"):
-        w = np.where(c1 > 0.0, -2.0 * c0 / (c1 + root_disc),
-                     (root_disc - c1) / (2.0 * c2))
-    # at either end of the path w = 1 picks the knot itself
-    w = np.where(inner & (lams[jh] > lams[jl]), np.clip(w, 0.0, 1.0), 1.0)
-    lam = np.where(inner, (1.0 - w) * lams[jl] + w * lams[jh], 0.0)
-    k = (1.0 - w)[:, None] * ks[jl] + w[:, None] * ks[jh]
-    mu = (1.0 - w)[:, None] * mus[jl] + w[:, None] * mus[jh]
-    bbar = np.abs(k @ front.set.b_mat).sum(axis=1)
-    var_k = np.einsum("ij,jk,ik->i", k, front.model.sigma, k)
-    # past the last knot k stands still and mu moves on
-    lam_past = a * np.sqrt(var[last]) / b
-    lam = np.where(past, lam_past, lam)
-    mu = mu + np.where(past, lam_past - lams[last], 0.0)[:, None] * front.mu_slope
-    ends = ~inner
-    bbar = np.where(ends, np.where(past, knots[last].bbar, knots[0].bbar), bbar)
-    var_k = np.where(ends, var[jh], var_k)
-    for lam_i, v in zip(lam[inner], var_k[inner]):
-        _checked_var(float(v), float(lam_i))
-    return FrontierPoints(lam=lam, k=k, bbar=bbar, var=var_k, mu=mu)
 
 
 def select_lambda(front: SensitivityFrontier, m: float, alpha: float = 0.05,

@@ -367,6 +367,12 @@ class TestProblemFile:
         ("ci", "three_d_gamma", "gamma"),
         ("ci", "identity_column_out_of_range", "identity_columns"),
         ("ci", "identity_column_boolean", "identity_columns"),
+        ("ci", "identity_column_fractional", "identity_columns"),
+        ("ci", "suspect_boolean", "suspect"),
+        ("spectest", "suspect_fractional", "suspect"),
+        ("ci", "n_boolean", "n:"),
+        ("efficiency", "n_fractional", "n:"),
+        ("ci", "mixed_string", "options.mixed"),
         ("ci", "one_sided_criterion", "options.criterion"),
         ("spectest", "m_grid_not_a_number", "--m-grid"),
         ("ci", "top_level_not_object", "JSON object"),
@@ -388,18 +394,22 @@ class TestProblemFile:
             doc["misspec"]["b_mat"] = [[1.0], [0.0]]
         elif case == "nan_b_mat":
             doc["misspec"]["b_mat"] = [[math.nan]]
-        elif case == "nan_iv_csv":
+        elif case in ("nan_iv_csv", "suspect_boolean", "suspect_fractional"):
             rng = np.random.default_rng(3)
             z = rng.normal(size=(50, 3))
             x = z.sum(axis=1) + rng.normal(size=50)
             y = 0.5 * x + rng.normal(size=50)
-            y[7] = math.nan
+            if case == "nan_iv_csv":
+                y[7] = math.nan
             for name, arr in (("y.csv", y[:, None]), ("x.csv", x[:, None]),
                               ("z.csv", z)):
                 np.savetxt(tmp_path / name, arr, delimiter=",",
                            header="h" + ",h" * (arr.shape[1] - 1), comments="")
+            # true and 1.7 once selected column 1, as [1] does
+            suspect = {"suspect_boolean": [True],
+                       "suspect_fractional": [1.7]}.get(case, [2])
             doc = {"iv": {"y": "y.csv", "x": "x.csv", "z": "z.csv",
-                          "suspect": [2]},
+                          "suspect": suspect},
                    "misspec": {"p": 2, "m": 1.0}}
         elif case == "n_not_a_number":
             model["n"] = "abc"
@@ -413,6 +423,16 @@ class TestProblemFile:
             model.update(gamma=[[-1.0], [0.4], [0.2]], sigma=np.eye(3).tolist(),
                          g_init=[0.1, 0.1, 0.2])
             doc["misspec"]["b_mat"] = {"identity_columns": [True]}
+        elif case == "identity_column_fractional":
+            model.update(gamma=[[-1.0], [0.4], [0.2]], sigma=np.eye(3).tolist(),
+                         g_init=[0.1, 0.1, 0.2])
+            doc["misspec"]["b_mat"] = {"identity_columns": [1.0]}
+        elif case == "n_boolean":
+            model["n"] = True
+        elif case == "n_fractional":
+            model["n"] = 1000.9
+        elif case == "mixed_string":
+            doc["options"] = {"mixed": "false"}
         elif case == "one_sided_criterion":
             doc["options"] = {"criterion": "one_sided_quantile"}
         elif case == "m_grid_not_a_number":

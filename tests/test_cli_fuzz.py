@@ -104,7 +104,8 @@ def test_fuzz_problem_files(doc):
 def iv_problems(draw):
     """Small raw-IV problems: (arrays, problem section, seed), some
     degenerate: collinear or overflowing instruments, non-finite data,
-    suspect sets that are empty or out of range, negative seeds."""
+    suspect sets that are empty, out of range or hold a boolean or a
+    fractional entry, negative seeds."""
     n = draw(st.sampled_from([3, 20, 200, 400]))
     d_g = draw(st.integers(1, 5))
     rng = np.random.default_rng(draw(st.integers(0, 2**16)))
@@ -126,11 +127,14 @@ def iv_problems(draw):
         arr.flat[draw(st.integers(0, arr.size - 1))] = math.nan
     suspect = draw(st.lists(st.integers(0, d_g - 1), min_size=1, max_size=d_g,
                             unique=True))
-    bad_suspect = draw(st.sampled_from([None, None, None, "empty", "out_of_range"]))
+    bad_suspect = draw(st.sampled_from([None, None, None, "empty", "out_of_range",
+                                        "not_integer"]))
     if bad_suspect == "empty":
         suspect = []
     elif bad_suspect == "out_of_range":
         suspect.append(draw(st.sampled_from([-1, d_g])))
+    elif bad_suspect == "not_integer":
+        suspect.append(draw(st.sampled_from([True, False, 0.5, d_g - 0.3])))
     misspec = {"p": draw(st.sampled_from([2, "inf"])),
                "m_grid": sorted(draw(st.lists(st.floats(0.0, 3.0), min_size=1,
                                                max_size=3)))}
@@ -187,5 +191,7 @@ def test_fuzz_iv_problem_files(problem):
                        and "collinear" in str(w.message) for w in caught), caught
             if command == "simulate" and seed < 0:
                 assert code == 2
+            if any(type(i) is not int for i in spec["suspect"]):
+                assert code == 2, err.getvalue()
             if code == 0:
                 assert "nan" not in out.getvalue().lower()

@@ -288,7 +288,7 @@ class TestKappaTwoSided:
         l2, linf = (MisspecSet(np.eye(2)[:, 1:], p, 1.0) for p in (2, np.inf))
         front = frontier(model, linf)
         assert len(front.knots) == 1 and front.knots[0].bbar == 0.0
-        np.testing.assert_array_equal(front.mu_slope, np.zeros(2))
+        np.testing.assert_array_equal(front.path.mu_slope, np.zeros(2))
         assert kappa_two_sided(model, linf) == kappa_two_sided(model, l2)
         assert kappa_one_sided(model, linf) == kappa_one_sided(model, l2)
 

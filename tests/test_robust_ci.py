@@ -135,6 +135,19 @@ class TestCiCurve:
         assert len(curve) == 1
         assert curve[0][1].max_bias == 0.0
 
+    @pytest.mark.parametrize("p", [2.0, math.inf])
+    def test_frontier_built_at_m_zero(self, p):
+        # the frontier does not depend on the magnitude it was built at: one
+        # built from a set with m = 0 gives every other M its optimal interval
+        m = MomentModel(gamma=[[-1.0], [-0.8]], sigma=[[1.0, 0.2], [0.2, 2.0]],
+                        h_deriv=[1.0], g_init=[0.05, -0.02], h_init=0.47, n=1000)
+        b = np.array([[0.0], [1.0]])
+        grid = [0.0, 0.5, 1.0, 2.0, 4.0]
+        at_zero = ci_curve(m, b, p, grid, frontier(m, MisspecSet(b, p, 0.0)))
+        at_one = ci_curve(m, b, p, grid, frontier(m, MisspecSet(b, p, 1.0)))
+        assert at_zero == at_one
+        assert at_zero[3][1].half_length == pytest.approx(0.060181, abs=5e-7)
+
     def test_half_length_monotone_in_m(self):
         m = random_model(4, 2, 10)
         b = np.random.default_rng(11).normal(size=(4, 2))

@@ -12,6 +12,7 @@ from momentguard.model import MisspecSet, MomentModel
 from momentguard.sensitivity import (
     _argmin,
     _argmin_sweep,
+    _L2Path,
     frontier,
     knot_at,
     l2_sensitivity,
@@ -131,8 +132,9 @@ class TestL2Sensitivity:
             np.testing.assert_allclose(near, k, atol=1e-8 * np.max(np.abs(k)))
 
     def test_negative_lambda_rejected(self):
-        with pytest.raises(OutOfRange):
-            l2_sensitivity(random_model(3, 1, 7), np.eye(3), -1.0)
+        for lam in (-1.0, math.nan):  # NaN is not a penalty either
+            with pytest.raises(OutOfRange):
+                l2_sensitivity(random_model(3, 1, 7), np.eye(3), lam)
 
 
 class TestLinfPath:
@@ -299,15 +301,20 @@ class TestFrontier:
         m = random_model(4, 2, 20)
         ms = MisspecSet(np.random.default_rng(21).normal(size=(4, 2)), 2, 1.0)
         front = frontier(m, ms)
-        assert front.kind == "l2"
+        assert isinstance(front.path, _L2Path)
         assert front.knots[0].lam == 0.0
         np.testing.assert_allclose(front.knots[0].k, efficient_k(m), atol=1e-10)
 
-    def test_m_zero_single_knot(self):
+    def test_m_zero_gives_unit_frontier(self):
+        # the frontier does not depend on the magnitude, 0 included
         m = random_model(4, 2, 22)
-        ms = MisspecSet(np.eye(4)[:, :2], 2, 0.0)
-        front = frontier(m, ms)
-        assert front.kind == "single" and len(front.knots) == 1
+        for p in (2, math.inf):
+            front = frontier(m, MisspecSet(np.eye(4)[:, :2], p, 0.0))
+            unit = frontier(m, MisspecSet(np.eye(4)[:, :2], p, 1.0))
+            assert front.set.m == 1.0 and len(front.knots) == len(unit.knots)
+            for kn_a, kn_b in zip(front.knots, unit.knots):
+                assert kn_a.lam == kn_b.lam and kn_a.var == kn_b.var
+                np.testing.assert_array_equal(kn_a.k, kn_b.k)
 
     def test_normalizes_to_unit_set(self):
         m = random_model(4, 1, 23)
@@ -582,12 +589,67 @@ class TestArgminSweep:
     def test_zero_magnitude(self, p):
         model = random_model(4, 1, 72)
         b = np.random.default_rng(73).normal(size=(4, 2))
-        single = frontier(model, MisspecSet(b, p, 0.0))
-        assert single.kind == "single"
-        self.assert_matches(single, 0.0, [0.1, 16.0])
+        zero = frontier(model, MisspecSet(b, p, 0.0))
+        assert [kn.lam for kn in zero.knots] == [
+            kn.lam for kn in frontier(model, MisspecSet(b, p, 1.0)).knots]
+        self.assert_matches(zero, 0.0, [0.1, 16.0])
         pts = self.assert_matches(frontier(model, MisspecSet(b, p, 1.0)), 0.0,
                                   [0.1, 16.0])
         assert np.all(pts.lam == 0.0)
+
+
+class TestPathEvaluators:
+    """The scalar and stacked evaluators of each path object, and the penalty
+    check that ``knot_at`` puts in front of them."""
+
+    @staticmethod
+    def off_path_front(p):
+        model = MomentModel(gamma=[[-1.0], [-0.8], [0.3]], sigma=np.eye(3),
+                            h_deriv=[1.0], g_init=np.zeros(3), h_init=0.0, n=1)
+        return frontier(model, MisspecSet([[0.0], [1.0], [0.5]], p, 1.0))
+
+    @pytest.mark.parametrize("p", [2, math.inf])
+    @pytest.mark.parametrize("lam", [-1.0, -0.5, -5e-324, math.nan])
+    def test_knot_at_rejects_off_path(self, p, lam):
+        with pytest.raises(OutOfRange):
+            knot_at(self.off_path_front(p), lam)
+
+    def test_knot_at_keeps_unbiased_end(self):
+        front = self.off_path_front(2)
+        kn = knot_at(front, math.inf)
+        assert kn.lam == math.inf and kn.bbar == 0.0
+        assert kn.var > front.knots[0].var
+
+    @pytest.mark.parametrize("p", [2, math.inf])
+    @pytest.mark.parametrize("case", ["past_last_linf_knot", "unbiased_first_knot"])
+    def test_points_match_knot(self, p, case):
+        if case == "past_last_linf_knot":
+            model, b = random_model(5, 1, 71), np.eye(5)[:, 3:]
+        else:
+            model = MomentModel(gamma=np.eye(2), sigma=np.eye(2), h_deriv=[1.0, 0.0],
+                                g_init=np.zeros(2), h_init=0.0, n=1)
+            b = np.eye(2)[:, 1:]
+        front = frontier(model, MisspecSet(b, p, 1.0))
+        at = np.array([kn.lam for kn in front.knots])
+        past = (at[-1] or 1.0) * np.array([1.5, 10.0, 1e6])
+        if p == 2 and front.path.ends_unbiased:
+            past = np.append(past, math.inf)
+        lams = np.concatenate([at, 0.5 * (at[:-1] + at[1:]), past])
+        pts = front.path.points(lams)
+        for i, lam in enumerate(lams):
+            kn, row = front.path.knot(lam), pts.knot(i)
+            assert row.lam == kn.lam
+            # at an inf-path's knots and past its last one both evaluators
+            # read the knot's own fields; elsewhere, and on the l2 path, a
+            # product of one point and a stacked product round apart
+            exact = math.isinf(p) and (lam in at or lam > at[-1])
+            for got, want in ((row.k, kn.k), (row.mu, kn.mu),
+                              (row.bbar, kn.bbar), (row.var, kn.var)):
+                if exact:
+                    np.testing.assert_array_equal(got, want)
+                else:
+                    np.testing.assert_allclose(
+                        got, want, rtol=0.0, atol=1e-15 * np.max(np.abs(want)))
 
 
 class TestScaleOutsideDoublePrecision:
