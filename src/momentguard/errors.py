@@ -103,7 +103,3 @@ class VertexEnumerationTooLarge(FeasibilityError):
 
 class CNotInSet(FeasibilityError):
     """The supplied perturbation is not a member of the misspecification set."""
-
-
-class EmptyFrontier(ValidationError):
-    """A sensitivity frontier with no knots was supplied."""

@@ -35,7 +35,6 @@ from .model import (
 )
 from .sensitivity import (
     SensitivityFrontier,
-    knot_at,
     select_lambda,
     worst_case_bias,
 )
@@ -90,8 +89,7 @@ def two_sided_ci(model: MomentModel, mset: MisspecSet,
     ("ci_length" or "mse"); ``front`` may be built on another model's
     variance than the one that forms the interval."""
     choice = select_lambda(front, mset.m, alpha, criterion)
-    kn = knot_at(front, choice.lambda_star)
-    return ci_from_sensitivity(model, mset, kn.k, alpha,
+    return ci_from_sensitivity(model, mset, choice.knot.k, alpha,
                                lambda_star=choice.lambda_star)
 
 

@@ -10,9 +10,9 @@ constraint ``H = -k' Gamma`` and a sliding bound on worst-case bias is:
   ``L^-1 B = U S V'`` diagonalize Sigma and ``B B'`` at once; in the
   coordinates ``z = U' L' k`` the variance is ``||z||^2``, the unit bias is
   ``||S z_1||`` (``z_1``: the first d_gamma coordinates) and each point of
-  the path costs O(d_g d_theta). The frontier keeps knots on a log-spaced
-  lambda grid for display (``momentguard path``), built in one stacked call;
-  selection reads only the first of them;
+  the path costs O(d_g d_theta). Selection reads only the efficient point
+  at lam = 0; the knots add a log-spaced lambda grid for display
+  (``momentguard path``), built in one stacked call when first read;
 * p = inf — a piecewise-linear homotopy in the penalty weight, analogous to
   the LAR-LASSO path, computed exactly between breakpoints until no event is
   reachable, so the path is complete on ``[0, inf]``.
@@ -22,13 +22,13 @@ subgradient of the unit bias at k (``B'k / bbar`` for p = 2, a sign vector for
 p = inf), ``Sigma k + lam' * B s + Gamma mu = 0`` where ``lam'`` is
 ``lam * bbar`` for p = 2 and ``lam`` for p = inf.
 
-Each norm has one path object that owns the evaluation of its path,
-``_L2Path`` or ``_LinfPath``, and a :class:`SensitivityFrontier` holds one of
-them; only :func:`frontier` and :func:`linf_path` choose which. Both answer
-the same four calls: ``knot(lam)`` for one point, ``points(lams)`` for many
-points in one stacked evaluation, ``roots(a, b)`` for the penalties that
-minimize fixed-weight criteria and ``argmin(weights)`` for the point that
-minimizes a point-dependent one.
+The frontier is the path object itself: :class:`SensitivityFrontier` is the
+base of one class per norm, ``_L2Path`` and ``_LinfPath``, and only
+:func:`frontier` and :func:`linf_path` choose which. Both answer the same
+four calls: ``knot(lam)`` for one point, ``points(lams)`` for many points in
+one stacked evaluation, ``roots(a, b)`` for the penalties that minimize
+fixed-weight criteria and ``argmin(weights)`` for the point that minimizes a
+point-dependent one.
 
 Paths are always computed for the unit set (m = 1); scale invariance means the
 same path serves every magnitude m, 0 included, with the worst-case bias
@@ -58,7 +58,6 @@ from .critval import _brentq, _check_alpha, _check_beta, cv_alpha, norm_quantile
 from .errors import (
     DegeneratePath,
     DimensionMismatch,
-    EmptyFrontier,
     OutOfRange,
     RankDeficiency,
     SingularSystem,
@@ -170,7 +169,23 @@ def _root(fn, lo: float, hi: float,
                             f"[{lo!r}, {hi!r}] did not converge: {exc}") from None
 
 
-class _L2Path:
+class SensitivityFrontier:
+    """The bias-variance frontier of a unit misspecification set: the base
+    of ``_L2Path`` (p = 2) and ``_LinfPath`` (p = inf), which evaluate it at
+    any penalty (see the module docstring).
+
+    ``model`` and ``set`` (m = 1) are what the path was built from, ``first``
+    its point at lam = 0 and ``knots`` its ordered knots: ``first`` and a
+    display grid for p = 2, the homotopy's breakpoints for p = inf.
+    """
+
+    model: MomentModel
+    set: MisspecSet
+    first: FrontierKnot
+    knots: tuple[FrontierKnot, ...]
+
+
+class _L2Path(SensitivityFrontier):
     """The p = 2 path in closed form at any ``lam = t / (1 - t)``, t in [0, 1].
 
     With ``Sigma = L L'`` and ``L^-1 B = U S V'``, put ``A = U' L^-1 Gamma``.
@@ -185,16 +200,13 @@ class _L2Path:
     one call; a single point solves its one system.
     """
 
-    def __init__(self, model: MomentModel, b_mat: np.ndarray):
-        b = np.atleast_2d(np.asarray(b_mat, dtype=float))
-        if b.shape[0] != model.d_g:
-            raise DimensionMismatch(
-                f"b_mat has {b.shape[0]} rows, model has d_g={model.d_g}")
+    def __init__(self, model: MomentModel, unit_set: MisspecSet):
+        self.model, self.set = model, unit_set
         try:
             chol = np.linalg.cholesky(model.sigma)
         except np.linalg.LinAlgError as exc:
             raise SingularSystem(f"Cholesky factor of sigma failed: {exc}") from exc
-        u, self.s, _ = np.linalg.svd(np.linalg.solve(chol, b))
+        u, self.s, _ = np.linalg.svd(np.linalg.solve(chol, unit_set.b_mat))
         self.a = u.T @ np.linalg.solve(chol, model.gamma)
         self.to_k = np.linalg.solve(chol.T, u)
         if not max(self.s[0], np.max(np.abs(self.a))) < math.sqrt(np.finfo(float).max):
@@ -202,20 +214,18 @@ class _L2Path:
                                  "path's squares exceed double precision")
         self.s2 = self.s**2
         self.h = model.h_deriv[:, None]
-        self.b = b
-        self.trace_sigma = np.trace(model.sigma)
         #: the suspect directions leave d_theta moments to identify theta,
         #: so the bias reaches 0 at lam = inf
-        self.ends_unbiased = b.shape[1] <= model.d_g - model.d_theta
+        self.ends_unbiased = unit_set.d_gamma <= model.d_g - model.d_theta
+        self.first = self.knot(0.0)
 
     @functools.cached_property
     def knots(self) -> tuple[FrontierKnot, ...]:
-        """The efficient point at lam = 0, then L2_GRID_POINTS log-spaced
-        display knots, from one stacked evaluation."""
-        scale = self.trace_sigma / float(np.sum(self.b**2))
-        pts = self.points(np.concatenate(
-            [[0.0], scale * np.logspace(-6.0, 6.0, L2_GRID_POINTS)]))
-        return tuple(pts.knot(i) for i in range(pts.lam.size))
+        """``first``, then L2_GRID_POINTS log-spaced display knots from one
+        stacked evaluation, built when first read."""
+        scale = np.trace(self.model.sigma) / float(np.sum(self.set.b_mat**2))
+        pts = self.points(scale * np.logspace(-6.0, 6.0, L2_GRID_POINTS))
+        return (self.first, *(pts.knot(i) for i in range(L2_GRID_POINTS)))
 
     def knot(self, lam: float) -> FrontierKnot:
         """Frontier point at ``lam`` in ``[0, inf]``."""
@@ -238,7 +248,7 @@ class _L2Path:
         safeguarded Newton steps from there at once. The root is 0 where it
         lies below every positive double (and where ``a = 0``), inf where the
         criterion still falls at the unbiased end."""
-        first = self.knots[0]
+        first = self.first
         lam = np.zeros(a.size)
         todo = a > 0.0
         if self.ends_unbiased:
@@ -304,7 +314,7 @@ class _L2Path:
     def argmin(self, weights) -> FrontierKnot:
         """:func:`_argmin` on the l2 path: one bracketed root in ``log(lam)``,
         searched outward from the root of G linearized at lam = 0."""
-        first = self.knots[0]
+        first = self.first
         sd0 = math.sqrt(first.var)
         a0, b0 = weights(first.bbar, sd0)
         if a0 == 0.0:  # G = -a sd at lam = 0
@@ -403,26 +413,27 @@ class _L2Path:
         return f, slope
 
 
-class _LinfPath:
+class _LinfPath(SensitivityFrontier):
     """The p = inf path from its homotopy breakpoints ``knots``: linear in k
     and mu between consecutive knots, so every point there is exact; from
     the last knot on k is constant, while mu moves on at the rate
-    ``mu_slope``."""
+    ``mu_slope`` and has no limit at lam = inf."""
 
-    def __init__(self, knots, mu_slope: np.ndarray, sigma: np.ndarray,
-                 b_mat: np.ndarray):
+    def __init__(self, model: MomentModel, unit_set: MisspecSet, knots,
+                 mu_slope: np.ndarray):
+        self.model, self.set = model, unit_set
         self.knots = tuple(knots)
+        self.first = self.knots[0]
         self.lam = np.array([kn.lam for kn in knots])
         self.k = np.array([kn.k for kn in knots])
         self.mu = np.array([kn.mu for kn in knots])
         self.bbar = np.array([kn.bbar for kn in knots])
         self.var = np.array([kn.var for kn in knots])
         self.mu_slope = mu_slope
-        self.sigma = sigma
-        self.b_mat = b_mat
 
     def knot(self, lam: float) -> FrontierKnot:
-        """Frontier point at ``lam`` in ``[0, inf]``."""
+        """Frontier point at ``lam`` in ``[0, inf)``."""
+        _check_finite_lam(lam)
         j = int(np.searchsorted(self.lam, lam, side="right")) - 1
         lo = self.knots[j]
         if j == len(self.knots) - 1:
@@ -434,12 +445,13 @@ class _LinfPath:
         w = (lam - lo.lam) / (hi.lam - lo.lam)
         k = (1.0 - w) * lo.k + w * hi.k
         return FrontierKnot(lam=float(lam), k=k,
-                            bbar=float(np.sum(np.abs(self.b_mat.T @ k))),
-                            var=_checked_var(float(k @ self.sigma @ k), lam),
+                            bbar=float(np.sum(np.abs(self.set.b_mat.T @ k))),
+                            var=_checked_var(float(k @ self.model.sigma @ k), lam),
                             mu=(1.0 - w) * lo.mu + w * hi.mu)
 
     def points(self, lams: np.ndarray) -> FrontierPoints:
-        """:meth:`knot` at each penalty in ``lams``, all in ``[0, inf]``."""
+        """:meth:`knot` at each penalty in ``lams``, all in ``[0, inf)``."""
+        _check_finite_lam(float(np.max(lams, initial=0.0)))
         last = self.lam.size - 1
         j = np.searchsorted(self.lam, lams, side="right") - 1
         jh = np.minimum(j + 1, last)
@@ -451,8 +463,8 @@ class _LinfPath:
               + np.where(past, lams - self.lam[j], 0.0)[:, None] * self.mu_slope)
         # at a knot and past the last one, the knot's own bbar and variance
         inner = w > 0.0
-        bbar = np.where(inner, np.abs(k @ self.b_mat).sum(axis=1), self.bbar[j])
-        var = np.where(inner, np.einsum("ij,jk,ik->i", k, self.sigma, k),
+        bbar = np.where(inner, np.abs(k @ self.set.b_mat).sum(axis=1), self.bbar[j])
+        var = np.where(inner, np.einsum("ij,jk,ik->i", k, self.model.sigma, k),
                        self.var[j])
         for lam, v in zip(lams[inner], var[inner]):
             _checked_var(float(v), float(lam))
@@ -477,7 +489,7 @@ class _LinfPath:
         # weight w; scaled by the upper knot's lam, where lam >= c sd, every
         # coefficient is at most of order one
         dk = self.k[jh] - self.k[jl]
-        v2 = np.einsum("ij,jk,ik->i", dk, self.sigma, dk)
+        v2 = np.einsum("ij,jk,ik->i", dk, self.model.sigma, dk)
         with np.errstate(divide="ignore", invalid="ignore"):
             r = np.where(inner, c / lams[jh], 0.0)
             x0 = lams[jl] / lams[jh]
@@ -516,7 +528,7 @@ class _LinfPath:
             return self.knot(a * sd / b) if b > 0.0 else last
         lo, hi = knots[j - 1], knots[j]
         dk = hi.k - lo.k
-        v2 = float(dk @ self.sigma @ dk)
+        v2 = float(dk @ self.model.sigma @ dk)
 
         def gap(w: float) -> float:
             # exact at both ends: var(w) = (1-w) var_lo + w var_hi - w(1-w) v2
@@ -530,28 +542,13 @@ class _LinfPath:
 
 
 @dataclass(frozen=True)
-class SensitivityFrontier:
-    """Ordered knots of the bias-variance frontier for a unit misspecification
-    set, and the path object that evaluates the frontier at any penalty:
-    ``_L2Path`` for p = 2, whose knots are the efficient point and a display
-    grid, or ``_LinfPath`` for p = inf, whose knots are the homotopy's
-    breakpoints."""
-
-    knots: tuple[FrontierKnot, ...]
-    set: MisspecSet
-    model: MomentModel
-    path: _L2Path | _LinfPath = field(repr=False, compare=False)
-
-    def __post_init__(self):
-        if len(self.knots) == 0:
-            raise EmptyFrontier("frontier must contain at least one knot")
-
-
-@dataclass(frozen=True)
 class LambdaChoice:
+    """The selected penalty and the frontier point ``knot`` at it."""
+
     lambda_star: float
     criterion: str
     m: float
+    knot: FrontierKnot = field(repr=False, compare=False)
 
 
 def worst_case_bias(k: Sensitivity, mset: MisspecSet) -> float:
@@ -573,12 +570,25 @@ def _check_lam(lam: float) -> None:
         raise OutOfRange(f"lambda must be nonnegative, got {lam}")
 
 
+def _check_finite_lam(lam: float) -> None:
+    if lam == math.inf:  # past its last knot an inf-path's mu has no limit
+        raise OutOfRange("lambda must be finite on a p = inf path, got inf")
+
+
 def l2_sensitivity(model: MomentModel, b_mat: np.ndarray,
                    lam: float) -> Sensitivity:
     """Optimal sensitivity for an l2 set at penalty ``lam`` in ``[0, inf]``
-    (ridge form)."""
-    _check_lam(lam)
-    return _L2Path(model, b_mat).knot(lam).k
+    (ridge form); ``b_mat`` is validated as the unit :class:`MisspecSet`."""
+    return knot_at(_L2Path(model, _unit_set(model, b_mat, 2.0)), lam).k
+
+
+def _unit_set(model: MomentModel, b_mat: np.ndarray, p: float) -> MisspecSet:
+    """The validated unit set ``{B gamma : ||gamma||_p <= 1}``."""
+    unit_set = MisspecSet(b_mat, p, 1.0)
+    if unit_set.b_mat.shape[0] != model.d_g:
+        raise DimensionMismatch(f"b_mat has {unit_set.b_mat.shape[0]} rows, "
+                                f"model has d_g={model.d_g}")
+    return unit_set
 
 
 def _knot(model: MomentModel, unit_set: MisspecSet, lam: float,
@@ -608,22 +618,14 @@ def linf_path(model: MomentModel, b_mat: np.ndarray) -> SensitivityFrontier:
     zero it is unbiased and so optimal at every lambda: the path is that one
     knot, with ``bbar = 0`` and a multiplier that stands still.
 
-    Returns the frontier of the breakpoints, mapped back to original
-    coordinates via ``k = T' kt``, and the ``_LinfPath`` built from them
-    once. Every knot satisfies the regularity constraint to solver precision.
+    Returns the ``_LinfPath`` of the breakpoints, mapped back to original
+    coordinates via ``k = T' kt``. Every knot satisfies the regularity
+    constraint to solver precision.
     """
-    b = np.atleast_2d(np.asarray(b_mat, dtype=float))
-    mset = MisspecSet(b, math.inf, 1.0)
-    if b.shape[0] != model.d_g:
-        raise DimensionMismatch(
-            f"b_mat has {b.shape[0]} rows, model has d_g={model.d_g}")
+    mset = _unit_set(model, b_mat, math.inf)
+    b = mset.b_mat
     d_g = model.d_g
     d_gam = b.shape[1]
-
-    def done(knots, mu_slope) -> SensitivityFrontier:
-        path = _LinfPath(knots, mu_slope, model.sigma, mset.b_mat)
-        return SensitivityFrontier(knots=path.knots, set=mset, model=model,
-                                   path=path)
 
     b_perp = orth_complement(b)
     try:
@@ -660,7 +662,7 @@ def linf_path(model: MomentModel, b_mat: np.ndarray) -> SensitivityFrontier:
         # < d_theta), so there may be no active-set direction to compute;
         # B'T'kt vanishes exactly, whatever the rounding in T'kt
         knot = replace(_knot(model, mset, 0.0, t_mat.T @ kt, mu), bbar=0.0)
-        return done([knot], np.zeros_like(mu))
+        return _LinfPath(model, mset, [knot], np.zeros_like(mu))
     lam = 0.0
     # a penalized coordinate is active iff its coefficient is nonzero;
     # unpenalized coordinates never leave the active set
@@ -678,7 +680,7 @@ def linf_path(model: MomentModel, b_mat: np.ndarray) -> SensitivityFrontier:
         except np.linalg.LinAlgError as exc:
             raise RankDeficiency("active-set gram matrix is singular") from exc
         kt_d = np.zeros(d_g)
-        kt_d[idx] = -np.linalg.solve(sig_aa, gam_a @ mu_d + sa)
+        kt_d[idx] = -(x[:, :-1] @ mu_d + x[:, -1])
         return mu_d, kt_d
 
     s = np.where(is_pen & active, np.sign(kt), 0.0)
@@ -758,15 +760,16 @@ def linf_path(model: MomentModel, b_mat: np.ndarray) -> SensitivityFrontier:
     else:
         raise DegeneratePath(f"homotopy did not terminate within {max_events} events")
 
-    return done(knots, mu_delta)
+    return _LinfPath(model, mset, knots, mu_delta)
 
 
 def frontier(model: MomentModel, mset: MisspecSet) -> SensitivityFrontier:
     """Compute the sensitivity frontier for the unit version of ``mset``.
 
-    Dispatches on the norm: the exact homotopy for p = inf (:func:`linf_path`),
-    the closed-form ``_L2Path`` for p = 2. The frontier does not depend on the
-    magnitude ``mset.m``, so one frontier serves every magnitude, 0 included.
+    Returns the path object of the norm: the exact homotopy for p = inf
+    (:func:`linf_path`), the closed-form ``_L2Path`` for p = 2. The frontier
+    does not depend on the magnitude ``mset.m``, so one frontier serves every
+    magnitude, 0 included.
     """
     b_sq = float(np.sum(mset.b_mat**2))
     if not (np.finfo(float).tiny <= b_sq < math.inf):
@@ -774,9 +777,7 @@ def frontier(model: MomentModel, mset: MisspecSet) -> SensitivityFrontier:
                              "exceeds double precision")
     if math.isinf(mset.p):
         return linf_path(model, mset.b_mat)
-    path = _L2Path(model, mset.b_mat)
-    return SensitivityFrontier(knots=path.knots, set=mset.scaled(1.0),
-                               model=model, path=path)
+    return _L2Path(model, _unit_set(model, mset.b_mat, 2.0))
 
 
 def _weights(criterion: str, m: float, alpha: float, beta: float = 0.8):
@@ -820,10 +821,11 @@ def knot_at(front: SensitivityFrontier, lam: float) -> FrontierKnot:
     Exact recomputation on the l2 path; on an inf-path, linear interpolation
     in k and mu between the bracketing breakpoints (the path is linear there,
     so this is exact as well), and beyond the last knot k is constant while
-    mu moves on. A NaN or negative penalty raises :class:`OutOfRange`.
+    mu moves on. A NaN or negative penalty raises :class:`OutOfRange`, and so
+    does lam = inf on an inf-path, where mu has no limit.
     """
     _check_lam(lam)
-    return front.path.knot(lam)
+    return front.knot(lam)
 
 
 def _argmin(front: SensitivityFrontier, weights) -> FrontierKnot:
@@ -835,16 +837,15 @@ def _argmin(front: SensitivityFrontier, weights) -> FrontierKnot:
     (``lam' = lam`` for p = inf, ``lam bbar`` for p = 2) makes
     ``d sd / d bbar = -lam' / sd``, so dL/dlam has the sign of
     ``G = b lam' - a sd``, which changes sign once: the minimizer is that
-    root, which the path's ``argmin`` finds.
+    root, which the frontier's ``argmin`` finds.
 
     For weights that do not depend on the point, :func:`_argmin_sweep` gives
     the same minimizer for many pairs of weights in one pass.
     """
-    first = front.knots[0]
     # an unbiased first knot is optimal on any criterion
-    if first.bbar == 0.0:
-        return first
-    return front.path.argmin(weights)
+    if front.first.bbar == 0.0:
+        return front.first
+    return front.argmin(weights)
 
 
 def _argmin_sweep(front: SensitivityFrontier, a: np.ndarray,
@@ -854,15 +855,14 @@ def _argmin_sweep(front: SensitivityFrontier, a: np.ndarray,
     ``weights = lambda bbar, sd: (a[i], b[i])``, for every pair in one pass.
 
     With fixed weights the first-order root is where the ratio ``lam' / sd``,
-    nondecreasing along the frontier, reaches ``c = a / b``; the path's
+    nondecreasing along the frontier, reaches ``c = a / b``; the frontier's
     ``roots`` find it for every pair at once.
     """
     a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)
-    first = front.knots[0]
-    if first.bbar == 0.0:
-        return _repeat_knot(first, a.size)
-    return front.path.points(front.path.roots(a, b))
+    if front.first.bbar == 0.0:
+        return _repeat_knot(front.first, a.size)
+    return front.points(front.roots(a, b))
 
 
 def _repeat_knot(kn: FrontierKnot, n: int) -> FrontierPoints:
@@ -877,7 +877,8 @@ def select_lambda(front: SensitivityFrontier, m: float, alpha: float = 0.05,
     "one_sided_quantile", ``m * bbar + (z_{1-alpha} + z_beta) * sd`` at ``m``.
 
     The minimum over the whole frontier is exact: it is the root of the
-    criterion's first-order condition along the path (:func:`_argmin`).
+    criterion's first-order condition along the path (:func:`_argmin`),
+    and the choice carries the frontier point there as ``knot``.
     Where k stands still over a range of penalties (past the last knot of an
     inf-path), every penalty there gives the same sensitivity, and
     ``lambda_star`` is the one at which the criterion's weights satisfy the
@@ -887,4 +888,4 @@ def select_lambda(front: SensitivityFrontier, m: float, alpha: float = 0.05,
     if not (0.0 <= m < math.inf):
         raise OutOfRange(f"m must be nonnegative and finite, got {m}")
     kn = _argmin(front, _weights(criterion, m, alpha, beta))
-    return LambdaChoice(lambda_star=kn.lam, criterion=criterion, m=m)
+    return LambdaChoice(lambda_star=kn.lam, criterion=criterion, m=m, knot=kn)

@@ -6,9 +6,15 @@ from scipy.special import ndtr
 
 from momentguard._linalg import sym_sqrt_psd
 from momentguard.critval import norm_quantile
-from momentguard.efficiency import gls_subspace_sensitivity
-from momentguard.errors import DimensionMismatch, OutOfRange, SingularSystem
+from momentguard.efficiency import efficiency_report, gls_subspace_sensitivity
+from momentguard.errors import (
+    DimensionMismatch,
+    OutOfRange,
+    RankDeficiency,
+    SingularSystem,
+)
 from momentguard.model import MisspecSet, MomentModel
+from momentguard.robust_ci import ci_curve
 from momentguard.sensitivity import (
     _argmin,
     _argmin_sweep,
@@ -135,6 +141,20 @@ class TestL2Sensitivity:
         for lam in (-1.0, math.nan):  # NaN is not a penalty either
             with pytest.raises(OutOfRange):
                 l2_sensitivity(random_model(3, 1, 7), np.eye(3), lam)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_non_finite_b_mat_rejected(self, bad):
+        # b_mat is validated as the unit set, before any factorization
+        b = np.eye(3)[:, :2].copy()
+        b[1, 0] = bad
+        with pytest.raises(OutOfRange, match="b_mat"):
+            l2_sensitivity(random_model(3, 1, 7), b, 1.0)
+
+    @pytest.mark.parametrize("b", [np.zeros((3, 1)), np.ones((3, 2))],
+                             ids=["zero", "rank_deficient"])
+    def test_degenerate_b_mat_rejected(self, b):
+        with pytest.raises(RankDeficiency, match="b_mat"):
+            l2_sensitivity(random_model(3, 1, 7), b, 1.0)
 
 
 class TestLinfPath:
@@ -301,7 +321,7 @@ class TestFrontier:
         m = random_model(4, 2, 20)
         ms = MisspecSet(np.random.default_rng(21).normal(size=(4, 2)), 2, 1.0)
         front = frontier(m, ms)
-        assert isinstance(front.path, _L2Path)
+        assert isinstance(front, _L2Path)
         assert front.knots[0].lam == 0.0
         np.testing.assert_allclose(front.knots[0].k, efficient_k(m), atol=1e-10)
 
@@ -620,6 +640,58 @@ class TestPathEvaluators:
         assert kn.lam == math.inf and kn.bbar == 0.0
         assert kn.var > front.knots[0].var
 
+    def test_linf_rejects_infinite_lambda(self):
+        # k stops at the last knot, but mu moves on without a limit: with
+        # this model's slope of -0, mu would be NaN at lam = inf
+        front = self.off_path_front(math.inf)
+        with pytest.raises(OutOfRange, match="finite"):
+            knot_at(front, math.inf)
+        with pytest.raises(OutOfRange, match="finite"):
+            front.points(np.array([1.0, math.inf]))
+
+    def test_l2_knot_at_zero_is_first_knot(self):
+        # selection returns the first knot, and knot_at(front, 0.0) gives the
+        # same point bit for bit: both are one scalar evaluation
+        rng = np.random.default_rng(40)
+        for seed in range(100):
+            b = rng.normal(size=(4, 1))
+            front = frontier(random_model(4, 1, seed), MisspecSet(b, 2, 1.0))
+            kn, first = knot_at(front, 0.0), front.knots[0]
+            assert front.first is first
+            assert (kn.lam, kn.bbar, kn.var) == (first.lam, first.bbar, first.var)
+            np.testing.assert_array_equal(kn.k, first.k)
+            np.testing.assert_array_equal(kn.mu, first.mu)
+
+    @pytest.mark.parametrize("p", [2, math.inf])
+    def test_choice_knot_is_knot_at_lambda_star(self, p):
+        # two_sided_ci forms its CI from the selected knot: the point that
+        # knot_at gives at lambda_star
+        rng = np.random.default_rng(41)
+        for trial in range(10):
+            model = random_model(5, 1, 4100 + trial)
+            front = frontier(model, MisspecSet(rng.normal(size=(5, 2)), p, 1.0))
+            for m in (0.0, 0.3, 2.0, 50.0):
+                for criterion in ("ci_length", "mse", "one_sided_quantile"):
+                    choice = select_lambda(front, m, 0.05, criterion)
+                    kn = knot_at(front, choice.lambda_star)
+                    assert choice.knot.lam == choice.lambda_star
+                    assert (choice.knot.bbar, choice.knot.var) == (kn.bbar, kn.var)
+                    np.testing.assert_array_equal(choice.knot.k, kn.k)
+
+    def test_selection_never_builds_display_grid(self, monkeypatch):
+        # CIs and efficiency bounds read the first knot and evaluate the
+        # path; only `momentguard path` reads the 50 display knots
+        def grid(self):
+            raise AssertionError("the display grid was built")
+
+        monkeypatch.setattr(_L2Path, "knots", property(grid))
+        model = random_model(4, 1, 42)
+        b = np.random.default_rng(43).normal(size=(4, 2))
+        front = frontier(model, MisspecSet(b, 2, 1.0))
+        ci_curve(model, b, 2, [0.0, 0.5, 2.0], front)
+        ci_curve(model, b, 2, [0.0, 0.5, 2.0], front, criterion="mse")
+        efficiency_report(model, MisspecSet(b, 2, 1.0))
+
     @pytest.mark.parametrize("p", [2, math.inf])
     @pytest.mark.parametrize("case", ["past_last_linf_knot", "unbiased_first_knot"])
     def test_points_match_knot(self, p, case):
@@ -632,12 +704,12 @@ class TestPathEvaluators:
         front = frontier(model, MisspecSet(b, p, 1.0))
         at = np.array([kn.lam for kn in front.knots])
         past = (at[-1] or 1.0) * np.array([1.5, 10.0, 1e6])
-        if p == 2 and front.path.ends_unbiased:
+        if p == 2 and front.ends_unbiased:
             past = np.append(past, math.inf)
         lams = np.concatenate([at, 0.5 * (at[:-1] + at[1:]), past])
-        pts = front.path.points(lams)
+        pts = front.points(lams)
         for i, lam in enumerate(lams):
-            kn, row = front.path.knot(lam), pts.knot(i)
+            kn, row = front.knot(lam), pts.knot(i)
             assert row.lam == kn.lam
             # at an inf-path's knots and past its last one both evaluators
             # read the knot's own fields; elsewhere, and on the l2 path, a
