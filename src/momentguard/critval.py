@@ -12,8 +12,10 @@ the classical Poisson-mixture-of-central-chi-squares series.
 
 Everything here runs on the standard library and numpy:
 
-- every root is found by Brent's method (Brent 1973, *Algorithms for
-  Minimization without Derivatives*, ch. 4), ported from scipy's ``brentq``;
+- :func:`cv_alpha` is a safeguarded Newton iteration on the tail form of
+  its defining equation; every other root is found by Brent's method
+  (Brent 1973, *Algorithms for Minimization without Derivatives*, ch. 4),
+  ported from scipy's ``brentq``;
 - the normal cdf is ``math.erf``/``math.erfc`` at ``x / sqrt(2)``, branching
   as cephes' ``ndtr``; the quantile is ``statistics.NormalDist.inv_cdf``,
   Wichura's AS241 (1988);
@@ -50,6 +52,11 @@ _TINY = float(np.finfo(float).tiny)
 _ndtri = NormalDist().inv_cdf
 
 _SQRT_HALF = math.sqrt(0.5)
+
+#: Step cap of :func:`cv_alpha`'s Newton iteration. It takes at most 8 steps
+#: for alpha <= 0.9 and about 20 as alpha nears 1, where the tail form's
+#: rounding makes it bisect.
+_NEWTON_MAXITER = 100
 
 
 def _check_alpha(alpha: float) -> float:
@@ -154,28 +161,49 @@ def cv_alpha(b: float, alpha: float = 0.05) -> float:
     i.e. the 1-alpha quantile of the folded normal ``|N(b, 1)|``. Equivalently
     the square root of the 1-alpha quantile of a noncentral chi-square with one
     degree of freedom and noncentrality ``b**2``.
+
+    Solves the tail form ``alpha - Q(c - b) - Q(c + b) = 0``, ``Q(x) =
+    erfc(x / sqrt 2) / 2``, by Newton's method with slope ``phi(c - b) +
+    phi(c + b)``. The root lies in ``[max(b + z_one, z_two), b + z_two]``;
+    the function is increasing, and concave on ``c >= b``, so Newton climbs
+    monotonically from the left end. A step that leaves the bracket, possible
+    at alpha >= 0.5 where the root may lie below ``b``, bisects instead. The
+    result is within a few ulps of the root for alpha <= 0.5; as alpha nears
+    1, ``Q(c -+ b)`` nears 1/2 and its rounding, not the iteration, sets the
+    error.
     """
     a = _check_alpha(alpha)
     b = float(b)
     if not math.isfinite(b) or b < 0.0:
         raise InvalidBias(f"bias must be finite and nonnegative, got {b}")
-    z_two = norm_quantile(1.0 - a / 2.0)
+    # upper-tail quantiles from the small tail probability itself: forming
+    # 1 - alpha first would lose its low digits
+    z_two = -norm_quantile(a / 2.0)
     if b == 0.0:
         return z_two  # exact Wald reduction
-    z_one = norm_quantile(1.0 - a)
-    if math.ulp(b + z_two) > 1e-6:
-        # from 2**33 the float spacing near the root exceeds the 1e-6 bracket
-        # margins below; Phi(-c - b) = 0 there, so the root is b + z_one.
-        return b + z_one
-    lo = b + z_one - 1e-6
-    hi = b + z_two + 1e-6
-
-    def gap(c: float) -> float:
-        return norm_cdf(c - b) - norm_cdf(-c - b) - (1.0 - a)
-
-    # gap is strictly increasing in c; the slope bounds on cv_alpha guarantee
-    # the bracket, so the root search cannot escape.
-    return _brentq(gap, lo, hi, xtol=1e-10, rtol=4.0 * _EPS)
+    z_one = -norm_quantile(a)
+    lo, hi = max(b + z_one, z_two), b + z_two
+    c = lo
+    for _ in range(_NEWTON_MAXITER):
+        gap = (a - 0.5 * math.erfc((c - b) * _SQRT_HALF)
+               - 0.5 * math.erfc((c + b) * _SQRT_HALF))
+        if gap == 0.0:
+            return c
+        if gap < 0.0:
+            lo = c
+        else:
+            hi = c
+        slope = norm_pdf(c - b) + norm_pdf(c + b)
+        step = gap / slope if slope > 0.0 else math.inf
+        if abs(step) <= 2.0 * _EPS * c:
+            return c - step
+        c -= step
+        if not lo < c < hi:
+            c = lo + 0.5 * (hi - lo)
+            if not lo < c < hi:  # lo and hi are adjacent doubles
+                return hi
+    raise SolverFailure(
+        f"cv_alpha: Newton did not converge in {_NEWTON_MAXITER} steps (b={b!r})")
 
 
 def _log_poisson_at(a: float, mean: float) -> float:

@@ -117,6 +117,10 @@ class MisspecSet:
         if b.shape[1] < 1:
             raise DimensionMismatch("b_mat must have at least one column")
         _check_finite(b, "b_mat")
+        if b.shape[1] > b.shape[0]:
+            raise RankDeficiency(
+                f"b_mat has {b.shape[1]} columns but only {b.shape[0]} rows, "
+                "so it does not have full column rank")
         s = np.linalg.svd(b, compute_uv=False)
         if s[-1] <= RANK_RTOL * s[0]:
             raise RankDeficiency("b_mat does not have full column rank")

@@ -656,13 +656,17 @@ def linf_path(model: MomentModel, b_mat: np.ndarray) -> SensitivityFrontier:
         v[is_pen & (np.abs(v) < tiny)] = 0.0
         return v
 
+    def knot(lam: float, kt: np.ndarray, mu: np.ndarray) -> FrontierKnot:
+        out = _knot(model, mset, lam, t_mat.T @ kt, mu)
+        # once every penalized coordinate is zero, B'T'kt vanishes exactly,
+        # whatever the rounding in T'kt
+        return out if np.any(kt[is_pen]) else replace(out, bbar=0.0)
+
     kt = snap(kt)
     if not np.any(kt[is_pen]):
         # the unpenalized coordinates alone may not span Gamma (d_g - d_gam
-        # < d_theta), so there may be no active-set direction to compute;
-        # B'T'kt vanishes exactly, whatever the rounding in T'kt
-        knot = replace(_knot(model, mset, 0.0, t_mat.T @ kt, mu), bbar=0.0)
-        return _LinfPath(model, mset, [knot], np.zeros_like(mu))
+        # < d_theta), so there may be no active-set direction to compute
+        return _LinfPath(model, mset, [knot(0.0, kt, mu)], np.zeros_like(mu))
     lam = 0.0
     # a penalized coordinate is active iff its coefficient is nonzero;
     # unpenalized coordinates never leave the active set
@@ -686,7 +690,7 @@ def linf_path(model: MomentModel, b_mat: np.ndarray) -> SensitivityFrontier:
     s = np.where(is_pen & active, np.sign(kt), 0.0)
     mu_delta, kt_delta = directions(active, s)
 
-    knots = [_knot(model, mset, lam, t_mat.T @ kt, mu)]
+    knots = [knot(lam, kt, mu)]
     # lambda scales as Sigma k / B; reckoning steps in this unit keeps the
     # path the same when Sigma, B or H is rescaled
     lam_unit = (np.trace(model.sigma) * np.linalg.norm(knots[0].k)
@@ -756,7 +760,7 @@ def linf_path(model: MomentModel, b_mat: np.ndarray) -> SensitivityFrontier:
         grad = sig_t @ kt + gam_t @ mu
         s = np.where(is_pen & active, -np.sign(grad), 0.0)
         mu_delta, kt_delta = directions(active, s)
-        knots.append(_knot(model, mset, lam, t_mat.T @ kt, mu))
+        knots.append(knot(lam, kt, mu))
     else:
         raise DegeneratePath(f"homotopy did not terminate within {max_events} events")
 

@@ -43,7 +43,35 @@ def cv_alpha_oracle(b: float, alpha: float) -> float:
     return 0.5 * (lo + hi)
 
 
+def cv_alpha_tail_oracle(b: float, alpha: float) -> float:
+    """Bisection to adjacent doubles on the tail form ``alpha - Q(c - b) -
+    Q(c + b)``, ``Q(x) = erfc(x / sqrt 2) / 2``: the first double of
+    ``[0, b + 40]`` at which it is nonnegative."""
+    def gap(c: float) -> float:
+        return (alpha - 0.5 * math.erfc((c - b) / math.sqrt(2.0))
+                - 0.5 * math.erfc((c + b) / math.sqrt(2.0)))
+
+    lo, hi = 0.0, float(b) + 40.0
+    while True:
+        mid = lo + 0.5 * (hi - lo)
+        if not lo < mid < hi:
+            return hi
+        if gap(mid) < 0.0:
+            lo = mid
+        else:
+            hi = mid
+
+
 # -- worst-case bias by vertex enumeration --------------------------------------
+
+def sign_vertex_max(gram: np.ndarray) -> float:
+    """``max t' G t`` over ``t`` in ``{-1, 1}^d``, one vertex at a time."""
+    best = 0.0
+    for tail in product((-1.0, 1.0), repeat=gram.shape[0] - 1):
+        t = np.array((1.0,) + tail)
+        best = max(best, float(t @ gram @ t))
+    return best
+
 
 def vertex_bias(k: Sensitivity, mset: MisspecSet) -> float:
     """Worst-case |k'c| over an l-infinity set by enumerating all sign vertices."""

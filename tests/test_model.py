@@ -136,6 +136,13 @@ class TestMisspecSet:
         with pytest.raises(RankDeficiency):
             MisspecSet(np.ones((3, 2)), 2, 1.0)
 
+    @pytest.mark.parametrize("p", [2.0, np.inf])
+    def test_wider_than_tall_b(self, p):
+        # its min(d_g, d_gamma) singular values are all well away from zero
+        b = np.random.default_rng(0).normal(size=(3, 4))
+        with pytest.raises(RankDeficiency, match="b_mat"):
+            MisspecSet(b, p, 1.0)
+
     def test_scaled_keeps_shape(self):
         ms = MisspecSet(np.eye(3)[:, :2], np.inf, 1.0)
         ms2 = ms.scaled(4.0)

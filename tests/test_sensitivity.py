@@ -114,7 +114,8 @@ class TestL2Sensitivity:
             d_g = int(rng.integers(2, 7))
             d_th = int(rng.integers(1, d_g + 1))
             m = random_model(d_g, d_th, 600 + trial)
-            b = rng.normal(size=(d_g, int(rng.integers(1, 4))))
+            # a b_mat wider than tall is no valid set: keep its first d_g columns
+            b = rng.normal(size=(d_g, int(rng.integers(1, 4))))[:, :d_g]
             lam = float(rng.uniform(0.0, 20.0))
             k = l2_sensitivity(m, b, lam)
             assert np.max(np.abs(m.h_deriv + k @ m.gamma)) < 1e-8
@@ -283,6 +284,21 @@ class TestLinfPath:
         for kn in front.knots:
             resid = np.max(np.abs(m.h_deriv + kn.k @ m.gamma))
             assert resid <= 1e-8 * h_scale
+
+    def test_unbiased_end_has_exact_zero_bias(self):
+        # with d_gamma <= d_g - d_theta every penalized coordinate drops by
+        # the last knot, whose bias is then exactly zero, not B'k's rounding
+        rng = np.random.default_rng(21)
+        for trial in range(40):
+            d_th = int(rng.integers(1, 3))
+            d_g = d_th + int(rng.integers(1, 5))
+            d_gam = int(rng.integers(1, d_g - d_th + 1))
+            m = random_model(d_g, d_th, 2100 + trial)
+            front = linf_path(m, rng.normal(size=(d_g, d_gam)))
+            lam_last = front.knots[-1].lam
+            assert front.knots[-1].bbar == 0.0, trial
+            past = front.points(np.array([lam_last, 2.0 * lam_last + 1.0, 1e6]))
+            assert np.all(past.bbar == 0.0), trial
 
     def test_terminal_active_count(self):
         m = random_model(5, 1, 16)

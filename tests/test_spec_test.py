@@ -1,5 +1,4 @@
 import time
-from itertools import product
 
 import numpy as np
 import pytest
@@ -20,6 +19,7 @@ from momentguard.spec_test import (
     s_statistic,
 )
 from momentguard.spec_test import test_at_m as run_test_at_m
+from oracles import sign_vertex_max
 
 
 def make_model(gamma, sigma, g_init, n=250):
@@ -29,15 +29,6 @@ def make_model(gamma, sigma, g_init, n=250):
     h[0] = 1.0
     return MomentModel(gamma=gamma, sigma=sigma, h_deriv=h,
                        g_init=g_init, h_init=0.0, n=n)
-
-
-def brute_force_sign_max(gram):
-    """max t' G t over t in {-1, 1}^d, one vertex at a time."""
-    best = 0.0
-    for tail in product((-1.0, 1.0), repeat=gram.shape[0] - 1):
-        t = np.array((1.0,) + tail)
-        best = max(best, float(t @ gram @ t))
-    return best
 
 
 def random_overidentified(seed, d_g=4, d_th=2, scale=1.0):
@@ -141,7 +132,56 @@ class TestNoncentralitySup:
                 a = np.random.default_rng([d, seed]).normal(size=(d + 2, d))
                 gram = a.T @ a
                 assert _max_sign_quadratic(gram) == pytest.approx(
-                    brute_force_sign_max(gram), rel=1e-12)
+                    sign_vertex_max(gram), rel=1e-12)
+
+    @pytest.mark.parametrize("kind", ["full", "rank_one", "half_rank",
+                                      "scaled_up", "scaled_down"])
+    def test_kernel_matches_vertex_oracle(self, kind):
+        eps = np.finfo(float).eps
+        for d in range(1, 15):
+            rng = np.random.default_rng([d, len(kind)])
+            rows = {"rank_one": 1, "half_rank": max(d // 2, 1)}.get(kind, d + 2)
+            a = rng.normal(size=(rows, d))
+            gram = a.T @ a * {"scaled_up": 1e100, "scaled_down": 1e-100}.get(kind, 1.0)
+            want = sign_vertex_max(gram)
+            assert abs(_max_sign_quadratic(gram) - want) <= 8 * d * eps * want, d
+
+    def test_small_chunks_match_default_chunking(self, monkeypatch):
+        grams = []
+        for d in range(15, 19):
+            a = np.random.default_rng(d).normal(size=(d + 2, d))
+            grams.append(a.T @ a)
+        default = [_max_sign_quadratic(g) for g in grams]
+        monkeypatch.setattr(spec_test, "_CHUNK_VALUES", 64)
+        assert [_max_sign_quadratic(g) for g in grams] == default
+
+    def test_sign_table_is_read_only(self):
+        table = spec_test._sign_table(spec_test._LOW_BLOCK)
+        assert not table.flags.writeable
+        with pytest.raises(ValueError):
+            table[0, 0] = 1.0
+        for k in range(spec_test._LOW_BLOCK + 1):
+            np.testing.assert_array_equal(table[:1 << k, :k],
+                                          spec_test._signs(np.arange(1 << k), k))
+
+    def test_linf_invariant_to_moment_basis_and_b_columns(self):
+        # a rotation of the moment space maps the model and B along; permuting
+        # B's columns or flipping their signs maps the box onto itself
+        for seed, (d_g, d_gam) in enumerate([(4, 2), (7, 5), (12, 10), (15, 13)]):
+            rng = np.random.default_rng(300 + seed)
+            m = random_overidentified(300 + seed, d_g=d_g, d_th=2)
+            b = rng.normal(size=(d_g, d_gam))
+            base = noncentrality_sup(m, MisspecSet(b, np.inf, 1.0))
+            q = np.linalg.qr(rng.normal(size=(d_g, d_g)))[0]
+            rotated = MomentModel(gamma=q @ m.gamma, sigma=q @ m.sigma @ q.T,
+                                  h_deriv=m.h_deriv, g_init=q @ m.g_init,
+                                  h_init=m.h_init, n=m.n)
+            moved = [(rotated, q @ b),
+                     (m, b[:, rng.permutation(d_gam)]),
+                     (m, b * rng.choice([-1.0, 1.0], size=d_gam))]
+            for model, b_alt in moved:
+                alt = noncentrality_sup(model, MisspecSet(b_alt, np.inf, 1.0))
+                assert alt == pytest.approx(base, rel=1e-13), (d_g, d_gam)
 
     def test_vertex_cap_dimension_is_fast(self):
         m = random_overidentified(23, d_g=26, d_th=1, scale=10.0)
