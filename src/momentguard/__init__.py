@@ -10,11 +10,13 @@ with a lower confidence bound on M, and a linear-IV front end.
 
 Typical use::
 
-    from momentguard import MomentModel, MisspecSet, frontier, two_sided_ci
+    from momentguard import (MomentModel, MisspecSet, ci_curve, frontier,
+                             two_sided_ci)
 
     model = MomentModel(gamma, sigma, h_deriv, g_init, h_init, n)
-    mset = MisspecSet(b_mat, p=2, m=1.0)
-    ci = two_sided_ci(model, mset, frontier(model, mset))
+    front = frontier(model, MisspecSet(b_mat, p=2, m=1.0))
+    ci = two_sided_ci(model, front, m=1.0)          # the set front.set at M = 1
+    curve = ci_curve(model, front, [0.0, 0.5, 1.0])  # one CI per magnitude
 """
 
 from .critval import cv_alpha, noncentral_chisq_quantile, norm_quantile

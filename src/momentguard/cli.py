@@ -179,18 +179,32 @@ def parse_problem(path: str | Path) -> ProblemFile:
         prob.m_grid = _m_grid(mis["m_grid"], "m_grid")
     elif "m" in mis:
         prob.m_grid = _m_grid([mis["m"]], "m")
-    prob.b_spec = mis.get("b_mat", "from-iv" if has_iv else None)
-    if prob.b_spec is None:
+    if "b_mat" not in mis and not has_iv:
         raise ValidationError("misspec section must specify 'b_mat'")
-    if isinstance(prob.b_spec, list):
-        prob.b_spec = _read_matrix(prob.b_spec, base, "b_mat")
-    elif isinstance(prob.b_spec, str) and prob.b_spec != "from-iv":
-        prob.b_spec = _read_matrix(prob.b_spec, base, "b_mat")
+    prob.b_spec = _b_spec(mis.get("b_mat", "from-iv"), base, has_iv)
     return prob
 
 
-def _resolve(prob: ProblemFile):
-    """Materialize (model, b_mat, model_for_ci) from the problem description."""
+def _b_spec(value, base: Path, has_iv: bool):
+    """``misspec.b_mat``: a matrix (nested lists or a CSV path), an object
+    holding ``identity_columns`` alone, or ``"from-iv"`` on an IV problem."""
+    if value == "from-iv":
+        if has_iv:
+            return value
+    elif isinstance(value, (list, str)):
+        return _read_matrix(value, base, "b_mat")
+    elif isinstance(value, dict) and value.keys() == {"identity_columns"}:
+        return {"identity_columns": _indices(value["identity_columns"],
+                                             "identity_columns")}
+    raise ValidationError(
+        "b_mat: must be a matrix, {\"identity_columns\": [...]} or, on an IV "
+        f"problem, \"from-iv\"; got {value!r}")
+
+
+def _resolve(prob: ProblemFile) -> tuple[MomentModel, MisspecSet, MomentModel]:
+    """Materialize (model, unit set, model_for_ci) from the problem
+    description; the unit set ``{B gamma : ||gamma||_p <= 1}`` is validated
+    here, once."""
     data = None
     if prob.model is not None:
         model = model_ci = prob.model
@@ -202,18 +216,15 @@ def _resolve(prob: ProblemFile):
             model_ci = build_model(data, prob.h_deriv, "robust")
     if isinstance(prob.b_spec, np.ndarray):
         b_mat = prob.b_spec
-    elif isinstance(prob.b_spec, dict) and "identity_columns" in prob.b_spec:
-        cols = _indices(prob.b_spec["identity_columns"], "identity_columns")
+    elif isinstance(prob.b_spec, dict):
+        cols = prob.b_spec["identity_columns"]
         if not all(0 <= i < model.d_g for i in cols):
             raise DimensionMismatch(
                 f"identity_columns must be integers in [0, {model.d_g}), got {cols!r}")
         b_mat = np.eye(model.d_g)[:, cols]
-    elif data is not None:
-        b_mat = build_b(data)
     else:
-        raise ValidationError(
-            "reduced-form problems need an explicit or identity-columns b_mat")
-    return model, b_mat, model_ci
+        b_mat = build_b(data)
+    return model, MisspecSet(b_mat, prob.p, 1.0), model_ci
 
 
 def _g(x: float) -> str:
@@ -235,21 +246,21 @@ def _emit(command: str, args, header_cols: list[str], rows,
 
 
 def cmd_ci(prob: ProblemFile, args) -> None:
-    model, b_mat, model_ci = _resolve(prob)
-    front = frontier(model, MisspecSet(b_mat, prob.p, 1.0))
+    model, unit_set, model_ci = _resolve(prob)
+    front = frontier(model, unit_set)
     rows = [(m, ci.estimate, ci.estimate - ci.half_length,
              ci.estimate + ci.half_length, ci.max_bias, ci.std_error,
              float(ci.lambda_star))
-            for m, ci in ci_curve(model_ci, b_mat, prob.p, prob.m_grid, front,
-                                  args.alpha, prob.criterion)]
+            for m, ci in ci_curve(model_ci, front, prob.m_grid, args.alpha,
+                                  prob.criterion)]
     _emit("ci", args,
           ["m", "estimate", "lower", "upper", "max_bias", "std_error",
            "lambda_star"], rows)
 
 
 def cmd_path(prob: ProblemFile, args) -> None:
-    model, b_mat, _ = _resolve(prob)
-    front = frontier(model, MisspecSet(b_mat, prob.p, 1.0))
+    model, unit_set, _ = _resolve(prob)
+    front = frontier(model, unit_set)
     cols = ["lambda"] + [f"k_{i+1}" for i in range(model.d_g)] + ["bbar", "var"]
     rows = [(kn.lam, *[float(v) for v in kn.k], kn.bbar, kn.var)
             for kn in front.knots]
@@ -257,8 +268,8 @@ def cmd_path(prob: ProblemFile, args) -> None:
 
 
 def cmd_efficiency(prob: ProblemFile, args) -> None:
-    model, b_mat, _ = _resolve(prob)
-    mset = MisspecSet(b_mat, prob.p, prob.m_grid[-1])
+    model, unit_set, _ = _resolve(prob)
+    mset = unit_set.scaled(prob.m_grid[-1])
     rep = efficiency_report(model, mset, args.alpha, prob.beta)
     _emit("efficiency", args,
           ["kappa_two_sided", "kappa_one_sided", "universal_lower"],
@@ -267,9 +278,9 @@ def cmd_efficiency(prob: ProblemFile, args) -> None:
 
 
 def cmd_spectest(prob: ProblemFile, args) -> None:
-    model, b_mat, _ = _resolve(prob)
-    stat, m_min, grid = spec_test_grid(model, b_mat, prob.p, prob.m_grid,
-                                       args.alpha)
+    model, unit_set, _ = _resolve(prob)
+    stat, m_min, grid = spec_test_grid(model, unit_set.b_mat, unit_set.p,
+                                       prob.m_grid, args.alpha)
     rows = [(float(m), res.statistic, res.df, res.ncp_bar, res.critical_value,
              int(res.reject), m_min) for m, res in zip(prob.m_grid, grid)]
     _emit("spectest", args,
@@ -280,13 +291,13 @@ def cmd_spectest(prob: ProblemFile, args) -> None:
 def cmd_simulate(prob: ProblemFile, args) -> None:
     if args.seed < 0:
         raise ValidationError(f"--seed must be nonnegative, got {args.seed}")
-    model, b_mat, model_ci = _resolve(prob)
-    front = frontier(model, MisspecSet(b_mat, prob.p, 1.0))
+    model, unit_set, model_ci = _resolve(prob)
+    front = frontier(model, unit_set)
     rows = []
     # the intervals `ci` prints, each simulated under the variance it was built on
-    for m, ci in ci_curve(model_ci, b_mat, prob.p, prob.m_grid, front,
-                          args.alpha, prob.criterion):
-        mset = MisspecSet(b_mat, prob.p, m)
+    for m, ci in ci_curve(model_ci, front, prob.m_grid, args.alpha,
+                          prob.criterion):
+        mset = unit_set.scaled(m)
         c = adversarial_c(mset, ci.k)
         rep = mc_coverage(model_ci, mset, ci, c, args.reps, args.seed)
         rows.append((m, args.reps, 1.0 - args.alpha, rep.coverage,

@@ -41,8 +41,9 @@ from .errors import InvalidBias, OutOfRange, SolverFailure
 #: Poisson-weight tail mass at which the noncentral chi-square series stops.
 _SERIES_TAIL = 1e-14
 
-#: Largest noncentrality :func:`noncentral_chisq_ncp` searches. The series
-#: needs O(sqrt(ncp)) terms, about 1.4 million per cdf evaluation here.
+#: Largest noncentrality :func:`noncentral_chisq_quantile` accepts and
+#: :func:`noncentral_chisq_ncp` searches. The series needs O(sqrt(ncp))
+#: terms, about 1.4 million per cdf evaluation here.
 _NCP_CEILING = 1e10
 
 _EPS = float(np.finfo(float).eps)
@@ -356,6 +357,9 @@ def noncentral_chisq_quantile(p: float, df: int, ncp: float) -> float:
     probabilities up to about 1 - 1e-6; past that, inverting a double-
     precision cdf over a vanishing density saturates, as it does for any
     series- or integration-based implementation.
+
+    Raises SolverFailure for a noncentrality above ``_NCP_CEILING`` or not
+    finite, where the series would need more terms than memory holds.
     """
     p = float(p)
     if not (0.0 < p < 1.0):
@@ -364,8 +368,11 @@ def noncentral_chisq_quantile(p: float, df: int, ncp: float) -> float:
     if df < 1:
         raise OutOfRange(f"df must be a positive integer, got {df}")
     ncp = float(ncp)
-    if ncp < 0.0 or not math.isfinite(ncp):
-        raise OutOfRange(f"ncp must be nonnegative and finite, got {ncp}")
+    if ncp < 0.0:
+        raise OutOfRange(f"ncp must be nonnegative, got {ncp}")
+    if not ncp <= _NCP_CEILING:
+        raise SolverFailure(f"noncentrality {ncp!r} is above the series' "
+                            f"ceiling {_NCP_CEILING:.0e}")
 
     cdf = _series_cdf(df, *_poisson_weights(0.5 * ncp))
     mean = df + ncp

@@ -26,8 +26,9 @@ every quadrature node and at the tail's edge, and one sweep along the
 frontier gives all of them (:func:`momentguard.sensitivity._argmin_sweep`).
 The fixed-length interval at delta is built on ``k_delta``, and every
 frontier point is ``k_delta`` for some delta, so that denominator is the
-shortest two-sided CI over the frontier, found exactly by the CI selector's
-minimization. :func:`efficiency_report` reads both bounds off one frontier.
+shortest two-sided CI over the frontier: the point the CI selector
+:func:`momentguard.sensitivity.select_lambda` picks.
+:func:`efficiency_report` reads both bounds off one frontier.
 
 The numerator's Gauss-Legendre rule is numpy's ``leggauss``: the nodes are
 the eigenvalues of the Legendre Jacobi matrix (Golub and Welsch 1969), each
@@ -47,8 +48,8 @@ from .critval import (_check_alpha, _check_beta, cv_alpha, norm_cdf, norm_pdf,
                       norm_quantile)
 from .errors import InfeasibleDelta, RankDeficiency, TooManyInvalidMoments
 from .model import MisspecSet, MomentModel, Sensitivity
-from .sensitivity import (FrontierPoints, SensitivityFrontier, _argmin,
-                          _argmin_sweep, _weights, frontier)
+from .sensitivity import (FrontierPoints, SensitivityFrontier, _argmin_sweep,
+                          frontier, select_lambda)
 
 #: Gauss-Legendre nodes for the expected-modulus integral.
 QUAD_NODES = 201
@@ -167,7 +168,7 @@ def _kappa_two_sided(front: SensitivityFrontier, m: float, a: float) -> float:
     # denominator: half the shortest fixed-length interval over delta, the
     # frontier's shortest CI (each frontier point is k_delta at
     # delta = 2 m sd / lam')
-    kn = _argmin(front, _weights("ci_length", m, a))
+    kn = select_lambda(front, m, a).knot
     sd = math.sqrt(kn.var)
     return numer / (2.0 * cv_alpha(m * kn.bbar / sd, a) * sd)
 

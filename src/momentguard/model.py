@@ -79,7 +79,13 @@ class MomentModel:
             a.setflags(write=False)
             object.__setattr__(self, name, a)
         object.__setattr__(self, "h_init", float(self.h_init))
-        object.__setattr__(self, "n", int(self.n))
+        try:
+            n = int(self.n)
+            float(n)  # sqrt(n) and n * S need n as a double
+        except (OverflowError, ValueError):
+            raise OutOfRange(
+                "n must be a finite integer that fits in a double") from None
+        object.__setattr__(self, "n", n)
         validate_model(self)
 
     @property
@@ -110,10 +116,7 @@ class MisspecSet:
         if p not in (2.0, math.inf):
             raise OutOfRange(f"p must be 2 or inf, got {self.p}")
         object.__setattr__(self, "p", p)
-        m = float(self.m)
-        if not (m >= 0.0) or not math.isfinite(m):
-            raise OutOfRange(f"m must be a nonnegative finite scalar, got {self.m}")
-        object.__setattr__(self, "m", m)
+        object.__setattr__(self, "m", _check_m(self.m))
         if b.shape[1] < 1:
             raise DimensionMismatch("b_mat must have at least one column")
         _check_finite(b, "b_mat")
@@ -132,6 +135,15 @@ class MisspecSet:
     def scaled(self, m: float) -> "MisspecSet":
         """Same shape (b_mat, p) with a different magnitude."""
         return MisspecSet(self.b_mat, self.p, m)
+
+
+def _check_m(m) -> float:
+    """A magnitude as a float; raises OutOfRange unless it is nonnegative and
+    finite."""
+    value = float(m)
+    if not (value >= 0.0) or not math.isfinite(value):
+        raise OutOfRange(f"m must be a nonnegative finite scalar, got {m}")
+    return value
 
 
 def _check_finite(a, name: str) -> None:

@@ -82,12 +82,13 @@ def ci_from_sensitivity(model: MomentModel, mset: MisspecSet, k: Sensitivity,
                     side="two_sided", k=k, half_length=half)
 
 
-def two_sided_ci(model: MomentModel, mset: MisspecSet,
-                 front: SensitivityFrontier, alpha: float = 0.05,
-                 criterion: str = "ci_length") -> RobustCI:
-    """Two-sided robust CI at the frontier point minimizing ``criterion``
-    ("ci_length" or "mse"); ``front`` may be built on another model's
-    variance than the one that forms the interval."""
+def two_sided_ci(model: MomentModel, front: SensitivityFrontier, m: float,
+                 alpha: float = 0.05, criterion: str = "ci_length") -> RobustCI:
+    """Two-sided robust CI over the set ``front.set`` scaled to magnitude
+    ``m``, at the frontier point minimizing ``criterion`` ("ci_length" or
+    "mse"); ``front`` may be built on another model's variance than the one
+    that forms the interval."""
+    mset = front.set.scaled(m)
     choice = select_lambda(front, mset.m, alpha, criterion)
     return ci_from_sensitivity(model, mset, choice.knot.k, alpha,
                                lambda_star=choice.lambda_star)
@@ -112,19 +113,16 @@ def one_sided_ci(model: MomentModel, mset: MisspecSet, k: Sensitivity,
                     side="lower_one_sided", k=k, lower=lower)
 
 
-def ci_curve(model: MomentModel, b_mat: np.ndarray, p: float,
-             m_grid, front: SensitivityFrontier, alpha: float = 0.05,
+def ci_curve(model: MomentModel, front: SensitivityFrontier, m_grid,
+             alpha: float = 0.05,
              criterion: str = "ci_length") -> list[tuple[float, RobustCI]]:
     """:func:`two_sided_ci` for every magnitude in an ascending grid, reusing
     one frontier."""
     m_grid = np.asarray(m_grid, dtype=float).reshape(-1)
     if np.any(m_grid < 0.0) or np.any(np.diff(m_grid) < 0.0):
         raise OutOfRange("m_grid must be nonnegative and ascending")
-    out = []
-    for m in m_grid:
-        mset = MisspecSet(b_mat, p, float(m))
-        out.append((float(m), two_sided_ci(model, mset, front, alpha, criterion)))
-    return out
+    return [(m, two_sided_ci(model, front, m, alpha, criterion))
+            for m in m_grid.tolist()]
 
 
 def equivalent_weighting(model: MomentModel, k: Sensitivity,

@@ -36,9 +36,9 @@ import numpy as np
 
 from ._linalg import RANK_RTOL, sym_sqrt_psd
 from .critval import _check_alpha, noncentral_chisq_ncp, noncentral_chisq_quantile
-from .errors import (DimensionMismatch, JustIdentified, RankDeficiency,
-                     SolverFailure, VertexEnumerationTooLarge)
-from .model import MisspecSet, MomentModel
+from .errors import (DimensionMismatch, JustIdentified, NumericalError,
+                     RankDeficiency, SolverFailure, VertexEnumerationTooLarge)
+from .model import MisspecSet, MomentModel, _check_m
 
 #: Largest d_gamma for which exact sign-vertex enumeration is attempted.
 VERTEX_CAP = 24
@@ -153,6 +153,12 @@ def _unit_ncp(root_inv: np.ndarray, resid: np.ndarray, mset: MisspecSet) -> floa
     return top
 
 
+def _ncp(m: float, unit: float) -> float:
+    """The supremum ``m^2 ncp(1)``; 0 at every m when ``ncp(1)`` is, where
+    ``m * m`` may overflow."""
+    return m * m * unit if unit else 0.0
+
+
 def _decide(stat: float, df: int, ncp: float, alpha: float) -> SpecTestResult:
     crit = noncentral_chisq_quantile(1.0 - alpha, df, ncp)
     return SpecTestResult(statistic=stat, df=df, ncp_bar=ncp,
@@ -170,10 +176,16 @@ def noncentrality_sup(model: MomentModel, mset: MisspecSet) -> float:
     Closed-form top eigenvalue for p = 2. For p = inf, all ``2^(d_gamma - 1)``
     sign vertices of the box are evaluated exactly, in blocks of BLAS matrix
     products over the shared sign table, capped at d_gamma = 24. Returns
-    exactly 0 when B lies in the span of the Jacobian up to rounding.
+    exactly 0 when B lies in the span of the Jacobian up to rounding, and
+    raises NumericalError when the supremum exceeds double precision.
     """
     root_inv, resid = _whiten(model)
-    return mset.m**2 * _unit_ncp(root_inv, resid, mset)
+    unit = _unit_ncp(root_inv, resid, mset)
+    ncp = _ncp(mset.m, unit)
+    if not math.isfinite(ncp):
+        raise NumericalError(f"the noncentrality m^2 ncp(1) = {mset.m!r}^2 * "
+                             f"{unit!r} exceeds double precision")
+    return ncp
 
 
 def test_at_m(model: MomentModel, mset: MisspecSet,
@@ -182,7 +194,7 @@ def test_at_m(model: MomentModel, mset: MisspecSet,
     a = _check_alpha(alpha)
     root_inv, resid = _whiten(model)
     stat = _statistic(model, root_inv, resid)
-    ncp = mset.m**2 * _unit_ncp(root_inv, resid, mset)
+    ncp = _ncp(mset.m, _unit_ncp(root_inv, resid, mset))
     return _decide(stat, model.d_g - model.d_theta, ncp, a)
 
 
@@ -198,13 +210,13 @@ def spec_test_grid(model: MomentModel, b_mat: np.ndarray, p: float,
     """
     a = _check_alpha(alpha)
     unit_set = MisspecSet(b_mat, p, 1.0)
-    msets = [unit_set.scaled(m) for m in m_grid]
+    ms = [_check_m(m) for m in m_grid]
     root_inv, resid = _whiten(model)
     stat = _statistic(model, root_inv, resid)
     df = model.d_g - model.d_theta
     rejects_central = _decide(stat, df, 0.0, a).reject
     unit = (_unit_ncp(root_inv, resid, unit_set)
-            if rejects_central or msets else 0.0)
+            if rejects_central or ms else 0.0)
     m_min = 0.0
     if rejects_central:
         if unit == 0.0:
@@ -213,7 +225,7 @@ def spec_test_grid(model: MomentModel, b_mat: np.ndarray, p: float,
                 "span of the moment Jacobian; no finite M avoids rejection")
         m_min = _accepted(stat, df, unit, a,
                           math.sqrt(noncentral_chisq_ncp(stat, df, 1.0 - a) / unit))
-    return stat, m_min, [_decide(stat, df, ms.m**2 * unit, a) for ms in msets]
+    return stat, m_min, [_decide(stat, df, _ncp(m, unit), a) for m in ms]
 
 
 def _accepted(stat: float, df: int, unit: float, alpha: float,
@@ -223,7 +235,7 @@ def _accepted(stat: float, df: int, unit: float, alpha: float,
     rounding in the two solves can leave the test rejecting there."""
     eps = float(np.finfo(float).eps)
     for m in [root] + [root * (1.0 + 2.0**k * eps) for k in range(_ACCEPT_STEPS)]:
-        if not _decide(stat, df, m**2 * unit, alpha).reject:
+        if not _decide(stat, df, _ncp(m, unit), alpha).reject:
             return m
     raise SolverFailure(f"the test still rejects {_ACCEPT_STEPS} steps above "
                         f"the noncentrality root m={root!r}")

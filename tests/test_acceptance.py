@@ -189,7 +189,7 @@ def test_c6_limiting_experiment_coverage():
         for p in (2.0, np.inf):
             for m_val in (0.5, 2.0):
                 mset = MisspecSet(b, p, m_val)
-                ci = two_sided_ci(model, mset, frontier(model, mset))
+                ci = two_sided_ci(model, frontier(model, mset), mset.m)
                 c = adversarial_c(mset, ci.k)
                 rep = mc_coverage(model, mset, ci, c, reps, seed=1000 + i)
                 all_cover = all_cover and (

@@ -14,6 +14,7 @@ from momentguard.critval import cv_alpha
 from momentguard.model import MisspecSet, MomentModel
 from momentguard.robust_ci import ci_curve
 from momentguard.sensitivity import frontier
+from momentguard.spec_test import noncentrality_sup
 
 
 def write_problem(tmp_path, doc, name="prob.json"):
@@ -95,8 +96,8 @@ class TestCmdCi:
                             write_problem(tmp_path, doc, "mse.json")])[1] == out
         model = MomentModel(**doc["model"])
         b = np.array(doc["misspec"]["b_mat"])
-        curve = ci_curve(model, b, 2, doc["misspec"]["m_grid"],
-                         frontier(model, MisspecSet(b, 2, 1.0)), 0.05, "mse")
+        curve = ci_curve(model, frontier(model, MisspecSet(b, 2, 1.0)),
+                         doc["misspec"]["m_grid"], 0.05, "mse")
         _, rows = parse_csv(out)
         assert [float(r["lambda_star"]) for r in rows] == [
             ci.lambda_star for _, ci in curve]
@@ -244,6 +245,23 @@ class TestCmdSpectest:
                                       write_problem(tmp_path, doc)])
         assert code == 4
         assert "identified" in err
+
+    @pytest.mark.parametrize("p", [2, "inf"])
+    @pytest.mark.parametrize("past", ["overflow", "ceiling"])
+    def test_magnitude_past_the_series_exit_code(self, tmp_path, capsys, p, past):
+        # M = 1e200 overflows M^2; a finite M^2 ncp(1) just above 1e10 would
+        # ask the noncentral chi-square series for gigabytes
+        doc = self.overidentified_doc()
+        doc["misspec"]["p"] = p
+        unit = noncentrality_sup(MomentModel(**doc["model"]),
+                                 MisspecSet(np.eye(3)[:, [2]], float(p), 1.0))
+        m = 1e200 if past == "overflow" else math.sqrt(1e10 / unit) * (1.0 + 1e-6)
+        doc["misspec"]["m_grid"] = [0.0, m]
+        code, out, err = run(capsys, ["spectest", "--problem",
+                                      write_problem(tmp_path, doc)])
+        assert code == 3
+        assert out == ""
+        assert "1e+10" in err and "Traceback" not in err
 
 
 class TestCmdSimulate:

@@ -9,6 +9,7 @@ import warnings
 from pathlib import Path
 
 import numpy as np
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -195,3 +196,56 @@ def test_fuzz_iv_problem_files(problem):
                 assert code == 2, err.getvalue()
             if code == 0:
                 assert "nan" not in out.getvalue().lower()
+
+
+def reduced_doc(**changes):
+    """A valid 3 x 1 reduced-form problem file with fields replaced."""
+    doc = {"model": {"gamma": [[-1.0], [0.4], [0.2]], "sigma": np.eye(3).tolist(),
+                     "h_deriv": [1.0], "g_init": [0.3, -0.5, 0.2], "h_init": 0.0,
+                     "n": 500},
+           "misspec": {"b_mat": {"identity_columns": [2]}, "p": 2, "m_grid": [1.0]},
+           "alpha": 0.05}
+    for key, value in changes.items():
+        section, field = key.split("__")
+        doc[section][field] = value
+    return doc
+
+
+def iv_doc(b_mat):
+    """A valid raw-IV problem file (CSVs written to ``tmp``) with ``b_mat``."""
+    return {"iv": {"y": "y.csv", "x": "x.csv", "z": "z.csv", "suspect": [2]},
+            "misspec": {"b_mat": b_mat, "p": 2, "m_grid": [1.0]}, "alpha": 0.05}
+
+
+#: Problem files that once ended in a traceback (an ``n`` too large for a
+#: double) or ran on a silently substituted ``b_mat``; each is an input error.
+REJECTED = {
+    "huge_n": reduced_doc(model__n=10**400),
+    "iv_b_mat_object": iv_doc({"foo": 1}),
+    "iv_b_mat_number": iv_doc(5),
+    "iv_b_mat_extra_key": iv_doc({"identity_columns": [0], "foo": 1}),
+    "b_mat_number": reduced_doc(misspec__b_mat=5),
+    "b_mat_from_iv_on_reduced_form": reduced_doc(misspec__b_mat="from-iv"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(REJECTED))
+def test_rejected_problem_files_exit_2(case):
+    rng = np.random.default_rng(5)
+    z = rng.normal(size=(200, 3))
+    x = z @ [1.0, 0.5, 0.2] + rng.normal(size=200)
+    arrays = {"y": 0.5 * x + rng.normal(size=200), "x": x, "z": z}
+    with tempfile.TemporaryDirectory() as tmp:
+        for name, arr in arrays.items():
+            np.savetxt(Path(tmp) / f"{name}.csv", arr.reshape(200, -1),
+                       delimiter=",", header=name, comments="", fmt="%.17g")
+        path = str(Path(tmp) / "prob.json")
+        Path(path).write_text(json.dumps(REJECTED[case]))
+        for command in ("ci", "path", "efficiency", "spectest", "simulate"):
+            out, err = io.StringIO(), io.StringIO()
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                code = main([command, "--problem", path, "--reps", "1000"])
+            assert code == 2, (command, err.getvalue())
+            assert out.getvalue() == ""
+            assert "Traceback" not in err.getvalue()
+            assert ("n must" if case == "huge_n" else "b_mat") in err.getvalue()

@@ -160,6 +160,12 @@ class TestNoncentralChisq:
         with pytest.raises(OutOfRange):
             noncentral_chisq_quantile(0.5, 1, -1.0)
 
+    def test_above_ceiling_is_solver_failure(self):
+        # the series needs O(sqrt(ncp)) terms: past 1e10 it fails at once
+        for ncp in (math.nextafter(1e10, math.inf), 1e200, math.inf, math.nan):
+            with pytest.raises(SolverFailure, match=r"ceiling 1e\+10"):
+                noncentral_chisq_quantile(0.95, 3, ncp)
+
 
 class TestNoncentralityRoot:
     def test_inverts_quantile_in_ncp(self):

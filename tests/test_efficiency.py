@@ -1,4 +1,5 @@
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -376,6 +377,26 @@ def test_kappas_match_per_delta_reference(p):
         assert kappa_one_sided(model, mset) == rep.kappa_one_sided
 
 
+@pytest.mark.parametrize("p", [2.0, np.inf])
+def test_kappa_two_sided_denominator_is_argmin_route(p, monkeypatch):
+    """The shortest-CI point from ``select_lambda`` gives exactly the kappa
+    of ``_argmin`` on the "ci_length" weights."""
+    rng = np.random.default_rng([37, int(math.isinf(p))])
+    cases = []
+    for trial in range(24):
+        d_g = int(rng.integers(2, 6))
+        model = random_model(d_g, int(rng.integers(1, min(d_g, 2) + 1)),
+                             int(rng.integers(1 << 30)))
+        b = rng.normal(size=(d_g, int(rng.integers(1, d_g + 1))))
+        m = 0.0 if trial == 0 else float(10.0 ** rng.uniform(-2.0, 1.0))
+        cases.append((frontier(model, MisspecSet(b, p, 1.0)), m))
+    by_selector = [efficiency._kappa_two_sided(front, m, 0.05) for front, m in cases]
+    monkeypatch.setattr(efficiency, "select_lambda", lambda front, m, a: SimpleNamespace(
+        knot=_argmin(front, _weights("ci_length", m, a))))
+    assert by_selector == [efficiency._kappa_two_sided(front, m, 0.05)
+                           for front, m in cases]
+
+
 class TestKappaOneSided:
     def test_cressie_read_is_one(self):
         m = random_model(4, 2, 16)
@@ -412,8 +433,8 @@ class TestTinyMagnitude:
         assert kappa_two_sided(model, ms) == pytest.approx(
             kappa_linear_subspace(0.05), rel=1e-12)
         assert kappa_one_sided(model, ms) == pytest.approx(1.0, rel=1e-12)
-        ci = two_sided_ci(model, ms, frontier(model, ms))
-        wald = two_sided_ci(model, zero, frontier(model, zero))
+        ci = two_sided_ci(model, frontier(model, ms), ms.m)
+        wald = two_sided_ci(model, frontier(model, zero), zero.m)
         assert ci.estimate == pytest.approx(wald.estimate, rel=1e-12, abs=1e-300)
         assert ci.half_length == pytest.approx(wald.half_length, rel=1e-12)
 

@@ -1,3 +1,4 @@
+import math
 import warnings
 
 import numpy as np
@@ -49,6 +50,12 @@ class TestValidateModel:
     def test_zero_h(self):
         with pytest.raises(ZeroH):
             validate_model(scalar_model(h_deriv=[0.0]))
+
+    @pytest.mark.parametrize("n", [10**400, math.inf, math.nan])
+    def test_n_beyond_a_double_raises(self, n):
+        # math.sqrt(n) and n * S would overflow downstream
+        with pytest.raises(OutOfRange, match="n must"):
+            scalar_model(n=n)
 
     def test_dimension_mismatches_name_field(self):
         with pytest.raises(DimensionMismatch, match="g_init"):

@@ -31,7 +31,7 @@ def random_model(d_g, d_th, seed):
 
 
 def optimal_ci(model, mset):
-    return two_sided_ci(model, mset, frontier(model, mset), 0.05)
+    return two_sided_ci(model, frontier(model, mset), mset.m, 0.05)
 
 
 class TestStandardNormals:

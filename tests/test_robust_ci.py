@@ -54,7 +54,7 @@ class TestTwoSided:
         m = random_model(4, 2, 0)
         ms = MisspecSet(np.eye(4)[:, 2:], 2, 0.0)
         front = frontier(m, ms)
-        ci = two_sided_ci(m, ms, front, 0.05)
+        ci = two_sided_ci(m, front, ms.m, 0.05)
         k0 = front.knots[0].k
         sd = math.sqrt(k0 @ m.sigma @ k0 / m.n)
         assert ci.half_length == pytest.approx(Z975 * sd, rel=1e-12)
@@ -64,7 +64,7 @@ class TestTwoSided:
         m = scalar_model()
         ms = MisspecSet([[1.0]], 2, 1.0)
         front = frontier(m, ms)
-        ci = two_sided_ci(m, ms, front, 0.05)
+        ci = two_sided_ci(m, front, ms.m, 0.05)
         assert ci.estimate == pytest.approx(0.6, abs=1e-14)
         assert ci.half_length == pytest.approx(cv_alpha(1.0, 0.05) / 10.0,
                                                rel=1e-10)
@@ -78,7 +78,7 @@ class TestTwoSided:
             b = np.random.default_rng(seed).normal(size=(5, 2))
             ms = MisspecSet(b, 2, 1.5)
             front = frontier(m, ms)
-            ci = two_sided_ci(m, ms, front, 0.05)
+            ci = two_sided_ci(m, front, ms.m, 0.05)
             assert ci.half_length >= Z975 * ci.std_error - 1e-12
             assert ci.half_length <= ci.max_bias + Z975 * ci.std_error + 1e-12
 
@@ -131,7 +131,7 @@ class TestCiCurve:
         m = random_model(3, 1, 9)
         b = np.eye(3)[:, 2:]
         front = frontier(m, MisspecSet(b, 2, 1.0))
-        curve = ci_curve(m, b, 2, [0.0], front, 0.05)
+        curve = ci_curve(m, front, [0.0], 0.05)
         assert len(curve) == 1
         assert curve[0][1].max_bias == 0.0
 
@@ -143,8 +143,8 @@ class TestCiCurve:
                         h_deriv=[1.0], g_init=[0.05, -0.02], h_init=0.47, n=1000)
         b = np.array([[0.0], [1.0]])
         grid = [0.0, 0.5, 1.0, 2.0, 4.0]
-        at_zero = ci_curve(m, b, p, grid, frontier(m, MisspecSet(b, p, 0.0)))
-        at_one = ci_curve(m, b, p, grid, frontier(m, MisspecSet(b, p, 1.0)))
+        at_zero = ci_curve(m, frontier(m, MisspecSet(b, p, 0.0)), grid)
+        at_one = ci_curve(m, frontier(m, MisspecSet(b, p, 1.0)), grid)
         assert at_zero == at_one
         assert at_zero[3][1].half_length == pytest.approx(0.060181, abs=5e-7)
 
@@ -153,7 +153,7 @@ class TestCiCurve:
         b = np.random.default_rng(11).normal(size=(4, 2))
         front = frontier(m, MisspecSet(b, 2, 1.0))
         grid = [0.0, 0.5, 1.0, 2.0, 4.0]
-        curve = ci_curve(m, b, 2, grid, front, 0.05)
+        curve = ci_curve(m, front, grid, 0.05)
         halves = [ci.half_length for _, ci in curve]
         scale = halves[-1]
         assert all(x <= y + 1e-9 * scale for x, y in zip(halves, halves[1:]))
@@ -162,44 +162,49 @@ class TestCiCurve:
         m = scalar_model()
         b = np.array([[1.0]])
         front = frontier(m, MisspecSet(b, 2, 1.0))
-        curve = ci_curve(m, b, 2, [0.5, 1.0, 2.0], front, 0.05)
+        curve = ci_curve(m, front, [0.5, 1.0, 2.0], 0.05)
         for mval, ci in curve:
             ms = MisspecSet(b, 2, mval)
-            again = two_sided_ci(m, ms, frontier(m, ms), 0.05)
+            again = two_sided_ci(m, frontier(m, ms), ms.m, 0.05)
             assert ci.half_length == pytest.approx(again.half_length, rel=1e-9)
             assert ci.estimate == pytest.approx(again.estimate, rel=1e-12)
 
+    @pytest.mark.parametrize("built_at", [0.0, 1.0])
+    @pytest.mark.parametrize("criterion", ["ci_length", "mse"])
     @pytest.mark.parametrize("p", [2.0, math.inf])
-    def test_mse_matches_per_m_reference(self, p):
+    def test_mse_matches_per_m_reference(self, p, criterion, built_at):
         # the sensitivity comes from one model's frontier and the interval
-        # from another model's variance, as with the CLI's --mixed
+        # from another model's variance, as with the CLI's --mixed; the set
+        # is the frontier's own, whatever magnitude it was built at
         m = random_model(4, 1, 21)
         m_ci = MomentModel(gamma=m.gamma, sigma=m.sigma + 0.3 * np.eye(4),
                            h_deriv=m.h_deriv, g_init=m.g_init, h_init=m.h_init,
                            n=m.n)
         b = np.random.default_rng(22).normal(size=(4, 2))
-        front = frontier(m, MisspecSet(b, p, 1.0))
+        front = frontier(m, MisspecSet(b, p, built_at))
         grid = [0.0, 0.3, 1.0, 2.5]
-        curve = ci_curve(m_ci, b, p, grid, front, 0.05, criterion="mse")
-        lengths = ci_curve(m_ci, b, p, grid, front, 0.05)
+        other = "ci_length" if criterion == "mse" else "mse"
+        curve = ci_curve(m_ci, front, grid, 0.05, criterion=criterion)
+        by_other = ci_curve(m_ci, front, grid, 0.05, criterion=other)
         assert [mval for mval, _ in curve] == grid
-        for (mval, ci), (_, by_length) in zip(curve, lengths):
-            # select_lambda -> knot_at -> ci_from_sensitivity for each m
-            choice = select_lambda(front, mval, 0.05, "mse")
+        for (mval, ci), (_, alt) in zip(curve, by_other):
+            # select_lambda -> knot_at -> ci_from_sensitivity for each m, the
+            # benchmark's route, bitwise
+            choice = select_lambda(front, mval, 0.05, criterion)
             kn = knot_at(front, choice.lambda_star)
             ref = ci_from_sensitivity(m_ci, MisspecSet(b, p, mval), kn.k, 0.05,
                                       lambda_star=choice.lambda_star)
             assert ci == ref
             np.testing.assert_array_equal(ci.k, ref.k)
             if mval > 0.0:
-                assert ci.lambda_star != by_length.lambda_star
+                assert ci.lambda_star != alt.lambda_star
 
     def test_rejects_unsorted_grid(self):
         m = scalar_model()
         b = np.array([[1.0]])
         front = frontier(m, MisspecSet(b, 2, 1.0))
         with pytest.raises(Exception):
-            ci_curve(m, b, 2, [1.0, 0.5], front, 0.05)
+            ci_curve(m, front, [1.0, 0.5], 0.05)
 
 
 class TestConservativeDominance:
@@ -298,6 +303,6 @@ class TestCiFromSensitivity:
         b = np.random.default_rng(18).normal(size=(4, 2))
         ms = MisspecSet(b, 2, 1.0)
         front = frontier(m, ms)
-        ci = two_sided_ci(m, ms, front, 0.05)
+        ci = two_sided_ci(m, front, ms.m, 0.05)
         again = ci_from_sensitivity(m, ms, ci.k, 0.05, ci.lambda_star)
         assert again.half_length == pytest.approx(ci.half_length, rel=1e-12)

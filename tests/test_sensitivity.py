@@ -704,8 +704,8 @@ class TestPathEvaluators:
         model = random_model(4, 1, 42)
         b = np.random.default_rng(43).normal(size=(4, 2))
         front = frontier(model, MisspecSet(b, 2, 1.0))
-        ci_curve(model, b, 2, [0.0, 0.5, 2.0], front)
-        ci_curve(model, b, 2, [0.0, 0.5, 2.0], front, criterion="mse")
+        ci_curve(model, front, [0.0, 0.5, 2.0])
+        ci_curve(model, front, [0.0, 0.5, 2.0], criterion="mse")
         efficiency_report(model, MisspecSet(b, 2, 1.0))
 
     @pytest.mark.parametrize("p", [2, math.inf])

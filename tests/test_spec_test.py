@@ -7,7 +7,10 @@ from momentguard import spec_test
 from momentguard._linalg import sym_sqrt_psd
 from momentguard.errors import (
     JustIdentified,
+    NumericalError,
+    OutOfRange,
     RankDeficiency,
+    SolverFailure,
     VertexEnumerationTooLarge,
 )
 from momentguard.model import MisspecSet, MomentModel
@@ -17,6 +20,7 @@ from momentguard.spec_test import (
     m_lower_ci,
     noncentrality_sup,
     s_statistic,
+    spec_test_grid,
 )
 from momentguard.spec_test import test_at_m as run_test_at_m
 from oracles import sign_vertex_max
@@ -194,7 +198,8 @@ class TestNoncentralitySup:
     def test_jacobian_span_gives_exact_zero(self):
         m = make_model([[-1.0], [-0.8], [0.3]], np.eye(3), [0.5, -0.9, 0.7])
         for p in (2.0, np.inf):
-            assert noncentrality_sup(m, MisspecSet(m.gamma, p, 1.0)) == 0.0
+            for mval in (1.0, 1e200):
+                assert noncentrality_sup(m, MisspecSet(m.gamma, p, mval)) == 0.0
 
 
 class TestTestAtM:
@@ -236,6 +241,51 @@ class TestTestAtM:
             m2 = MomentModel(gamma=m.gamma, sigma=m.sigma, h_deriv=m.h_deriv,
                              g_init=m.g_init * scale * eps, h_init=0.0, n=m.n)
             assert run_test_at_m(m2, ms, 0.05).reject is expect
+
+
+class TestLargeMagnitude:
+    """A magnitude whose noncentrality ``M^2 ncp(1)`` overflows or exceeds
+    the quantile's ceiling of 1e10 fails with a typed error."""
+
+    @staticmethod
+    def problem():
+        return (random_overidentified(3, d_g=5),
+                np.random.default_rng(4).normal(size=(5, 2)))
+
+    @pytest.mark.parametrize("p", [2.0, np.inf])
+    def test_overflowing_magnitude(self, p):
+        m, b = self.problem()
+        with pytest.raises(NumericalError, match="double precision"):
+            noncentrality_sup(m, MisspecSet(b, p, 1e200))
+        with pytest.raises(SolverFailure, match="ceiling"):
+            run_test_at_m(m, MisspecSet(b, p, 1e200))
+        with pytest.raises(SolverFailure, match="ceiling"):
+            spec_test_grid(m, b, p, [0.0, 1e200])
+
+    @pytest.mark.parametrize("p", [2.0, np.inf])
+    def test_just_above_the_ceiling(self, p):
+        m, b = self.problem()
+        unit = noncentrality_sup(m, MisspecSet(b, p, 1.0))
+        big = np.sqrt(1e10 / unit) * (1.0 + 1e-6)
+        assert 1e10 < noncentrality_sup(m, MisspecSet(b, p, big)) < 1.0001e10
+        with pytest.raises(SolverFailure, match="ceiling"):
+            run_test_at_m(m, MisspecSet(b, p, big))
+        with pytest.raises(SolverFailure, match="ceiling"):
+            spec_test_grid(m, b, p, [0.0, 1.0, big])
+
+    @pytest.mark.parametrize("p", [2.0, np.inf])
+    def test_grid_noncentrality_is_m_squared_times_unit(self, p):
+        m, b = self.problem()
+        unit = noncentrality_sup(m, MisspecSet(b, p, 1.0))
+        grid = [0.0, 1e-160, 0.3, 1.7, 41.0]
+        _, _, res = spec_test_grid(m, b, p, grid)
+        assert [r.ncp_bar for r in res] == [g**2 * unit for g in grid]
+
+    @pytest.mark.parametrize("bad", [-1.0, np.nan, np.inf])
+    def test_grid_rejects_bad_magnitudes(self, bad):
+        m, b = self.problem()
+        with pytest.raises(OutOfRange, match="nonnegative finite"):
+            spec_test_grid(m, b, 2.0, [0.0, bad])
 
 
 class TestMLowerCI:
