@@ -8,14 +8,17 @@ two-sided normal critical values, which gives a guaranteed root bracket.
 
 Also provides standard normal cdf/pdf/quantile wrappers, a noncentral
 chi-square quantile and its inverse in the noncentrality, both computed from
-the classical Poisson-mixture-of-central-chi-squares series.
+the classical Poisson-mixture-of-central-chi-squares series (Ding 1992,
+*Applied Statistics* 41(2), AS 275).
 
 Everything here runs on the standard library and numpy:
 
 - :func:`cv_alpha` is a safeguarded Newton iteration on the tail form of
-  its defining equation; every other root is found by Brent's method
-  (Brent 1973, *Algorithms for Minimization without Derivatives*, ch. 4),
-  ported from scipy's ``brentq``;
+  its defining equation. Both noncentral chi-square inverses share another,
+  :func:`_newton`, whose slopes come from the same series evaluation as the
+  cdf. :func:`_brentq`, Brent's method (Brent 1973, *Algorithms for
+  Minimization without Derivatives*, ch. 4) ported from scipy's ``brentq``,
+  serves the root searches of :mod:`momentguard.sensitivity`;
 - the normal cdf is ``math.erf``/``math.erfc`` at ``x / sqrt(2)``, branching
   as cephes' ``ndtr``; the quantile is ``statistics.NormalDist.inv_cdf``,
   Wichura's AS241 (1988);
@@ -54,10 +57,15 @@ _ndtri = NormalDist().inv_cdf
 
 _SQRT_HALF = math.sqrt(0.5)
 
-#: Step cap of :func:`cv_alpha`'s Newton iteration. It takes at most 8 steps
-#: for alpha <= 0.9 and about 20 as alpha nears 1, where the tail form's
-#: rounding makes it bisect.
+#: Step cap of :func:`cv_alpha`'s and :func:`_newton`'s Newton iterations.
+#: The first takes at most 8 steps for alpha <= 0.9 and about 20 as alpha
+#: nears 1, where the tail form's rounding makes it bisect.
 _NEWTON_MAXITER = 100
+
+#: Relative step at which :func:`_newton` stops: half the digits of a double.
+#: Newton's error squares with each step, so the iterate corrected by such a
+#: step is within about ``K eps`` relative, ``K = |x f'' / (2 f')|``.
+_NEWTON_RTOL = 2.0**-26
 
 
 def _check_alpha(alpha: float) -> float:
@@ -295,10 +303,11 @@ def _gamma_q_cf(a: float, y: float, t: float) -> float:
         f"incomplete gamma Q({a!r}, {y!r}): continued fraction did not converge")
 
 
-def _series_cdf(df: int, first: int, w: np.ndarray):
-    """``x -> sum_j w_j P(df/2 + first + j, x/2)``: a Poisson mixture of
-    central chi-square cdfs, with ``P`` the regularized lower incomplete gamma
-    and ``w`` fixed.
+def _series(df: int, first: int, w: np.ndarray):
+    """``x -> (F, f, -dF/dncp)``: the Poisson mixture of central chi-square
+    cdfs ``F(x) = sum_j w_j P(df/2 + first + j, x/2)``, with ``P`` the
+    regularized lower incomplete gamma and ``w`` fixed, its density in ``x``
+    and its slope in the noncentrality.
 
     With ``t_k = y^a_k e^-y / Gamma(a_k + 1)`` at ``y = x/2``, ``P(a, y) =
     P(a + 1, y) + t`` adds only positive terms downward from the window's top
@@ -310,8 +319,16 @@ def _series_cdf(df: int, first: int, w: np.ndarray):
     the weights alone is formed once: the partial sums, and ``log t_k`` at
     the window's centre ``y0``, from which ``log t_k(y) = log t_k(y0) + (a_k
     - y0) L - y0 (u - L)`` with ``u = y/y0 - 1`` and ``L = log(1 + u)``, nothing of
-    size ``a_k log y`` cancelling. One cdf evaluation is then one vector
-    ``exp`` and one dot product.
+    size ``a_k log y`` cancelling. One evaluation is then one vector ``exp``,
+    in a buffer the evaluator reuses (so it serves one caller at a time), and
+    three dot products.
+
+    The slopes reuse the window's terms ``t_j``: ``dP(a, y)/dy = a t / y``
+    gives the density ``f = sum_j w_j a_j t_j / x``, and since the Poisson
+    weights' derivative in their mean is ``w_{j-1} - w_j``, the mixture
+    telescopes to ``-dF/dncp = (1/2) sum_j w_j t_j``, the density at ``x``
+    of the noncentral chi-square with ``df + 2`` degrees of freedom. At
+    ``x <= 0`` and ``x = inf`` both slopes are returned as 0.
     """
     n = w.shape[0]
     a_first = 0.5 * df + first
@@ -325,64 +342,170 @@ def _series_cdf(df: int, first: int, w: np.ndarray):
     cw = np.add.accumulate(w, out=cw_ext[:n])
     total = float(cw[-1])
     cw_ext[n:] = total
+    wa = w * np.arange(a_first, a_top + 0.5)
+    buf = np.empty(size)  # the terms t_k, formed in place at each evaluation
 
-    def cdf(x: float) -> float:
+    def evaluate(x: float) -> tuple[float, float, float]:
         if x <= 0.0:
-            return 0.0
+            return 0.0, 0.0, 0.0
         y = 0.5 * x
         if y == math.inf:
-            return total
+            return total, 0.0, 0.0
         u = (y - y0) / y0
         lg = math.log1p(u) if abs(u) < 0.5 else math.log(y / y0)
         shift = y0 * (u - lg)
         if y <= y_max:
-            return float(np.dot(np.exp(log_t0 + (da * lg - shift)), cw_ext))
-        t = np.exp(log_t0[:n] + (da[:n] * lg - shift))
-        p_top = 1.0 - _gamma_q_cf(a_top, y, float(t[-1]))
-        return float(np.dot(t[:-1], cw[:-1])) + total * p_top
+            t = np.multiply(da, lg, out=buf)
+            t -= shift
+            np.add(log_t0, t, out=t)
+            np.exp(t, out=t)
+            cdf = float(np.dot(t, cw_ext))
+            t = t[:n]
+        else:
+            t = np.exp(log_t0[:n] + (da[:n] * lg - shift))
+            p_top = 1.0 - _gamma_q_cf(a_top, y, float(t[-1]))
+            cdf = float(np.dot(t[:-1], cw[:-1])) + total * p_top
+        return cdf, float(np.dot(t, wa)) / x, 0.5 * float(np.dot(t, w))
 
-    return cdf
+    return evaluate
+
+
+def _newton(fun, x: float, lo: float, hi: float) -> float:
+    """Root of an increasing function on ``[lo, hi]`` by Newton's method from
+    ``x``, safeguarded by bisection.
+
+    ``fun(x)`` returns the value and the slope, and the root must lie in the
+    bracket. Each value's sign moves one end of the bracket to ``x``; a step
+    that leaves the bracket, or a slope that is not positive, bisects it
+    instead. The iteration returns ``x`` corrected by the first step within
+    ``_NEWTON_RTOL`` of it, or ``hi`` once ``lo`` and ``hi`` are adjacent
+    doubles. A tolerance of a few eps would not do: near the root the
+    steps are the function's rounding over its slope, which for an
+    upper-tail quantile is 1e-14 to 1e-13 of ``x``, so they wander there
+    until the bracket closes.
+    """
+    for _ in range(_NEWTON_MAXITER):
+        g, slope = fun(x)
+        if g == 0.0:
+            return x
+        if g < 0.0:
+            lo = x
+        else:
+            hi = x
+        step = g / slope if slope > 0.0 else math.inf
+        if abs(step) <= _NEWTON_RTOL * abs(x):
+            return x - step
+        x -= step
+        if not lo < x < hi:
+            x = lo + 0.5 * (hi - lo)
+            if not lo < x < hi:  # lo and hi are adjacent doubles
+                return hi
+    raise SolverFailure(
+        f"root search: Newton did not converge in {_NEWTON_MAXITER} steps (x={x!r})")
+
+
+def _check_p(p: float) -> float:
+    p = float(p)
+    if not (0.0 < p < 1.0):
+        raise OutOfRange(f"probability must lie in (0, 1), got {p}")
+    return p
+
+
+def _check_df(df) -> int:
+    """``df`` as an int; raises OutOfRange unless it is a positive integer,
+    which a boolean is not."""
+    try:
+        k = int(df)
+        float(k)
+    except (OverflowError, TypeError, ValueError):
+        k = 0
+    if isinstance(df, (bool, np.bool_)) or k != df or k < 1:
+        raise OutOfRange(f"df must be a positive integer, got {df!r}")
+    return k
+
+
+def _check_ncp(ncp: float) -> float:
+    """``ncp`` as a float; raises OutOfRange below 0 and SolverFailure above
+    ``_NCP_CEILING`` or at NaN, where the series would need more terms than
+    memory holds."""
+    ncp = float(ncp)
+    if ncp < 0.0:
+        raise OutOfRange(f"ncp must be nonnegative, got {ncp}")
+    if not ncp <= _NCP_CEILING:
+        raise SolverFailure(f"noncentrality {ncp!r} is not a number at or below "
+                            f"the series' ceiling {_NCP_CEILING:.0e}")
+    return ncp
 
 
 def noncentral_chisq_cdf(x: float, df: int, ncp: float) -> float:
-    """Noncentral chi-square cdf via the Poisson-weighted central series."""
-    first, w = _poisson_weights(0.5 * ncp)
-    return _series_cdf(df, first, w)(x)
+    """Noncentral chi-square cdf via the Poisson-weighted central series.
+
+    Raises OutOfRange for a NaN ``x``, a ``df`` that is not a positive
+    integer or a negative ``ncp``, and SolverFailure for a noncentrality
+    above ``_NCP_CEILING`` or NaN.
+    """
+    x = float(x)
+    if math.isnan(x):
+        raise OutOfRange("x must not be NaN")
+    df = _check_df(df)
+    ncp = _check_ncp(ncp)
+    return _series(df, *_poisson_weights(0.5 * ncp))(x)[0]
+
+
+def _quantile_start(p: float, df: int, ncp: float) -> float:
+    """Where Newton's method starts for the quantile.
+
+    Patnaik's two-moment approximation (Patnaik 1949), ``c chi2_h`` with the
+    noncentral mean ``c h = df + ncp`` and variance, ``h = (df + ncp)^2 /
+    (df + 2 ncp)``, its quantile by the Wilson-Hilferty cube. Where the
+    cube's base is not positive (tiny p), or the result is deep in the lower
+    tail, the root of the cdf's small-x power law ``e^(-ncp/2) y^a /
+    Gamma(a + 1) = p``, ``a = df/2``, ``y = x/2``, instead: its first
+    correction, of relative size about ``y (1 + ncp/2) / (a + 1)``, is then
+    below 0.1, where the cube of a small base is far off.
+    """
+    mean = df + ncp
+    v = 2.0 * (df + 2.0 * ncp) / (9.0 * mean * mean)
+    base = 1.0 - v + _ndtri(p) * math.sqrt(v)
+    a = 0.5 * df
+    log_y = (math.log(p) + math.lgamma(a + 1.0) + 0.5 * ncp) / a
+    if base <= 0.0 or log_y + math.log1p(0.5 * ncp) <= math.log(0.1 * (a + 1.0)):
+        return 2.0 * math.exp(log_y)
+    return mean * base**3
+
+
+def _cantelli_bound(p: float, df: int, ncp: float) -> float:
+    """``mean + sd sqrt(p / (1 - p))``, at or above the p-quantile: by
+    Cantelli's inequality the cdf there is at least p."""
+    return df + ncp + math.sqrt(2.0 * (df + 2.0 * ncp) * p / (1.0 - p))
 
 
 def noncentral_chisq_quantile(p: float, df: int, ncp: float) -> float:
     """Quantile of the noncentral chi-square distribution.
 
-    Monotone nondecreasing in ``ncp``. Relative error stays below 1e-8 for
-    probabilities up to about 1 - 1e-6; past that, inverting a double-
-    precision cdf over a vanishing density saturates, as it does for any
-    series- or integration-based implementation.
+    Monotone nondecreasing in ``ncp``. Newton's method on the cdf, whose
+    evaluation also gives the density, starts from :func:`_quantile_start`
+    inside the bracket from 0 to :func:`_cantelli_bound`. Relative error
+    stays below 1e-8 for probabilities up to about 1 - 1e-6; past that,
+    inverting a double-precision cdf over a vanishing density saturates, as
+    it does for any series- or integration-based implementation.
 
-    Raises SolverFailure for a noncentrality above ``_NCP_CEILING`` or not
-    finite, where the series would need more terms than memory holds.
+    Raises OutOfRange for a ``df`` that is not a positive integer or a
+    negative ``ncp``, and SolverFailure for a noncentrality above
+    ``_NCP_CEILING`` or NaN, where the series would need more terms than
+    memory holds.
     """
-    p = float(p)
-    if not (0.0 < p < 1.0):
-        raise OutOfRange(f"probability must lie in (0, 1), got {p}")
-    df = int(df)
-    if df < 1:
-        raise OutOfRange(f"df must be a positive integer, got {df}")
-    ncp = float(ncp)
-    if ncp < 0.0:
-        raise OutOfRange(f"ncp must be nonnegative, got {ncp}")
-    if not ncp <= _NCP_CEILING:
-        raise SolverFailure(f"noncentrality {ncp!r} is above the series' "
-                            f"ceiling {_NCP_CEILING:.0e}")
+    p = _check_p(p)
+    df = _check_df(df)
+    ncp = _check_ncp(ncp)
+    series = _series(df, *_poisson_weights(0.5 * ncp))
 
-    cdf = _series_cdf(df, *_poisson_weights(0.5 * ncp))
-    mean = df + ncp
-    sd = math.sqrt(2.0 * (df + 2.0 * ncp))
-    hi = mean + 10.0 * sd + 10.0
-    for _ in range(100):
-        if cdf(hi) >= p:
-            break
-        hi *= 2.0
-    return _brentq(lambda x: cdf(x) - p, 0.0, hi, xtol=1e-14, rtol=4.0 * _EPS)
+    def gap(x: float) -> tuple[float, float]:
+        cdf, density, _ = series(x)
+        return cdf - p, density
+
+    hi = _cantelli_bound(p, df, ncp)
+    return _newton(gap, min(_quantile_start(p, df, ncp), hi), 0.0, hi)
 
 
 def noncentral_chisq_ncp(x: float, df: int, p: float) -> float:
@@ -391,32 +514,37 @@ def noncentral_chisq_ncp(x: float, df: int, p: float) -> float:
     Solves ``F(x; df, ncp) = p`` for ``ncp >= 0``, which inverts
     :func:`noncentral_chisq_quantile` in its noncentrality: the cdf at a fixed
     ``x`` decreases strictly in ``ncp``, so ``quantile(p, df, ncp) = x`` at the
-    root. Returns 0 when ``F(x; df, 0) <= p``. The bracket doubles from
-    ``max(x, 1)`` and one Brent root search solves to near machine precision.
+    root. Returns 0 when ``F(x; df, 0) <= p``. Otherwise Newton's method,
+    with the slope ``-dF/dncp`` from the same series evaluation, starts from
+    the normal approximation ``x = df + ncp + z_p sqrt(2 (df + 2 ncp))``
+    solved for ``ncp`` and clamped to ``[0, _NCP_CEILING]``.
 
-    Raises SolverFailure when no noncentrality up to ``_NCP_CEILING`` brings
-    the cdf down to ``p`` (``x`` infinite or beyond the series' range).
+    Raises OutOfRange for a negative or NaN ``x`` or a ``df`` that is not a
+    positive integer, and SolverFailure when no noncentrality up to
+    ``_NCP_CEILING`` brings the cdf down to ``p`` (``x`` infinite or beyond
+    the series' range).
     """
     x = float(x)
     if not (x >= 0.0):
         raise OutOfRange(f"x must be nonnegative, got {x}")
-    p = float(p)
-    if not (0.0 < p < 1.0):
-        raise OutOfRange(f"probability must lie in (0, 1), got {p}")
-    df = int(df)
-    if df < 1:
-        raise OutOfRange(f"df must be a positive integer, got {df}")
+    p = _check_p(p)
+    df = _check_df(df)
 
-    def gap(ncp: float) -> float:
-        return _series_cdf(df, *_poisson_weights(0.5 * ncp))(x) - p
+    def gap(ncp: float) -> tuple[float, float]:
+        cdf, _, slope = _series(df, *_poisson_weights(0.5 * ncp))(x)
+        return p - cdf, slope
 
-    if gap(0.0) <= 0.0:
+    if gap(0.0)[0] >= 0.0:
         return 0.0
-    lo, hi = 0.0, max(x, 1.0)
-    while hi <= _NCP_CEILING:
-        if gap(hi) < 0.0:
-            return _brentq(gap, lo, hi, xtol=1e-14, rtol=4.0 * _EPS)
-        lo, hi = hi, 2.0 * hi
+    # at or above the bound the cdf stays at p or more up to the ceiling
+    if x < _cantelli_bound(p, df, _NCP_CEILING):
+        # s = sqrt(2 (df + 2 ncp)) is the positive root of s^2 + 4 z s + 2 df - 4 x
+        z = _ndtri(p)
+        s = max(-2.0 * z + math.sqrt(max(4.0 * (z * z + x) - 2.0 * df, 0.0)), 0.0)
+        start = min(max(0.25 * s * s - 0.5 * df, 0.0), _NCP_CEILING)
+        root = _newton(gap, start, 0.0, _NCP_CEILING)
+        if root < _NCP_CEILING:
+            return root
     raise SolverFailure(
         f"no noncentrality up to {_NCP_CEILING:.0e} brings the cdf at {x} "
         f"down to {p}")

@@ -62,7 +62,8 @@ class MomentModel:
     h_init : float
         Target functional evaluated at the initial estimate.
     n : int
-        Sample size.
+        Sample size. An integral float is stored as an int; a fraction or a
+        boolean raises OutOfRange.
     """
 
     gamma: np.ndarray
@@ -85,6 +86,8 @@ class MomentModel:
         except (OverflowError, ValueError):
             raise OutOfRange(
                 "n must be a finite integer that fits in a double") from None
+        if isinstance(self.n, (bool, np.bool_)) or n != self.n:
+            raise OutOfRange(f"n must be an integer, got {self.n!r}")
         object.__setattr__(self, "n", n)
         validate_model(self)
 

@@ -69,15 +69,27 @@ def one_step(model: MomentModel, k: Sensitivity) -> float:
     return model.h_init + float(k @ model.g_init)
 
 
+def _check_d_g(model: MomentModel, mset: MisspecSet) -> None:
+    """Raise DimensionMismatch unless the set's ``B`` has the model's d_g
+    rows. Only shapes are compared: this runs once per interval, where a
+    full ``validate_model`` would cost more than the interval."""
+    if mset.b_mat.shape[0] != model.d_g:
+        raise DimensionMismatch(
+            f"the misspecification set has d_g={mset.b_mat.shape[0]}, "
+            f"the model has d_g={model.d_g}")
+
+
 def ci_from_sensitivity(model: MomentModel, mset: MisspecSet, k: Sensitivity,
                         alpha: float = 0.05,
                         lambda_star: float | None = None) -> RobustCI:
     """Two-sided robust CI at a caller-chosen sensitivity."""
+    _check_d_g(model, mset)
+    est = one_step(model, k)
     sd = math.sqrt(float(k @ model.sigma @ k))
     bias = worst_case_bias(k, mset)
     root_n = math.sqrt(model.n)
     half = cv_alpha(bias / sd, alpha) * sd / root_n
-    return RobustCI(estimate=one_step(model, k), max_bias=bias / root_n,
+    return RobustCI(estimate=est, max_bias=bias / root_n,
                     std_error=sd / root_n, lambda_star=lambda_star,
                     side="two_sided", k=k, half_length=half)
 
@@ -88,6 +100,7 @@ def two_sided_ci(model: MomentModel, front: SensitivityFrontier, m: float,
     ``m``, at the frontier point minimizing ``criterion`` ("ci_length" or
     "mse"); ``front`` may be built on another model's variance than the one
     that forms the interval."""
+    _check_d_g(model, front.set)
     mset = front.set.scaled(m)
     choice = select_lambda(front, mset.m, alpha, criterion)
     return ci_from_sensitivity(model, mset, choice.knot.k, alpha,

@@ -1,10 +1,14 @@
+import contextlib
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from scipy.integrate import quad
 from scipy.special import ive
+from scipy.stats import chi2, ncx2
 
+from momentguard import critval
 from momentguard.critval import (
     cv_alpha,
     noncentral_chisq_cdf,
@@ -192,3 +196,136 @@ class TestNoncentralityRoot:
             noncentral_chisq_ncp(5.0, 3, 1.0)
         with pytest.raises(OutOfRange):
             noncentral_chisq_ncp(5.0, 0, 0.95)
+
+
+#: The grid of the inverses' tests: probabilities, degrees of freedom and
+#: noncentralities from the central case to a million.
+GRID_P = (1e-6, 0.05, 0.5, 0.95, 0.999, 1.0 - 1e-6)
+GRID_DF = (1, 2, 7, 30, 200)
+GRID_NCP = (0.0, 1e-8, 0.3, 7.0, 250.0, 1e4, 1e6)
+
+
+def scipy_quantile(p, df, ncp):
+    return chi2.ppf(p, df) if ncp == 0.0 else ncx2.ppf(p, df, ncp)
+
+
+def scipy_pdf(x, df, ncp):
+    return chi2.pdf(x, df) if ncp == 0.0 else ncx2.pdf(x, df, ncp)
+
+
+def series_at(x, df, ncp):
+    return critval._series(df, *critval._poisson_weights(0.5 * ncp))(x)
+
+
+class TestNewtonInverses:
+    @pytest.mark.parametrize("ncp", GRID_NCP)
+    @pytest.mark.parametrize("df", GRID_DF)
+    def test_quantile_matches_scipy(self, df, ncp):
+        for p in GRID_P:
+            want = scipy_quantile(p, df, ncp)
+            got = noncentral_chisq_quantile(p, df, ncp)
+            assert abs(got - want) <= 1e-8 * want, p
+
+    @pytest.mark.parametrize("ncp", GRID_NCP)
+    @pytest.mark.parametrize("df", GRID_DF)
+    def test_slopes_match_scipy_densities(self, df, ncp):
+        # the density in x, and -dF/dncp, which is the density with df + 2
+        for p in GRID_P:
+            x = noncentral_chisq_quantile(p, df, ncp)
+            _, density, dncp = series_at(x, df, ncp)
+            want = scipy_pdf(x, df, ncp)
+            if want > 1e-300:
+                assert abs(density - want) <= 1e-10 * want, p
+            want = scipy_pdf(x, df + 2, ncp)
+            if want > 1e-300:
+                assert abs(dncp - want) <= 1e-10 * want, p
+
+    def test_deep_lower_tail_one_df(self):
+        # the quantile is about 1.57e-12: a step rule in absolute terms
+        # would stop far from it
+        want = chi2.ppf(1e-6, 1)
+        assert abs(noncentral_chisq_quantile(1e-6, 1, 0.0) - want) <= 1e-10 * want
+
+    def test_root_exactly_zero(self):
+        for df, p in ((1, 0.05), (3, 0.95), (30, 0.5)):
+            x = chi2.ppf(p, df)
+            assert noncentral_chisq_ncp(x * (1.0 - 1e-9), df, p) == 0.0
+            assert noncentral_chisq_ncp(x * (1.0 + 1e-9), df, p) > 0.0
+
+    def test_few_series_evaluations(self, monkeypatch):
+        # Newton from the two-moment start; a fall-back to bisection would
+        # take dozens of evaluations
+        calls = []
+
+        def counted(*args):
+            evaluate = series(*args)
+
+            def wrapped(x):
+                calls.append(x)
+                return evaluate(x)
+            return wrapped
+
+        series = critval._series
+        monkeypatch.setattr(critval, "_series", counted)
+        for df in GRID_DF:
+            for ncp in GRID_NCP:
+                for p in (0.05, 0.5, 0.95, 0.999):
+                    calls.clear()
+                    noncentral_chisq_quantile(p, df, ncp)
+                    assert len(calls) <= 8, (p, df, ncp)
+
+
+class TestInputChecks:
+    @pytest.mark.parametrize("df", [0, -3, 2.5, True, np.True_, math.nan, math.inf])
+    def test_df_must_be_a_positive_integer(self, df):
+        for call in (lambda: noncentral_chisq_cdf(3.0, df, 1.0),
+                     lambda: noncentral_chisq_quantile(0.5, df, 1.0),
+                     lambda: noncentral_chisq_ncp(3.0, df, 0.5)):
+            with pytest.raises(OutOfRange, match="df must be a positive integer"):
+                call()
+
+    @pytest.mark.parametrize("df", [3, 3.0, np.int64(3)])
+    def test_integral_df(self, df):
+        assert noncentral_chisq_cdf(3.0, df, 1.0) == noncentral_chisq_cdf(3.0, 3, 1.0)
+
+    def test_nan_x(self):
+        with pytest.raises(OutOfRange):
+            noncentral_chisq_cdf(math.nan, 3, 1.0)
+        with pytest.raises(OutOfRange):
+            noncentral_chisq_ncp(math.nan, 3, 0.5)
+
+    def test_negative_ncp(self):
+        with pytest.raises(OutOfRange):
+            noncentral_chisq_cdf(3.0, 3, -1.0)
+
+    def test_cdf_range(self):
+        assert noncentral_chisq_cdf(-1.0, 3, 1.0) == 0.0
+        assert noncentral_chisq_cdf(math.inf, 3, 1.0) == pytest.approx(1.0, abs=1e-14)
+
+    @pytest.mark.parametrize("ncp", [1e11, math.inf, math.nan])
+    def test_cdf_above_ceiling_allocates_nothing(self, ncp):
+        with peak_bytes() as peak:
+            with pytest.raises(SolverFailure, match=r"ceiling 1e\+10"):
+                noncentral_chisq_cdf(3.0, 3, ncp)
+        assert peak[0] < 100_000
+
+    @pytest.mark.parametrize("x", [1e12, math.inf])
+    def test_ncp_root_past_ceiling_allocates_nothing(self, x):
+        # the cdf at x stays above p up to the ceiling by Cantelli's bound,
+        # so no series at a noncentrality near 1e10 is built
+        with peak_bytes() as peak:
+            with pytest.raises(SolverFailure, match=r"1e\+10"):
+                noncentral_chisq_ncp(x, 3, 0.95)
+        assert peak[0] < 100_000
+
+
+@contextlib.contextmanager
+def peak_bytes():
+    """Peak bytes allocated inside the block, in a one-element list."""
+    peak = [0]
+    tracemalloc.start()
+    try:
+        yield peak
+        peak[0] = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()

@@ -57,6 +57,16 @@ class TestValidateModel:
         with pytest.raises(OutOfRange, match="n must"):
             scalar_model(n=n)
 
+    @pytest.mark.parametrize("n", [1.5, 400.25, True, False, np.True_])
+    def test_fractional_or_boolean_n_raises(self, n):
+        with pytest.raises(OutOfRange, match="n must be an integer"):
+            scalar_model(n=n)
+
+    @pytest.mark.parametrize("n", [400.0, np.float64(400.0), np.int64(400)])
+    def test_integral_n_is_stored_as_int(self, n):
+        m = scalar_model(n=n)
+        assert m.n == 400 and type(m.n) is int
+
     def test_dimension_mismatches_name_field(self):
         with pytest.raises(DimensionMismatch, match="g_init"):
             validate_model(scalar_model(g_init=[0.0, 1.0]))

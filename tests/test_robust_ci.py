@@ -306,3 +306,19 @@ class TestCiFromSensitivity:
         ci = two_sided_ci(m, front, ms.m, 0.05)
         again = ci_from_sensitivity(m, ms, ci.k, 0.05, ci.lambda_star)
         assert again.half_length == pytest.approx(ci.half_length, rel=1e-12)
+
+    def test_set_of_another_d_g_is_dimension_mismatch(self):
+        # a 2-moment model against a 3-moment frontier: caught before any
+        # product of the two is formed, naming both d_g values
+        m2 = random_model(2, 1, 5)
+        m3 = random_model(3, 1, 6)
+        front3 = frontier(m3, MisspecSet(np.eye(3)[:, 2:], 2, 1.0))
+        k3 = front3.knots[0].k
+        for call in (lambda: two_sided_ci(m2, front3, 1.0),
+                     lambda: ci_curve(m2, front3, [0.0, 1.0]),
+                     lambda: ci_from_sensitivity(m2, front3.set, k3)):
+            with pytest.raises(DimensionMismatch, match="d_g=3.*d_g=2"):
+                call()
+        # a k of the wrong length is caught before k' Sigma k is formed
+        with pytest.raises(DimensionMismatch, match="k has length 3"):
+            ci_from_sensitivity(m2, MisspecSet(np.eye(2)[:, 1:], 2, 1.0), k3)

@@ -212,6 +212,12 @@ class TestTestAtM:
         assert res.critical_value == pytest.approx(chi2.ppf(0.95, 2), rel=1e-10)
         assert res.reject == (res.statistic > res.critical_value)
 
+    def test_result_is_slotted(self):
+        # a caller keeping one result per test holds no per-instance dict
+        res = run_test_at_m(random_overidentified(12),
+                            MisspecSet(np.eye(4)[:, 2:], 2, 0.0), 0.05)
+        assert not hasattr(res, "__dict__")
+
     def test_large_magnitude_never_rejects(self):
         m = random_overidentified(13, scale=3.0)
         b = np.random.default_rng(14).normal(size=(4, 2))
