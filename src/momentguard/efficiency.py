@@ -22,13 +22,16 @@ The two-sided efficiency bound compares the best possible expected CI length
 at correct specification against the optimized fixed-length interval; its
 numerator is a Gaussian integral of the modulus and its denominator the
 minimized bias-aware length over delta. The numerator needs the modulus at
-every quadrature node and at the tail's edge, and one sweep along the
-frontier gives all of them (:func:`momentguard.sensitivity._argmin_sweep`).
+every quadrature node and at the tail's edge, and the one-sided bound needs
+it at ``d_b`` and ``2 d_b``: one sweep along the frontier gives all 204
+(:func:`momentguard.sensitivity._argmin_sweep`).
 The fixed-length interval at delta is built on ``k_delta``, and every
 frontier point is ``k_delta`` for some delta, so that denominator is the
 shortest two-sided CI over the frontier: the point the CI selector
 :func:`momentguard.sensitivity.select_lambda` picks.
-:func:`efficiency_report` reads both bounds off one frontier.
+:func:`efficiency_report` reads both bounds off one frontier and that one
+sweep; :func:`kappa_two_sided` and :func:`kappa_one_sided` make the same
+sweep, so each returns the report's value to the bit.
 
 The numerator's Gauss-Legendre rule is numpy's ``leggauss``: the nodes are
 the eigenvalues of the Legendre Jacobi matrix (Golub and Welsch 1969), each
@@ -81,7 +84,7 @@ class ModulusSolution:
     k_delta: Sensitivity
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class EfficiencyReport:
     kappa_two_sided: float
     kappa_one_sided: float
@@ -147,30 +150,7 @@ def kappa_two_sided(model: MomentModel, mset: MisspecSet,
     specification relative to the optimized fixed-length interval.
     """
     a = _check_alpha(alpha)
-    return _kappa_two_sided(frontier(model, mset), mset.m, a)
-
-
-def _kappa_two_sided(front: SensitivityFrontier, m: float, a: float) -> float:
-    z1 = norm_quantile(1.0 - a)
-    # numerator: integral of omega(2(z1 - z)) phi(z) below z1, quadrature on
-    # the last QUAD_SPAN quantile units plus a concave linear-growth tail
-    # from the modulus at its edge, every delta in one sweep
-    nodes, weights = _gauss_legendre()
-    lo, hi = z1 - QUAD_SPAN, z1
-    z = 0.5 * (hi - lo) * nodes + 0.5 * (hi + lo)
-    w = 0.5 * (hi - lo) * weights
-    pts, omega = _moduli(front, m, np.append(2.0 * (z1 - z), 2.0 * QUAD_SPAN))
-    numer = float(np.sum(w * omega[:-1] * [norm_pdf(zi) for zi in z]))
-    u = z1 - QUAD_SPAN
-    numer += float(omega[-1]) * norm_cdf(u) + 2.0 * float(pts.sd[-1]) * (
-        u * norm_cdf(u) + norm_pdf(u))
-
-    # denominator: half the shortest fixed-length interval over delta, the
-    # frontier's shortest CI (each frontier point is k_delta at
-    # delta = 2 m sd / lam')
-    kn = select_lambda(front, m, a).knot
-    sd = math.sqrt(kn.var)
-    return numer / (2.0 * cv_alpha(m * kn.bbar / sd, a) * sd)
+    return _kappas(frontier(model, mset), mset.m, a, 0.8)[0]
 
 
 def kappa_one_sided(model: MomentModel, mset: MisspecSet, alpha: float = 0.05,
@@ -179,15 +159,50 @@ def kappa_one_sided(model: MomentModel, mset: MisspecSet, alpha: float = 0.05,
     at ``d_b = z_{1-alpha} + z_beta``.
     """
     a = _check_alpha(alpha)
+    _check_d_b(a, beta)
+    return _kappas(frontier(model, mset), mset.m, a, beta)[1]
+
+
+def _check_d_b(a: float, beta: float) -> None:
+    """The one-sided bound needs ``d_b = z_{1-a} + z_beta > 0``."""
     _check_beta(beta)
-    return _kappa_one_sided(frontier(model, mset), mset.m, a, beta)
-
-
-def _kappa_one_sided(front: SensitivityFrontier, m: float, a: float,
-                     beta: float) -> float:
     d_b = norm_quantile(1.0 - a) + norm_quantile(beta)
-    pts, omega = _moduli(front, m, np.array([d_b, 2.0 * d_b]))
-    return float(omega[1] / (omega[0] + d_b * pts.sd[0]))
+    if not d_b > 0.0:
+        raise InfeasibleDelta(f"delta must be positive and finite, got {d_b}")
+
+
+def _kappas(front: SensitivityFrontier, m: float, a: float,
+            beta: float) -> tuple[float, float | None]:
+    """The two-sided and the one-sided bound from one sweep of the modulus
+    over the numerator's nodes, the tail's edge and the one-sided pair
+    ``(d_b, 2 d_b)``; the one-sided bound is None where ``d_b <= 0``."""
+    z1 = norm_quantile(1.0 - a)
+    d_b = z1 + norm_quantile(beta)
+    one_sided = [d_b, 2.0 * d_b] if d_b > 0.0 else []
+    # numerator: integral of omega(2(z1 - z)) phi(z) below z1, quadrature on
+    # the last QUAD_SPAN quantile units plus a concave linear-growth tail
+    # from the modulus at its edge
+    nodes, weights = _gauss_legendre()
+    lo, hi = z1 - QUAD_SPAN, z1
+    z = 0.5 * (hi - lo) * nodes + 0.5 * (hi + lo)
+    w = 0.5 * (hi - lo) * weights
+    pts, omega = _moduli(front, m, np.concatenate(
+        [2.0 * (z1 - z), [2.0 * QUAD_SPAN], one_sided]))
+    n = QUAD_NODES
+    phi = np.exp(-0.5 * z * z) / math.sqrt(2.0 * math.pi)
+    numer = float(np.sum(w * omega[:n] * phi))
+    numer += float(omega[n]) * norm_cdf(lo) + 2.0 * float(pts.sd[n]) * (
+        lo * norm_cdf(lo) + norm_pdf(lo))
+
+    # denominator: half the shortest fixed-length interval over delta, the
+    # frontier's shortest CI (each frontier point is k_delta at
+    # delta = 2 m sd / lam')
+    kn = select_lambda(front, m, a).knot
+    sd = math.sqrt(kn.var)
+    two_sided = numer / (2.0 * cv_alpha(m * kn.bbar / sd, a) * sd)
+    if not one_sided:
+        return two_sided, None
+    return two_sided, float(omega[n + 2] / (omega[n + 1] + d_b * pts.sd[n + 1]))
 
 
 def gls_subspace_sensitivity(model: MomentModel,
@@ -220,12 +235,10 @@ def gls_subspace_sensitivity(model: MomentModel,
 def efficiency_report(model: MomentModel, mset: MisspecSet,
                       alpha: float = 0.05, beta: float = 0.8) -> EfficiencyReport:
     """Bundle the two-sided and one-sided bounds with the universal floor,
-    both read off one frontier."""
+    both read off one frontier in one sweep of the modulus."""
     a = _check_alpha(alpha)
-    _check_beta(beta)
-    front = frontier(model, mset)
-    return EfficiencyReport(
-        kappa_two_sided=_kappa_two_sided(front, mset.m, a),
-        kappa_one_sided=_kappa_one_sided(front, mset.m, a, beta),
-        universal_lower=universal_lower_bound(alpha),
-        alpha=alpha, beta=beta)
+    _check_d_b(a, beta)
+    two_sided, one_sided = _kappas(frontier(model, mset), mset.m, a, beta)
+    return EfficiencyReport(kappa_two_sided=two_sided, kappa_one_sided=one_sided,
+                            universal_lower=universal_lower_bound(alpha),
+                            alpha=alpha, beta=beta)

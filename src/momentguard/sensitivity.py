@@ -42,7 +42,13 @@ With fixed weights, as in the modulus of continuity, the frontier's minimum
 of ``2 m bbar + delta sd``, the root is where the ratio ``lam' / sd`` reaches
 ``2 m / delta``, and :func:`_argmin_sweep` finds it for every delta at once:
 one sorted lookup and a closed-form quadratic per delta on an inf-path,
-vectorized safeguarded Newton steps on the l2 path.
+vectorized safeguarded Newton steps on the l2 path. Those start from a table
+of the ratio and its slope on a fixed grid of log-lambda, made once per
+path: a sorted lookup gives each root its bracket, and a monotone cubic
+Hermite inverse its start. A root is accepted after a Newton step of at most
+half the digits of a double, the rule of the noncentral chi-square inverses
+in :mod:`momentguard.critval`, or where the condition is within the rounding
+of its own terms, so no step is spent in rounding noise.
 """
 
 from __future__ import annotations
@@ -54,7 +60,8 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from ._linalg import orth_complement, solve_psd
-from .critval import _brentq, _check_alpha, _check_beta, cv_alpha, norm_quantile
+from .critval import (_NEWTON_RTOL, _brentq, _check_alpha, _check_beta, cv_alpha,
+                      norm_quantile)
 from .errors import (
     DegeneratePath,
     DimensionMismatch,
@@ -125,6 +132,16 @@ _LOG_LAM_STEP = math.log(16.0)
 #: a safeguarding step replaces one that leaves the bracket or stalls.
 _SWEEP_MAXITER = 100
 
+#: The l2 sweep's table: L2_TABLE_POINTS values of ``u = log(lam)``, evenly
+#: spaced over ``L2_TABLE_SPAN`` either side of the root of the
+#: linearization at lam = 0 for ``c = 1``, bracket and start every root.
+L2_TABLE_POINTS = 49
+L2_TABLE_SPAN = 24.0
+
+#: The l2 sweep stops where ``|F|`` is within ``_GAP_ATOL (1 + |u| + |log c|)``,
+#: the rounding of F's terms.
+_GAP_ATOL = 16.0 * np.finfo(float).eps
+
 
 def _t_pair(lam: float) -> tuple[float, float]:
     """``t = lam / (1 + lam)`` and ``1 - t``, each to full relative precision."""
@@ -149,6 +166,14 @@ def _checked_var(var: float, lam: float) -> float:
         raise SingularSystem(f"variance {var!r} at lambda={lam!r}: the "
                              "model's scale exceeds double precision")
     return var
+
+
+def _checked_vars(var: np.ndarray, lams: np.ndarray) -> None:
+    """:func:`_checked_var` on each variance, naming the first bad lambda."""
+    bad = ~((var > 0.0) & (var < math.inf))
+    if np.any(bad):
+        i = int(np.argmax(bad))
+        _checked_var(float(var[i]), float(lams[i]))
 
 
 def _gap(weights, bbar: float, sd: float, lam_prime: float) -> float:
@@ -236,19 +261,23 @@ class _L2Path(SensitivityFrontier):
     def points(self, lams: np.ndarray) -> FrontierPoints:
         """Frontier points at each penalty in ``lams``, all in ``[0, inf]``."""
         k, bbar, var, mu = self._fields(*_t_pairs(lams))
-        for lam, v in zip(lams, var):
-            _checked_var(float(v), float(lam))
+        _checked_vars(var, lams)
         return FrontierPoints(lam=lams, k=k, bbar=bbar, var=var, mu=mu)
 
     def roots(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
         """The minimizing penalty for each pair of fixed weights (see
         :func:`_argmin_sweep`). ``F(u) = log(lam bbar / sd) - log c`` rises
-        with slope in [0, 1] in ``u = log(lam)`` and is at most 0 at the root
-        of its linearization at lam = 0, and every ``c = a / b`` takes
-        safeguarded Newton steps from there at once. The root is 0 where it
-        lies below every positive double (and where ``a = 0``), inf where the
-        criterion still falls at the unbiased end."""
-        first = self.first
+        with slope in [0, 1] in ``u = log(lam)``, and every ``c = a / b``
+        finds its root at once, by safeguarded Newton steps from a start
+        read off the path's table (:attr:`_table`): inside it, the bracket
+        of two table points and the monotone cubic Hermite inverse through
+        them; off it, a Newton step from the table's end, and outward steps
+        until the root is bracketed. A root is accepted after a Newton step
+        inside its bracket within ``_NEWTON_RTOL (1 + |u|)``, or where
+        ``|F|`` is within the rounding of its terms, ``_GAP_ATOL (1 + |u| +
+        |log c|)``; never on a non-finite F or slope. The root is 0 where it
+        lies below every positive double (and where ``a = 0``), inf where
+        the criterion still falls at the unbiased end."""
         lam = np.zeros(a.size)
         todo = a > 0.0
         if self.ends_unbiased:
@@ -257,20 +286,35 @@ class _L2Path(SensitivityFrontier):
             lam[at_end] = math.inf
             todo &= ~at_end
         idx = np.flatnonzero(todo)
+        if idx.size == 0:
+            return lam
         log_c = np.log(a[idx]) - np.log(b[idx])
-        u = np.clip(log_c + 0.5 * math.log(first.var) - math.log(first.bbar),
-                    _LOG_LAM_MIN, _LOG_LAM_MAX)
-        lo = np.full(idx.size, -math.inf)
-        hi = np.full(idx.size, math.inf)
+        u_t, g_t, slope_t = self._table
+        # the first table point with F >= 0 is the bracket's upper end; a
+        # running maximum keeps the search sorted where rounding is not
+        j = np.searchsorted(np.maximum.accumulate(g_t), log_c)
+        last = u_t.size - 1
+        jl, jh = np.maximum(j - 1, 0), np.minimum(j, last)
+        lo = np.where(j > 0, u_t[jl], -math.inf)
+        hi = np.where(j <= last, u_t[jh], math.inf)
+        # inside: u as a cubic in F with slopes du/dF = 1 / slope, at most
+        # three secants, so that it is monotone (Fritsch and Carlson 1980)
+        step_t = u_t[1] - u_t[0]
+        with np.errstate(divide="ignore", invalid="ignore"):
+            dg = g_t[jh] - g_t[jl]
+            x = (log_c - g_t[jl]) / dg
+            d0, d1 = (np.where(s > 0.0, np.minimum(dg / (step_t * s), 3.0), 3.0)
+                      for s in (slope_t[jl], slope_t[jh]))
+            inside = u_t[jl] + step_t * x * (
+                d0 * (1.0 - x)**2 + x * (3.0 - 2.0 * x) + d1 * x * (x - 1.0))
+        # off the table: a step from its end, known to lie on one side
+        end = np.where(j > 0, last, 0)
+        off, _, _ = _sweep_step(u_t[end], g_t[end] - log_c, slope_t[end], lo, hi,
+                                np.full(idx.size, math.inf))
+        u = np.where((j > 0) & (j <= last), inside, off)
         moved = np.full(idx.size, math.inf)
-        tol = 4.0 * np.finfo(float).eps
         for _ in range(_SWEEP_MAXITER):
-            if idx.size == 0:
-                return lam
             f, slope = self._log_gap(u, log_c)
-            if np.any(np.isnan(f)):
-                raise SolverFailure("first-order condition: NaN on the l2 path at "
-                                    f"lambda={float(np.exp(u[np.isnan(f)][0]))!r}")
             below = f < 0.0
             lo = np.where(below, u, lo)
             hi = np.where(below, hi, u)
@@ -281,35 +325,34 @@ class _L2Path(SensitivityFrontier):
             if np.any(ceiling) and not self.ends_unbiased:
                 raise SolverFailure("could not bracket the l2 penalty")
             lam[idx[ceiling]] = math.inf
-            # Newton's step for 1/c - sd / lam' in 1/lam, which is linear in
-            # 1/lam near lam = 0 and again where the ratio levels off or grows
-            # linearly at large lam
-            with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-                newton = u - np.log1p(np.expm1(f) / slope)
-            # a step that leaves a known bracket or fails to halve is replaced
-            # by twice the Newton step, to bracket the root closely when the
-            # iterates near it from one side, or by bisection of a bracket
-            # that is already close; without a bracket, step outward
-            bracketed = np.isfinite(lo) & np.isfinite(hi)
-            take = ((lo <= newton) & (newton <= hi)
-                    & ~(bracketed & (np.abs(newton - u) > 0.5 * moved)))
-            probe = 2.0 * newton - u
-            probe_ok = ((lo < probe) & (probe < hi)
-                        & (hi - lo > 4.0 * np.abs(newton - u)))
-            step = np.where(take, newton, np.where(
-                bracketed, np.where(probe_ok, probe, 0.5 * (lo + hi)),
-                np.where(below, lo + _LOG_LAM_STEP, hi - _LOG_LAM_STEP)))
-            step = np.clip(step, _LOG_LAM_MIN, _LOG_LAM_MAX)
-            moved = np.abs(step - u)
-            root = ~floor & ~ceiling & (moved <= tol * (1.0 + np.abs(u)))
-            lam[idx[root]] = np.exp(step[root])
+            step, newton, take = _sweep_step(u, f, slope, lo, hi, moved)
+            # a root: a last Newton step of half the digits, or F within its
+            # rounding, each corrected by the Newton step where it is taken
+            tol = 1.0 + np.abs(u)
+            small = take & (np.abs(newton - u) <= _NEWTON_RTOL * tol)
+            resolved = np.abs(f) <= _GAP_ATOL * (tol + np.abs(log_c))
+            root = ~floor & ~ceiling & (small | resolved)
+            lam[idx[root]] = np.exp(np.where(take, newton, u)[root])
             keep = ~(floor | ceiling | root)
+            if not np.any(keep):
+                return lam
+            moved = np.abs(step - u)[keep]
             idx, u, lo, hi = idx[keep], step[keep], lo[keep], hi[keep]
-            log_c, moved = log_c[keep], moved[keep]
-        if idx.size:
-            raise SolverFailure("first-order condition: the l2 sweep did not "
-                                f"converge in {_SWEEP_MAXITER} steps")
-        return lam
+            log_c = log_c[keep]
+        raise SolverFailure("first-order condition: the l2 sweep did not "
+                            f"converge in {_SWEEP_MAXITER} steps")
+
+    @functools.cached_property
+    def _table(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """``u = log(lam)`` at L2_TABLE_POINTS evenly spaced values within
+        L2_TABLE_SPAN of the root of the linearization at lam = 0 for c = 1,
+        ``log(sd_0 / bbar_0)``, with ``log(lam bbar / sd)`` and its slope at
+        each: one stacked pass, made the first time :meth:`roots` has work."""
+        first = self.first
+        mid = min(max(0.5 * math.log(first.var) - math.log(first.bbar),
+                      _LOG_LAM_MIN + L2_TABLE_SPAN), _LOG_LAM_MAX - L2_TABLE_SPAN)
+        u = np.linspace(mid - L2_TABLE_SPAN, mid + L2_TABLE_SPAN, L2_TABLE_POINTS)
+        return (u, *self._log_gap(u, np.zeros(L2_TABLE_POINTS)))
 
     def argmin(self, weights) -> FrontierKnot:
         """:func:`_argmin` on the l2 path: one bracketed root in ``log(lam)``,
@@ -364,8 +407,9 @@ class _L2Path(SensitivityFrontier):
         w, _, _, mu, a_mu = self._solve(t, one_minus_t)
         z = -w * a_mu
         bias = self.s * z[..., :self.s.shape[0]]
-        return (z @ self.to_k.T, np.sqrt((bias * bias).sum(axis=-1)),
-                (z * z).sum(axis=-1), mu)
+        with np.errstate(over="ignore"):  # _checked_var reports an inf variance
+            var = (z * z).sum(axis=-1)
+        return z @ self.to_k.T, np.sqrt((bias * bias).sum(axis=-1)), var, mu
 
     def _solve(self, t, one_minus_t):
         """Weights w, their denominators, the Gram ``A' diag(w) A``, mu and
@@ -386,14 +430,17 @@ class _L2Path(SensitivityFrontier):
 
     def _log_gap(self, u: np.ndarray, log_c: np.ndarray):
         """``F = log(lam bbar / sd) - log_c`` at each ``lam = exp(u)`` and its
-        slope ``dF/du``, which lies in [0, 1].
+        slope ``dF/du``, which lies in [0, 1]; a NaN F raises SolverFailure.
 
         With ``v = s (A mu)_1 / den``, ``bbar = (1 - t) ||v||`` and
         ``lam bbar = t ||v||``. Differentiating the ridge solution gives
         ``d bbar^2 / d lam = -2 (1 - t)^3 E`` with
         ``E = sum(s^2 v^2 / den) - (1 - t) rho' (A' W A)^-1 rho`` and
         ``rho = A_1' (s v / den)``; the frontier's ``d var = -lam d bbar^2``
-        then gives ``dF/du = 1 - t E (1 / ||v||^2 + t (1 - t) / var)``.
+        then gives ``dF/du = 1 - t E (1 / ||v||^2 + t (1 - t) / var)``. E is
+        quadratic in v, so it is formed from ``v / ||v||`` as ``E / ||v||^2``
+        and the slope as ``1 - t E / ||v||^2 (1 + t (1 - t) (||v|| / sd)^2)``:
+        no square of the model's scale, which may exceed a double.
         """
         lam = np.exp(u)
         t, one_minus_t = _t_pairs(lam)
@@ -402,15 +449,45 @@ class _L2Path(SensitivityFrontier):
         d_gam = self.s.shape[0]
         v = self.s * a_mu[:, :d_gam] / den
         v_norm, sd = _norms(v), _norms(w * a_mu)
-        sv = self.s * v / den
-        rho = sv @ self.a[:d_gam]
-        proj = np.einsum("ij,ij->i", rho,
-                         np.linalg.solve(gram, rho[..., None])[..., 0])
-        e = np.einsum("ij,ij->i", sv, self.s * v) - one_minus_t * proj
         with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+            sv = self.s * (v / v_norm[:, None]) / den
+            rho = sv @ self.a[:d_gam]
+            proj = np.einsum("ij,ij->i", rho,
+                             np.linalg.solve(gram, rho[..., None])[..., 0])
+            e = np.einsum("ij,ij->i", sv, sv * den) - one_minus_t * proj
+            ratio = v_norm / sd
             f = u - np.log1p(lam) + np.log(v_norm) - np.log(sd) - log_c
-            slope = 1.0 - t * e * (1.0 / v_norm**2 + t * one_minus_t / sd**2)
+            slope = 1.0 - t * e * (1.0 + t * ratio * (one_minus_t * ratio))
+        if np.any(np.isnan(f)):
+            raise SolverFailure("first-order condition: NaN on the l2 path at "
+                                f"lambda={float(lam[np.isnan(f)][0])!r}")
         return f, slope
+
+
+def _sweep_step(u, f, slope, lo, hi, moved):
+    """The l2 sweep's next ``u`` from F and its slope at ``u``, in the bracket
+    ``[lo, hi]`` that F's sign has updated, with ``moved`` the length of the
+    step that reached ``u``; also the Newton iterate and whether it is taken,
+    which it never is on a slope that is not positive and finite."""
+    below = f < 0.0
+    # Newton's step for 1/c - sd / lam' in 1/lam, which is linear in 1/lam
+    # near lam = 0 and again where the ratio levels off or grows linearly at
+    # large lam
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        newton = u - np.log1p(np.expm1(f) / slope)
+    # a step that leaves a known bracket or fails to halve is replaced by
+    # twice the Newton step, to bracket the root closely when the iterates
+    # near it from one side, or by bisection of a bracket that is already
+    # close; without a bracket, step outward
+    bracketed = np.isfinite(lo) & np.isfinite(hi)
+    take = ((0.0 < slope) & (slope < math.inf) & (lo <= newton) & (newton <= hi)
+            & ~(bracketed & (np.abs(newton - u) > 0.5 * moved)))
+    probe = 2.0 * newton - u
+    probe_ok = (lo < probe) & (probe < hi) & (hi - lo > 4.0 * np.abs(newton - u))
+    step = np.where(take, newton, np.where(
+        bracketed, np.where(probe_ok, probe, 0.5 * (lo + hi)),
+        np.where(below, lo + _LOG_LAM_STEP, hi - _LOG_LAM_STEP)))
+    return np.clip(step, _LOG_LAM_MIN, _LOG_LAM_MAX), newton, take
 
 
 class _LinfPath(SensitivityFrontier):
@@ -466,8 +543,7 @@ class _LinfPath(SensitivityFrontier):
         bbar = np.where(inner, np.abs(k @ self.set.b_mat).sum(axis=1), self.bbar[j])
         var = np.where(inner, np.einsum("ij,jk,ik->i", k, self.model.sigma, k),
                        self.var[j])
-        for lam, v in zip(lams[inner], var[inner]):
-            _checked_var(float(v), float(lam))
+        _checked_vars(var[inner], lams[inner])
         return FrontierPoints(lam=lams, k=k, bbar=bbar, var=var, mu=mu)
 
     def roots(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:

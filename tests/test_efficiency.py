@@ -20,7 +20,7 @@ from momentguard.efficiency import (
 from momentguard.errors import InfeasibleDelta, TooManyInvalidMoments
 from momentguard.model import MisspecSet, MomentModel
 from momentguard.robust_ci import two_sided_ci
-from momentguard.sensitivity import _argmin, _weights, frontier, linf_path
+from momentguard.sensitivity import _argmin, _L2Path, _weights, frontier, linf_path
 from modulus_oracle import half_modulus as oracle_half_modulus
 from oracles import grid_modulus
 
@@ -271,6 +271,16 @@ class TestKappaTwoSided:
             kappa_two_sided(scaled, ms, 0.05), rel=1e-6)
 
 
+    def test_alpha_without_one_sided_delta(self):
+        # at alpha = 0.9, d_b = z_0.1 + z_0.8 < 0: the one-sided bound does
+        # not exist, and only it raises
+        model = random_model(4, 1, 5)
+        ms = MisspecSet(np.random.default_rng(0).normal(size=(4, 2)), 2, 1.0)
+        assert 0.0 < kappa_two_sided(model, ms, 0.9) < 1.0
+        for call in (kappa_one_sided, efficiency_report):
+            with pytest.raises(InfeasibleDelta):
+                call(model, ms, 0.9)
+
     def test_efficient_sensitivity_without_bias(self):
         # just identified, and B'k = 0 for the only admissible k: the
         # misspecification cannot bias any estimator, so the modulus is linear
@@ -390,11 +400,48 @@ def test_kappa_two_sided_denominator_is_argmin_route(p, monkeypatch):
         b = rng.normal(size=(d_g, int(rng.integers(1, d_g + 1))))
         m = 0.0 if trial == 0 else float(10.0 ** rng.uniform(-2.0, 1.0))
         cases.append((frontier(model, MisspecSet(b, p, 1.0)), m))
-    by_selector = [efficiency._kappa_two_sided(front, m, 0.05) for front, m in cases]
+    by_selector = [efficiency._kappas(front, m, 0.05, 0.8)[0] for front, m in cases]
     monkeypatch.setattr(efficiency, "select_lambda", lambda front, m, a: SimpleNamespace(
         knot=_argmin(front, _weights("ci_length", m, a))))
-    assert by_selector == [efficiency._kappa_two_sided(front, m, 0.05)
+    assert by_selector == [efficiency._kappas(front, m, 0.05, 0.8)[0]
                            for front, m in cases]
+
+
+def test_report_is_slotted():
+    # a caller keeping one report per problem holds no per-instance dict
+    model = random_model(3, 1, 24)
+    rep = efficiency_report(model, MisspecSet(np.eye(3)[:, :1], 2, 1.0))
+    assert not hasattr(rep, "__dict__")
+
+
+def test_one_l2_sweep_per_report(monkeypatch):
+    """Each p = 2 report finds all of its roots in one ``roots`` call of at
+    most five stacked passes of the evaluator: the table and Newton steps
+    that stop where the condition is resolved, not a walk in its rounding."""
+    calls = {"roots": 0, "passes": 0}
+
+    def counted(name, method):
+        def wrapper(*args):
+            calls[name] += 1
+            return method(*args)
+        return wrapper
+
+    monkeypatch.setattr(_L2Path, "roots", counted("roots", _L2Path.roots))
+    monkeypatch.setattr(_L2Path, "_log_gap", counted("passes", _L2Path._log_gap))
+    rng = np.random.default_rng(47)
+    with_roots = 0
+    for trial in range(48):
+        d_g = int(rng.integers(2, 6))
+        model = random_model(d_g, int(rng.integers(1, min(d_g, 2) + 1)),
+                             int(rng.integers(1 << 30)))
+        mset = MisspecSet(rng.normal(size=(d_g, int(rng.integers(1, d_g + 1)))), 2,
+                          float(10.0 ** rng.uniform(-2.0, 2.0)))
+        calls.update(roots=0, passes=0)
+        efficiency_report(model, mset)
+        assert calls["roots"] == 1, trial
+        assert calls["passes"] <= 5, (trial, calls["passes"])
+        with_roots += calls["passes"] > 0
+    assert with_roots >= 36
 
 
 class TestKappaOneSided:

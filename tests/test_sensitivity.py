@@ -750,6 +750,18 @@ class TestScaleOutsideDoublePrecision:
         with pytest.raises(SingularSystem):
             frontier(model, MisspecSet([[1.0]], p, 1.0))
 
+    def test_points_name_the_first_overflowing_penalty(self):
+        # the variance rises from h^2 / 2 at lam = 0 to h^2 at lam = inf, past
+        # the largest double from lam = 3 on (about 0.68 h^2 there)
+        model = MomentModel(gamma=[[-1.0], [-1.0]], sigma=np.eye(2),
+                            h_deriv=[1.7e154], g_init=np.zeros(2),
+                            h_init=0.0, n=1)
+        front = frontier(model, MisspecSet([[0.0], [1.0]], 2, 1.0))
+        with pytest.raises(SingularSystem, match=r"lambda=3\.0:"):
+            front.points(np.array([0.0, 0.1, 1.0, 3.0, 1e3, math.inf]))
+        with pytest.raises(SingularSystem, match="lambda=inf:"):
+            front.points(np.array([1.0, math.inf, 3.0]))
+
     def test_linf_gram_underflow(self):
         model = MomentModel(gamma=[[-5e-324]], sigma=[[1e-238]], h_deriv=[1.0],
                             g_init=[0.0], h_init=0.0, n=10)
@@ -762,3 +774,53 @@ class TestScaleOutsideDoublePrecision:
         for p in (2, math.inf):
             with pytest.raises(SingularSystem, match="b_mat"):
                 frontier(model, MisspecSet([[2e-311]], p, 1.0))
+
+
+class TestL2SweepAtExtremeScale:
+    """An h of 1e150 puts the squares of the l2 path's norms past a double.
+    The sweep's slope is formed from ``v / ||v||``, so its roots and the
+    kappas stay those of the unscaled model."""
+
+    @staticmethod
+    def draw(seed, scale=1.0):
+        rng = np.random.default_rng(seed)
+        a = rng.normal(size=(6, 6))
+        model = MomentModel(gamma=rng.normal(size=(6, 1)),
+                            sigma=a @ a.T + 0.5 * np.eye(6),
+                            h_deriv=scale * rng.normal(size=1),
+                            g_init=np.zeros(6), h_init=0.0, n=100)
+        return model, rng.normal(size=(6, 6))
+
+    def test_roots_solve_the_condition(self, monkeypatch):
+        # d_gamma = 6 > d_g - d_theta: no unbiased end. The sweep takes as
+        # many passes as on the unscaled model, not safeguarding steps
+        passes = []
+        log_gap = _L2Path._log_gap
+
+        def counted(*args):
+            passes[-1] += 1
+            return log_gap(*args)
+
+        monkeypatch.setattr(_L2Path, "_log_gap", counted)
+        deltas = np.geomspace(0.01, 20.0, 9)
+        for seed in range(200):
+            for scale in (1.0, 1e150):
+                model, b = self.draw(seed, scale)
+                front = frontier(model, MisspecSet(b, 2, 1.0))
+                passes.append(0)
+                lam = front.roots(np.full(9, 6.0), deltas)
+            pts = front.points(lam)
+            gap = np.log(lam * pts.bbar / pts.sd) - np.log(6.0 / deltas)
+            assert np.max(np.abs(gap)) <= 1e-12, (seed, gap)
+            assert passes[-1] == passes[-2], (seed, passes[-2:])
+
+    def test_kappas_are_scale_free(self):
+        for seed in range(60):
+            model, b = self.draw(seed)
+            ref = efficiency_report(model, MisspecSet(b, 2, 3.0))
+            for scale in (1e150, 1e-150):
+                rep = efficiency_report(self.draw(seed, scale)[0],
+                                        MisspecSet(b, 2, 3.0))
+                for got, want in ((rep.kappa_two_sided, ref.kappa_two_sided),
+                                  (rep.kappa_one_sided, ref.kappa_one_sided)):
+                    assert got == pytest.approx(want, rel=1e-12), (seed, scale)
