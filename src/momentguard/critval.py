@@ -13,12 +13,10 @@ the classical Poisson-mixture-of-central-chi-squares series (Ding 1992,
 
 Everything here runs on the standard library and numpy:
 
-- :func:`cv_alpha` is a safeguarded Newton iteration on the tail form of
-  its defining equation. Both noncentral chi-square inverses share another,
-  :func:`_newton`, whose slopes come from the same series evaluation as the
-  cdf. :func:`_brentq`, Brent's method (Brent 1973, *Algorithms for
-  Minimization without Derivatives*, ch. 4) ported from scipy's ``brentq``,
-  serves the root searches of :mod:`momentguard.sensitivity`;
+- every scalar root is one safeguarded Newton iteration, :func:`_newton`:
+  :func:`cv_alpha`'s, both noncentral chi-square inverses', whose slopes
+  come from the same series evaluation as the cdf, and the first-order
+  condition of :func:`momentguard.sensitivity.select_lambda`;
 - the normal cdf is ``math.erf``/``math.erfc`` at ``x / sqrt(2)``, branching
   as cephes' ``ndtr``; the quantile is ``statistics.NormalDist.inv_cdf``,
   Wichura's AS241 (1988);
@@ -57,15 +55,24 @@ _ndtri = NormalDist().inv_cdf
 
 _SQRT_HALF = math.sqrt(0.5)
 
-#: Step cap of :func:`cv_alpha`'s and :func:`_newton`'s Newton iterations.
-#: The first takes at most 8 steps for alpha <= 0.9 and about 20 as alpha
-#: nears 1, where the tail form's rounding makes it bisect.
+#: Step cap of :func:`_newton`. :func:`cv_alpha` takes at most 8 steps for
+#: alpha <= 0.9 and 12 at alpha = 0.999.
 _NEWTON_MAXITER = 100
 
-#: Relative step at which :func:`_newton` stops: half the digits of a double.
-#: Newton's error squares with each step, so the iterate corrected by such a
-#: step is within about ``K eps`` relative, ``K = |x f'' / (2 f')|``.
+#: Relative step at which :func:`_newton` stops by default: half the digits
+#: of a double. Newton's error squares with each step, so the iterate
+#: corrected by such a step is within about ``K eps`` relative,
+#: ``K = |x f'' / (2 f')|``.
 _NEWTON_RTOL = 2.0**-26
+
+#: Smallest upper-tail probability ``1 - p`` at which
+#: :func:`noncentral_chisq_quantile` answers. Near 1 the cdf's rounding does
+#: not shrink with ``1 - p``, and the quantile moves by that rounding over
+#: the density, which in the upper tail is proportional to ``1 - p``. Against
+#: scipy's ``ncx2`` over df 1-200 and ncp 0-1e6, the quantile's relative
+#: error is 4.4e-9 at this bound, 4e-5 at 1e-11 and 0.3 at 1e-14, where the
+#: results are no longer monotone in p.
+_QUANTILE_TAIL_MIN = 2.0**-24
 
 
 def _check_alpha(alpha: float) -> float:
@@ -78,67 +85,6 @@ def _check_alpha(alpha: float) -> float:
 def _check_beta(beta: float) -> None:
     if not (0.0 < beta < 1.0):
         raise OutOfRange(f"beta must lie in (0, 1), got {beta}")
-
-
-def _brentq(f, xa: float, xb: float, xtol: float, rtol: float,
-            maxiter: int = 100) -> float:
-    """Root of ``f`` on a bracket by Brent's method (Brent 1973, ch. 4).
-
-    A line-for-line port of scipy's ``brentq`` (``xtol``, ``rtol`` and
-    ``maxiter`` mean the same; the root is within ``xtol + rtol |x|``), so
-    equal function values give equal iterates. Raises SolverFailure when
-    ``f`` has the same sign at both ends, returns NaN, or the iteration does
-    not converge in ``maxiter`` steps.
-    """
-    def value(x: float) -> float:
-        fx = float(f(x))
-        if math.isnan(fx):
-            raise SolverFailure(f"root search: the function is NaN at x={x!r}")
-        return fx
-
-    xtol, rtol = float(xtol), float(rtol)
-    xpre, xcur = float(xa), float(xb)
-    fpre, fcur = value(xpre), value(xcur)
-    if fpre == 0.0:
-        return xpre
-    if fcur == 0.0:
-        return xcur
-    if math.copysign(1.0, fpre) == math.copysign(1.0, fcur):
-        raise SolverFailure(f"root search: no sign change on [{xpre!r}, {xcur!r}]")
-    xblk = fblk = spre = scur = 0.0
-    for _ in range(maxiter):
-        if fpre != 0.0 and fcur != 0.0 and (fpre < 0.0) != (fcur < 0.0):
-            xblk, fblk = xpre, fpre
-            spre = scur = xcur - xpre
-        if abs(fblk) < abs(fcur):
-            xpre, xcur, xblk = xcur, xblk, xcur
-            fpre, fcur, fblk = fcur, fblk, fcur
-        delta = 0.5 * (xtol + rtol * abs(xcur))
-        sbis = 0.5 * (xblk - xcur)
-        if fcur == 0.0 or abs(sbis) < delta:
-            return xcur
-        if abs(spre) > delta and abs(fcur) < abs(fpre):
-            try:
-                if xpre == xblk:  # secant
-                    stry = -fcur * (xcur - xpre) / (fcur - fpre)
-                else:  # inverse quadratic interpolation
-                    dpre = (fpre - fcur) / (xpre - xcur)
-                    dblk = (fblk - fcur) / (xblk - xcur)
-                    stry = (-fcur * (fblk * dblk - fpre * dpre)
-                            / (dblk * dpre * (fblk - fpre)))
-            except ZeroDivisionError:  # inf or nan in IEEE arithmetic: bisect
-                stry = math.inf
-            if 2.0 * abs(stry) < min(abs(spre), 3.0 * abs(sbis) - delta):
-                spre, scur = scur, stry
-            else:
-                spre = scur = sbis
-        else:
-            spre = scur = sbis
-        xpre, fpre = xcur, fcur
-        xcur += scur if abs(scur) > delta else (delta if sbis > 0.0 else -delta)
-        fcur = value(xcur)
-    raise SolverFailure(
-        f"root search: no convergence in {maxiter} iterations (x={xcur!r})")
 
 
 def norm_cdf(x: float) -> float:
@@ -171,15 +117,20 @@ def cv_alpha(b: float, alpha: float = 0.05) -> float:
     the square root of the 1-alpha quantile of a noncentral chi-square with one
     degree of freedom and noncentrality ``b**2``.
 
-    Solves the tail form ``alpha - Q(c - b) - Q(c + b) = 0``, ``Q(x) =
-    erfc(x / sqrt 2) / 2``, by Newton's method with slope ``phi(c - b) +
-    phi(c + b)``. The root lies in ``[max(b + z_one, z_two), b + z_two]``;
-    the function is increasing, and concave on ``c >= b``, so Newton climbs
-    monotonically from the left end. A step that leaves the bracket, possible
-    at alpha >= 0.5 where the root may lie below ``b``, bisects instead. The
-    result is within a few ulps of the root for alpha <= 0.5; as alpha nears
-    1, ``Q(c -+ b)`` nears 1/2 and its rounding, not the iteration, sets the
-    error.
+    :func:`_newton` solves it with slope ``phi(c - b) + phi(c + b)``, from
+    the left end of the bracket ``[max(b + z_one, z_two), b + z_two]``, and
+    stops at a step of 2 eps relative. The function is increasing, and
+    concave on ``c >= b``, so Newton climbs monotonically; a step that leaves
+    the bracket, possible at alpha >= 0.5 where the root may lie below ``b``,
+    bisects instead. Up to alpha = 0.5 the equation is formed in its tail
+    form ``alpha - Q(c - b) - Q(c + b)``, ``Q(x) = erfc(x / sqrt 2) / 2``,
+    which keeps the digits of a small alpha. Above it ``Q(c -+ b)`` nears
+    1/2, and the tail form's rounding would move c by hundreds of its ulps,
+    so it is formed centrally, ``(erf((c - b) / sqrt 2) + erf((c + b) /
+    sqrt 2)) / 2 - (1 - alpha)``, or, where ``c - b <= -1`` and both erf
+    terms near 1 in size, as the difference of the upper tails
+    ``(erfc((b - c) / sqrt 2) - erfc((c + b) / sqrt 2)) / 2``. Either way
+    the result is within a few ulps of the root.
     """
     a = _check_alpha(alpha)
     b = float(b)
@@ -191,28 +142,21 @@ def cv_alpha(b: float, alpha: float = 0.05) -> float:
     if b == 0.0:
         return z_two  # exact Wald reduction
     z_one = -norm_quantile(a)
-    lo, hi = max(b + z_one, z_two), b + z_two
-    c = lo
-    for _ in range(_NEWTON_MAXITER):
-        gap = (a - 0.5 * math.erfc((c - b) * _SQRT_HALF)
-               - 0.5 * math.erfc((c + b) * _SQRT_HALF))
-        if gap == 0.0:
-            return c
-        if gap < 0.0:
-            lo = c
-        else:
-            hi = c
+    lo = max(b + z_one, z_two)
+    coverage = 1.0 - a  # exact for alpha in [1/2, 1)
+
+    def gap(c: float) -> tuple[float, float]:
         slope = norm_pdf(c - b) + norm_pdf(c + b)
-        step = gap / slope if slope > 0.0 else math.inf
-        if abs(step) <= 2.0 * _EPS * c:
-            return c - step
-        c -= step
-        if not lo < c < hi:
-            c = lo + 0.5 * (hi - lo)
-            if not lo < c < hi:  # lo and hi are adjacent doubles
-                return hi
-    raise SolverFailure(
-        f"cv_alpha: Newton did not converge in {_NEWTON_MAXITER} steps (b={b!r})")
+        if a <= 0.5:
+            return (a - 0.5 * math.erfc((c - b) * _SQRT_HALF)
+                    - 0.5 * math.erfc((c + b) * _SQRT_HALF)), slope
+        if c - b > -1.0:
+            inside = math.erf((c - b) * _SQRT_HALF) + math.erf((c + b) * _SQRT_HALF)
+        else:
+            inside = math.erfc((b - c) * _SQRT_HALF) - math.erfc((c + b) * _SQRT_HALF)
+        return 0.5 * inside - coverage, slope
+
+    return _newton(gap, lo, lo, b + z_two, rtol=2.0 * _EPS)
 
 
 def _log_poisson_at(a: float, mean: float) -> float:
@@ -370,7 +314,8 @@ def _series(df: int, first: int, w: np.ndarray):
     return evaluate
 
 
-def _newton(fun, x: float, lo: float, hi: float) -> float:
+def _newton(fun, x: float, lo: float, hi: float, rtol: float = _NEWTON_RTOL,
+            offset: float = 0.0) -> float:
     """Root of an increasing function on ``[lo, hi]`` by Newton's method from
     ``x``, safeguarded by bisection.
 
@@ -378,22 +323,27 @@ def _newton(fun, x: float, lo: float, hi: float) -> float:
     bracket. Each value's sign moves one end of the bracket to ``x``; a step
     that leaves the bracket, or a slope that is not positive, bisects it
     instead. The iteration returns ``x`` corrected by the first step within
-    ``_NEWTON_RTOL`` of it, or ``hi`` once ``lo`` and ``hi`` are adjacent
-    doubles. A tolerance of a few eps would not do: near the root the
-    steps are the function's rounding over its slope, which for an
+    ``rtol (offset + |x|)``, or ``hi`` once ``lo`` and ``hi`` are adjacent
+    doubles. The default rule is relative and half the digits of a double;
+    an offset of 1 keeps it from stalling at a root near 0. A tolerance of a
+    few eps would not do for the noncentral chi-square inverses: near the
+    root the steps are the function's rounding over its slope, which for an
     upper-tail quantile is 1e-14 to 1e-13 of ``x``, so they wander there
-    until the bracket closes.
+    until the bracket closes. A NaN value raises SolverFailure, and so does
+    the ``_NEWTON_MAXITER``-th step.
     """
     for _ in range(_NEWTON_MAXITER):
         g, slope = fun(x)
-        if g == 0.0:
-            return x
         if g < 0.0:
             lo = x
-        else:
+        elif g > 0.0:
             hi = x
+        elif g == 0.0:
+            return x
+        else:
+            raise SolverFailure(f"root search: the function is NaN at x={x!r}")
         step = g / slope if slope > 0.0 else math.inf
-        if abs(step) <= _NEWTON_RTOL * abs(x):
+        if abs(step) <= rtol * (offset + abs(x)):
             return x - step
         x -= step
         if not lo < x < hi:
@@ -486,16 +436,20 @@ def noncentral_chisq_quantile(p: float, df: int, ncp: float) -> float:
     Monotone nondecreasing in ``ncp``. Newton's method on the cdf, whose
     evaluation also gives the density, starts from :func:`_quantile_start`
     inside the bracket from 0 to :func:`_cantelli_bound`. Relative error
-    stays below 1e-8 for probabilities up to about 1 - 1e-6; past that,
-    inverting a double-precision cdf over a vanishing density saturates, as
-    it does for any series- or integration-based implementation.
+    stays below 1e-8 for ``1 - p`` down to ``_QUANTILE_TAIL_MIN = 2^-24``;
+    past that the cdf's rounding swamps ``1 - p`` (see ``_QUANTILE_TAIL_MIN``),
+    as it does for any series- or integration-based cdf, so such a p is
+    refused rather than answered wrongly.
 
-    Raises OutOfRange for a ``df`` that is not a positive integer or a
-    negative ``ncp``, and SolverFailure for a noncentrality above
-    ``_NCP_CEILING`` or NaN, where the series would need more terms than
-    memory holds.
+    Raises OutOfRange for a p above ``1 - _QUANTILE_TAIL_MIN``, a ``df``
+    that is not a positive integer or a negative ``ncp``, and SolverFailure
+    for a noncentrality above ``_NCP_CEILING`` or NaN, where the series
+    would need more terms than memory holds.
     """
     p = _check_p(p)
+    if 1.0 - p < _QUANTILE_TAIL_MIN:
+        raise OutOfRange(f"p = {p!r} is within {_QUANTILE_TAIL_MIN:.3g} of 1, "
+                         "past what the noncentral chi-square cdf resolves")
     df = _check_df(df)
     ncp = _check_ncp(ncp)
     series = _series(df, *_poisson_weights(0.5 * ncp))

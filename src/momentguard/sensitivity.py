@@ -24,11 +24,10 @@ p = inf), ``Sigma k + lam' * B s + Gamma mu = 0`` where ``lam'`` is
 
 The frontier is the path object itself: :class:`SensitivityFrontier` is the
 base of one class per norm, ``_L2Path`` and ``_LinfPath``, and only
-:func:`frontier` and :func:`linf_path` choose which. Both answer the same
-four calls: ``knot(lam)`` for one point, ``points(lams)`` for many points in
-one stacked evaluation, ``roots(a, b)`` for the penalties that minimize
-fixed-weight criteria and ``argmin(weights)`` for the point that minimizes a
-point-dependent one.
+:func:`frontier` and :func:`linf_path` choose which. Both answer ``knot(lam)``
+for one point, ``points(lams)`` for many points in one stacked evaluation,
+``roots(a, b)`` for the penalties that minimize fixed-weight criteria and
+``argmin(weights, m)`` for the point that minimizes a point-dependent one.
 
 Paths are always computed for the unit set (m = 1); scale invariance means the
 same path serves every magnitude m, 0 included, with the worst-case bias
@@ -36,18 +35,23 @@ simply rescaled. :func:`select_lambda` then finds the exact point of the path
 minimizing CI length, worst-case MSE or a one-sided excess-length quantile at
 a given m: each criterion is convex and nondecreasing in the bias and the sd,
 so its minimizer is the one sign change of a first-order condition along the
-path (:func:`_argmin`). The same minimizer gives the shortest CI in the
+path, where the ratio ``lam' / sd`` reaches the ratio ``r`` of the
+criterion's partial derivatives. ``r`` depends on the point only through
+``tau = m bbar / sd`` (:func:`_weights`), and ``argmin`` finds the root of
+``F = log(lam' / sd) - log r(tau)`` by the Newton iteration of
+:mod:`momentguard.critval`. The same minimizer gives the shortest CI in the
 denominator of the two-sided efficiency bound (:mod:`momentguard.efficiency`).
 With fixed weights, as in the modulus of continuity, the frontier's minimum
-of ``2 m bbar + delta sd``, the root is where the ratio ``lam' / sd`` reaches
-``2 m / delta``, and :func:`_argmin_sweep` finds it for every delta at once:
+of ``2 m bbar + delta sd``, r is the constant ``2 m / delta``, and
+:func:`_argmin_sweep` finds the root for every delta at once:
 one sorted lookup and a closed-form quadratic per delta on an inf-path,
 vectorized safeguarded Newton steps on the l2 path. Those start from a table
 of the ratio and its slope on a fixed grid of log-lambda, made once per
 path: a sorted lookup gives each root its bracket, and a monotone cubic
-Hermite inverse its start. A root is accepted after a Newton step of at most
-half the digits of a double, the rule of the noncentral chi-square inverses
-in :mod:`momentguard.critval`, or where the condition is within the rounding
+Hermite inverse its start. On the l2 path both the sweep and ``argmin``
+accept a root after a Newton step of at most half the digits of a double in
+``1 + |log lambda|``, the rule of :mod:`momentguard.critval`'s Newton
+iteration; the sweep also stops where the condition is within the rounding
 of its own terms, so no step is spent in rounding noise.
 """
 
@@ -60,7 +64,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from ._linalg import orth_complement, solve_psd
-from .critval import (_NEWTON_RTOL, _brentq, _check_alpha, _check_beta, cv_alpha,
+from .critval import (_NEWTON_RTOL, _check_alpha, _check_beta, _newton, cv_alpha,
                       norm_quantile)
 from .errors import (
     DegeneratePath,
@@ -123,7 +127,7 @@ class FrontierPoints:
 _DOUBLE_MAX = np.finfo(float).max
 
 #: ``log(lam)`` range of the l2 root: the smallest positive and the largest
-#: finite double, and the step of the search for its bracket.
+#: finite double, and the longest step a search for it takes.
 _LOG_LAM_MIN = math.log(5e-324)
 _LOG_LAM_MAX = math.log(_DOUBLE_MAX)
 _LOG_LAM_STEP = math.log(16.0)
@@ -174,24 +178,6 @@ def _checked_vars(var: np.ndarray, lams: np.ndarray) -> None:
     if np.any(bad):
         i = int(np.argmax(bad))
         _checked_var(float(var[i]), float(lams[i]))
-
-
-def _gap(weights, bbar: float, sd: float, lam_prime: float) -> float:
-    """The first-order condition ``G = b lam' - a sd`` of :func:`_argmin`,
-    with ``(a, b) = weights(bbar, sd)``."""
-    a, b = weights(bbar, sd)
-    return b * lam_prime - a * sd
-
-
-def _root(fn, lo: float, hi: float,
-          xtol: float = 4.0 * np.finfo(float).eps) -> float:
-    """Root of ``fn`` given ``fn(lo) < 0 <= fn(hi)``, to within ``xtol`` plus
-    4 eps relative."""
-    try:
-        return _brentq(fn, lo, hi, xtol=xtol, rtol=4.0 * np.finfo(float).eps)
-    except SolverFailure as exc:
-        raise SolverFailure(f"first-order condition: root search on "
-                            f"[{lo!r}, {hi!r}] did not converge: {exc}") from None
 
 
 class SensitivityFrontier:
@@ -354,38 +340,52 @@ class _L2Path(SensitivityFrontier):
         u = np.linspace(mid - L2_TABLE_SPAN, mid + L2_TABLE_SPAN, L2_TABLE_POINTS)
         return (u, *self._log_gap(u, np.zeros(L2_TABLE_POINTS)))
 
-    def argmin(self, weights) -> FrontierKnot:
-        """:func:`_argmin` on the l2 path: one bracketed root in ``log(lam)``,
-        searched outward from the root of G linearized at lam = 0."""
+    def argmin(self, weights, m: float) -> FrontierKnot:
+        """The first-order root of :func:`select_lambda` on the l2 path:
+        :func:`_newton` in ``u = log(lam)`` on ``F = log(lam bbar / sd) -
+        log r(tau)``, from the root of F linearized at lam = 0, stopping at a
+        step of ``_NEWTON_RTOL (1 + |u|)`` as the sweep does. One
+        :meth:`_log_gap` pass gives ``log(lam bbar / sd)`` and its slope S,
+        whence ``tau = m bbar / sd`` and F's slope ``S - eps (S - 1)``.
+        The root is lam = inf where the criterion still falls at the
+        unbiased end, and 0 where it lies below every positive double."""
         first = self.first
         sd0 = math.sqrt(first.var)
-        a0, b0 = weights(first.bbar, sd0)
-        if a0 == 0.0:  # G = -a sd at lam = 0
-            return first
-        if self.ends_unbiased and _gap(weights, *self.end) <= 0.0:
-            return self.knot(math.inf)
-        memo: dict[float, float] = {}
+        if self.ends_unbiased:
+            bbar_end, sd_end, lam_bbar_end = self.end
+            # the sign form: log r(0) is -inf for "ci_length"
+            if lam_bbar_end <= math.exp(weights(m * bbar_end / sd_end)[0]) * sd_end:
+                return self.knot(math.inf)
+        zero = np.zeros(1)
 
-        def gap(u: float) -> float:
-            if u not in memo:
-                memo[u] = _gap(weights, *self.scalars(math.exp(u)))
-            return memo[u]
+        def gap(u: float) -> tuple[float, float]:
+            (f,), (slope,) = self._log_gap(np.array([u]), zero)
+            log_r, eps = weights(m * math.exp(f - u))
+            if log_r == math.inf:
+                # only at alpha > 1/2, where L may fall in sd: F = -inf says
+                # no more than that the root lies above
+                return -_LOG_LAM_STEP, 1.0
+            # a step is at most the sweep's outward step: where the ratio
+            # levels off, a small slope would throw the next point far out,
+            # where the evaluator may not resolve the path (ROADMAP E5)
+            f -= log_r
+            return f, max(slope - eps * (slope - 1.0), abs(f) / _LOG_LAM_STEP)
 
         # lam' = lam bbar_0 in the linearization
-        u = (math.log(a0) + math.log(sd0) - math.log(b0) - math.log(first.bbar)
-             if b0 > 0.0 else 0.0)
-        lo = hi = min(max(u, _LOG_LAM_MIN), _LOG_LAM_MAX)
-        while gap(hi) < 0.0:
-            if hi == _LOG_LAM_MAX:
-                if self.ends_unbiased:
-                    return self.knot(math.inf)
-                raise SolverFailure("could not bracket the l2 penalty")
-            lo, hi = hi, min(hi + _LOG_LAM_STEP, _LOG_LAM_MAX)
-        while gap(lo) >= 0.0:
-            if lo == _LOG_LAM_MIN:
-                return first  # the root lies below every positive double: m -> 0
-            lo, hi = max(lo - _LOG_LAM_STEP, _LOG_LAM_MIN), lo
-        return self.knot(math.exp(_root(gap, lo, hi)))
+        log_r = weights(m * first.bbar / sd0)[0]
+        u = (log_r + math.log(sd0) - math.log(first.bbar)
+             if log_r < math.inf else 0.0)
+        u = _newton(gap, min(max(u, _LOG_LAM_MIN), _LOG_LAM_MAX), _LOG_LAM_MIN,
+                    _LOG_LAM_MAX, offset=1.0)
+        # at either end of the range the root may lie beyond it
+        edge = _NEWTON_RTOL * (1.0 + _LOG_LAM_MAX - _LOG_LAM_MIN)
+        if u <= _LOG_LAM_MIN + edge and gap(_LOG_LAM_MIN)[0] >= 0.0:
+            return first  # the root lies below every positive double: m -> 0
+        if u >= _LOG_LAM_MAX - edge and gap(_LOG_LAM_MAX)[0] < 0.0:
+            if self.ends_unbiased:
+                return self.knot(math.inf)
+            raise SolverFailure("could not bracket the l2 penalty")
+        return self.knot(math.exp(min(u, _LOG_LAM_MAX)))
 
     @functools.cached_property
     def end(self) -> tuple[float, float, float]:
@@ -584,37 +584,52 @@ class _LinfPath(SensitivityFrontier):
         lam = np.where(inner, (1.0 - w) * lams[jl] + w * lams[jh], 0.0)
         return np.where(past, a * np.sqrt(var[last]) / b, lam)
 
-    def argmin(self, weights) -> FrontierKnot:
-        """:func:`_argmin` on an inf-path: the first knot with ``G >= 0`` ends
-        the segment that holds the root, where bbar is linear and the
-        variance quadratic in the segment weight, so the root needs only
-        scalars. Past the last knot k stands still and the root is
-        ``lam = a sd / b``, where mu has moved on; the same holds on a
-        segment where only mu moves."""
+    def argmin(self, weights, m: float) -> FrontierKnot:
+        """The first-order root of :func:`select_lambda` on an inf-path: the
+        first knot with ``lam >= r sd`` ends the segment that holds it. There
+        lam and bbar are linear and the variance quadratic in the segment
+        weight w, so F's slope is in closed form, and :func:`_newton` solves
+        ``F = log(lam / sd) - log r(tau)`` in w from the root of ``lam / sd -
+        r`` interpolated between the knots. Past the last knot k stands still
+        and the root is ``lam = r sd``, where mu has moved on; the same holds
+        on a segment where only mu moves."""
         knots = self.knots
-        j = next((j for j, kn in enumerate(knots)
-                  if _gap(weights, kn.bbar, math.sqrt(kn.var), kn.lam) >= 0.0), None)
-        if j == 0:  # G = -a sd at lam = 0
+        for j, kn in enumerate(knots):
+            sd = math.sqrt(kn.var)
+            r = math.exp(weights(m * kn.bbar / sd)[0])
+            if kn.lam >= r * sd:
+                break
+            g_lo = kn.lam / sd - r
+        else:
+            # r is finite whenever alpha <= 1/2; otherwise L does not rise past here
+            return self.knot(r * sd) if r < math.inf else knots[-1]
+        if j == 0:  # r = 0 at lam = 0
             return knots[0]
-        if j is None:
-            last = knots[-1]
-            sd = math.sqrt(last.var)
-            a, b = weights(last.bbar, sd)
-            # b > 0 whenever alpha <= 1/2; otherwise L does not rise past here
-            return self.knot(a * sd / b) if b > 0.0 else last
-        lo, hi = knots[j - 1], knots[j]
-        dk = hi.k - lo.k
+        # w runs from the knot nearer the linearly interpolated root, so the
+        # relative step rule is relative to the distance from that knot, and
+        # F's curvature there, up to 1 / w where bbar or lam vanishes at the
+        # knot, does not spoil the corrected iterate
+        w = g_lo / (g_lo - (kn.lam / sd - r))
+        w = w if 0.0 < w < 1.0 else 0.5
+        near, far, sign = knots[j - 1], kn, 1.0
+        if w > 0.5:
+            near, far, sign, w = far, near, -1.0, 1.0 - w
+        dk = far.k - near.k
         v2 = float(dk @ self.model.sigma @ dk)
+        d_lam, d_bbar = far.lam - near.lam, far.bbar - near.bbar
 
-        def gap(w: float) -> float:
-            # exact at both ends: var(w) = (1-w) var_lo + w var_hi - w(1-w) v2
-            var = (1.0 - w) * lo.var + w * hi.var - w * (1.0 - w) * v2
-            return _gap(weights, (1.0 - w) * lo.bbar + w * hi.bbar,
-                        math.sqrt(max(var, 0.0)), (1.0 - w) * lo.lam + w * hi.lam)
+        def gap(w: float) -> tuple[float, float]:
+            lam = (1.0 - w) * near.lam + w * far.lam
+            bbar = (1.0 - w) * near.bbar + w * far.bbar
+            # exact at both ends: var(w) = (1-w) var_near + w var_far - w(1-w) v2
+            var = (1.0 - w) * near.var + w * far.var - w * (1.0 - w) * v2
+            half = 0.5 * (far.var - near.var - (1.0 - 2.0 * w) * v2) / var
+            log_r, eps = weights(m * bbar / math.sqrt(var))
+            return (sign * (math.log(lam) - 0.5 * math.log(var) - log_r),
+                    sign * (d_lam / lam - half + eps * (half - d_bbar / bbar)))
 
-        # relative in w: on the first segment lam = w lam_hi
-        w = _root(gap, 0.0, 1.0, np.finfo(float).tiny)
-        return self.knot((1.0 - w) * lo.lam + w * hi.lam)
+        w = _newton(gap, w, 0.0, 1.0)
+        return self.knot((1.0 - w) * near.lam + w * far.lam)
 
 
 @dataclass(frozen=True)
@@ -861,25 +876,33 @@ def frontier(model: MomentModel, mset: MisspecSet) -> SensitivityFrontier:
 
 
 def _weights(criterion: str, m: float, alpha: float, beta: float = 0.8):
-    """Partial derivatives ``(a, b)`` of a selection criterion ``L(m bbar,
-    sd)`` in ``bbar`` and ``sd``, up to a common positive factor.
+    """A selection criterion ``L(m bbar, sd)`` as the function ``tau -> (log
+    r, eps)`` of the frontier point's ``tau = m bbar / sd``.
 
-    Each criterion is convex and nondecreasing in both arguments, so these
-    weights are all that :func:`_argmin` needs.
+    ``r = a / b`` is the ratio of L's partial derivatives ``a`` in bbar and
+    ``b`` in sd, which depends on the point only through tau, and ``eps = d
+    log r / d log tau``. Each criterion is convex and nondecreasing in both
+    arguments, so these are all that the frontier's ``argmin`` needs.
     """
     if criterion == "ci_length":
-        # L = 2 cv(tau) sd with tau = m bbar / sd; differentiating the
-        # defining equation of cv_alpha gives
-        # cv' = (phi(c - tau) - phi(c + tau)) / (phi(c - tau) + phi(c + tau)),
-        # which is tanh(c tau)
-        def weights(bbar: float, sd: float) -> tuple[float, float]:
-            tau = m * bbar / sd
+        # L = 2 cv(tau) sd; differentiating the defining equation of cv_alpha
+        # gives cv' = (phi(c - tau) - phi(c + tau)) / (phi(c - tau) + phi(c +
+        # tau)), which is t = tanh(c tau), so r = m t / (c - tau t) and, with
+        # t' = (1 - t^2)(c + tau t), eps = tau t' c / (t (c - tau t))
+        def weights(tau: float) -> tuple[float, float]:
+            if tau == 0.0:
+                return -math.inf, 1.0
             c = cv_alpha(tau, alpha)
-            slope = math.tanh(c * tau)
-            return m * slope, c - tau * slope
+            t = math.tanh(c * tau)
+            den = c - tau * t
+            if not den > 0.0:  # only at alpha > 1/2: L does not rise in sd
+                return math.inf, 0.0
+            return (math.log(m) + math.log(t) - math.log(den),
+                    tau * (1.0 - t * t) * (c + tau * t) * c / (t * den))
     elif criterion == "mse":
-        def weights(bbar: float, sd: float) -> tuple[float, float]:
-            return m * m * bbar, sd
+        # L = (m bbar)^2 + sd^2: r = m tau
+        def weights(tau: float) -> tuple[float, float]:
+            return (math.log(m) + math.log(tau) if tau > 0.0 else -math.inf), 1.0
     elif criterion == "one_sided_quantile":
         _check_beta(beta)
         weight = norm_quantile(1.0 - alpha) + norm_quantile(beta)
@@ -887,8 +910,8 @@ def _weights(criterion: str, m: float, alpha: float, beta: float = 0.8):
             raise OutOfRange("z_{1-alpha} + z_beta must be positive, got "
                              f"{weight} at alpha={alpha}, beta={beta}")
 
-        def weights(bbar: float, sd: float) -> tuple[float, float]:
-            return m, weight
+        def weights(tau: float) -> tuple[float, float]:
+            return math.log(m) - math.log(weight), 0.0
     else:
         raise OutOfRange("criterion must be 'ci_length', 'mse' or "
                          f"'one_sided_quantile', got {criterion!r}")
@@ -908,31 +931,11 @@ def knot_at(front: SensitivityFrontier, lam: float) -> FrontierKnot:
     return front.knot(lam)
 
 
-def _argmin(front: SensitivityFrontier, weights) -> FrontierKnot:
-    """Frontier point minimizing a criterion ``L(m bbar, sd)`` that is convex
-    and nondecreasing in both arguments; ``weights(bbar, sd)`` gives its
-    partial derivatives ``(a, b)`` (see :func:`_weights`).
-
-    Along the frontier, stationarity ``Sigma k + lam' B s + Gamma mu = 0``
-    (``lam' = lam`` for p = inf, ``lam bbar`` for p = 2) makes
-    ``d sd / d bbar = -lam' / sd``, so dL/dlam has the sign of
-    ``G = b lam' - a sd``, which changes sign once: the minimizer is that
-    root, which the frontier's ``argmin`` finds.
-
-    For weights that do not depend on the point, :func:`_argmin_sweep` gives
-    the same minimizer for many pairs of weights in one pass.
-    """
-    # an unbiased first knot is optimal on any criterion
-    if front.first.bbar == 0.0:
-        return front.first
-    return front.argmin(weights)
-
-
 def _argmin_sweep(front: SensitivityFrontier, a: np.ndarray,
                   b: np.ndarray) -> FrontierPoints:
     """Frontier point minimizing ``a[i] bbar + b[i] sd`` for each pair of fixed
-    weights, ``a >= 0`` and ``b > 0``: what :func:`_argmin` returns for
-    ``weights = lambda bbar, sd: (a[i], b[i])``, for every pair in one pass.
+    weights, ``a >= 0`` and ``b > 0``: the frontier's ``argmin`` for the
+    constant ratio ``r = a[i] / b[i]``, for every pair in one pass.
 
     With fixed weights the first-order root is where the ratio ``lam' / sd``,
     nondecreasing along the frontier, reaches ``c = a / b``; the frontier's
@@ -956,16 +959,25 @@ def select_lambda(front: SensitivityFrontier, m: float, alpha: float = 0.05,
     """Penalty minimizing CI length, worst-case MSE or, for
     "one_sided_quantile", ``m * bbar + (z_{1-alpha} + z_beta) * sd`` at ``m``.
 
-    The minimum over the whole frontier is exact: it is the root of the
-    criterion's first-order condition along the path (:func:`_argmin`),
-    and the choice carries the frontier point there as ``knot``.
-    Where k stands still over a range of penalties (past the last knot of an
-    inf-path), every penalty there gives the same sensitivity, and
-    ``lambda_star`` is the one at which the criterion's weights satisfy the
-    stationarity condition, ``lam = a sd / b``.
+    The minimum over the whole frontier is exact. Along the frontier,
+    stationarity ``Sigma k + lam' B s + Gamma mu = 0`` (``lam' = lam`` for
+    p = inf, ``lam bbar`` for p = 2) makes ``d sd / d bbar = -lam' / sd``,
+    so dL/dlam has the sign of ``lam' / sd - r``, with ``r = a / b`` the
+    ratio of L's partial derivatives in bbar and sd (see :func:`_weights`).
+    That changes sign once, and the minimizer is the root of ``F = log(lam'
+    / sd) - log r``, which the frontier's ``argmin`` finds; the choice
+    carries the frontier point there as ``knot``. An unbiased first knot,
+    and the first knot at m = 0, is optimal outright. Where k stands still
+    over a range of penalties (past the last knot of an inf-path), every
+    penalty there gives the same sensitivity, and ``lambda_star`` is the one
+    at which the stationarity condition holds, ``lam = r sd``.
     """
     _check_alpha(alpha)
     if not (0.0 <= m < math.inf):
         raise OutOfRange(f"m must be nonnegative and finite, got {m}")
-    kn = _argmin(front, _weights(criterion, m, alpha, beta))
+    weights = _weights(criterion, m, alpha, beta)
+    if m == 0.0 or front.first.bbar == 0.0:
+        kn = front.first
+    else:
+        kn = front.argmin(weights, m)
     return LambdaChoice(lambda_star=kn.lam, criterion=criterion, m=m, knot=kn)

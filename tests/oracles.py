@@ -62,6 +62,29 @@ def cv_alpha_tail_oracle(b: float, alpha: float) -> float:
             hi = mid
 
 
+def cv_alpha_central_oracle(b: float, alpha: float) -> float:
+    """Bisection to adjacent doubles on the central form ``Phi(c - b) -
+    Phi(-c - b) - (1 - alpha)``, evaluated in 40-digit arithmetic: the first
+    double of ``[0, b + 40]`` at which it is nonnegative, the root rounded up."""
+    import mpmath
+
+    with mpmath.workdps(40):
+        b_mp, coverage = mpmath.mpf(b), 1 - mpmath.mpf(alpha)
+
+        def gap(c: float):
+            return mpmath.ncdf(c - b_mp) - mpmath.ncdf(-c - b_mp) - coverage
+
+        lo, hi = 0.0, float(b) + 40.0
+        while True:
+            mid = lo + 0.5 * (hi - lo)
+            if not lo < mid < hi:
+                return hi
+            if gap(mid) < 0:
+                lo = mid
+            else:
+                hi = mid
+
+
 # -- worst-case bias by vertex enumeration --------------------------------------
 
 def sign_vertex_max(gram: np.ndarray) -> float:

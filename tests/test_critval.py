@@ -19,7 +19,7 @@ from momentguard.critval import (
     norm_quantile,
 )
 from momentguard.errors import InvalidBias, OutOfRange, SolverFailure
-from oracles import cv_alpha_oracle, cv_alpha_tail_oracle
+from oracles import cv_alpha_central_oracle, cv_alpha_oracle, cv_alpha_tail_oracle
 
 Z975 = 1.959963984540054
 Z95 = 1.6448536269514722
@@ -80,6 +80,16 @@ class TestCvAlpha:
             unit = max(math.ulp(want), math.ulp(b), eps * alpha / slope)
             assert abs(cv_alpha(b, alpha) - want) <= 4.0 * unit, b
 
+    @pytest.mark.parametrize("alpha", [0.6, 0.9, 0.999])
+    def test_within_four_ulps_of_central_oracle(self, alpha):
+        # above alpha = 1/2 the central form resolves the root to the spacing
+        # of c, and of b, which the arguments c -+ b carry; b = 1.29e-8 at
+        # alpha = 0.999 is where the tail form missed it by 319 ulps
+        for b in [*np.logspace(-12, 8, 81), 1.29e-8]:
+            want = cv_alpha_central_oracle(b, alpha)
+            unit = max(math.ulp(want), math.ulp(b))
+            assert abs(cv_alpha(b, alpha) - want) <= 4.0 * unit, b
+
     def test_frozen_oracle_value(self):
         # computed once from the independent bisection oracle
         assert cv_alpha(1.0, 0.05) == pytest.approx(2.64614554821531, abs=1e-8)
@@ -109,6 +119,42 @@ class TestCvAlpha:
             cv_alpha(float("nan"), 0.05)
         with pytest.raises(OutOfRange):
             cv_alpha(1.0, 1.5)
+
+
+class TestNewton:
+    """``critval._newton``, the one scalar root finder: cv_alpha, both
+    noncentral chi-square inverses and select_lambda's first-order root."""
+
+    def test_flat_slope_ends_at_adjacent_doubles(self):
+        # every step bisects; the bracket closes on the jump
+        def step(x):
+            return (1.0 if x > 0.7 else -1.0), 0.0
+
+        assert critval._newton(step, 0.5, 0.0, 1.0) == math.nextafter(0.7, 1.0)
+
+    def test_nan_is_solver_failure(self):
+        with pytest.raises(SolverFailure, match="NaN at x=0.625"):
+            critval._newton(lambda x: (math.nan if x > 0.5 else -1.0, 1.0),
+                            0.25, 0.0, 1.0)
+
+    def test_iteration_cap(self):
+        # bisection toward a root at 1e-300 needs about a thousand halvings
+        with pytest.raises(SolverFailure,
+                           match=r"^root search: Newton did not converge in 100 steps"):
+            critval._newton(lambda x: (x - 1e-300, 0.0), 0.5, 0.0, 1.0)
+
+    def test_offset_stops_at_a_root_at_zero(self):
+        # Newton's step on a cube root doubles the distance to the root, so
+        # every step bisects. A step rule relative to |x| never fires and the
+        # bracket closes toward 0 only after about a thousand halvings;
+        # relative to 1 + |x| it fires within 2^-26 of the root
+        def cube_root(x):
+            return math.copysign(abs(x) ** (1.0 / 3.0), x), (
+                abs(x) ** (-2.0 / 3.0) / 3.0 if x else math.inf)
+
+        with pytest.raises(SolverFailure, match="did not converge"):
+            critval._newton(cube_root, 0.5, -1.0, 1.0)
+        assert abs(critval._newton(cube_root, 0.5, -1.0, 1.0, offset=1.0)) <= 2.0**-24
 
 
 class TestNormal:
@@ -273,6 +319,30 @@ class TestNewtonInverses:
                     calls.clear()
                     noncentral_chisq_quantile(p, df, ncp)
                     assert len(calls) <= 8, (p, df, ncp)
+
+
+class TestQuantileNearOne:
+    """Past ``1 - p = _QUANTILE_TAIL_MIN`` the cdf's rounding swamps ``1 - p``,
+    and the quantile is refused; up to it, it is accurate and monotone."""
+
+    @pytest.mark.parametrize("p,df,ncp", [(1.0 - 2.0**-52, 3, 7.0),
+                                          (1.0 - 1e-14, 30, 1e4),
+                                          (1.0 - 2.0**-52, 30, 1e4)])
+    def test_past_the_bound_is_out_of_range(self, p, df, ncp):
+        # these gave 177.7 (scipy: 119.76), 11921 (11619) and 12287: wrong,
+        # and falling as p rose
+        with pytest.raises(OutOfRange, match="resolves"):
+            noncentral_chisq_quantile(p, df, ncp)
+
+    @pytest.mark.parametrize("ncp", GRID_NCP)
+    @pytest.mark.parametrize("df", GRID_DF)
+    def test_accurate_and_monotone_up_to_the_bound(self, df, ncp):
+        tails = np.geomspace(1e-3, critval._QUANTILE_TAIL_MIN, 8)
+        got = [noncentral_chisq_quantile(1.0 - t, df, ncp) for t in tails]
+        assert all(x <= y for x, y in zip(got, got[1:]))
+        for t, x in zip(tails, got):
+            want = scipy_quantile(1.0 - t, df, ncp)
+            assert abs(x - want) <= 1e-8 * want, t
 
 
 class TestInputChecks:

@@ -20,7 +20,7 @@ from momentguard.efficiency import (
 from momentguard.errors import InfeasibleDelta, TooManyInvalidMoments
 from momentguard.model import MisspecSet, MomentModel
 from momentguard.robust_ci import two_sided_ci
-from momentguard.sensitivity import _argmin, _L2Path, _weights, frontier, linf_path
+from momentguard.sensitivity import _L2Path, _weights, frontier, linf_path
 from modulus_oracle import half_modulus as oracle_half_modulus
 from oracles import grid_modulus
 
@@ -32,6 +32,23 @@ def random_model(d_g, d_th, seed):
     return MomentModel(gamma=rng.normal(size=(d_g, d_th)), sigma=sigma,
                        h_deriv=rng.normal(size=d_th),
                        g_init=np.zeros(d_g), h_init=0.0, n=100)
+
+
+def argmin_fixed(front, a, b):
+    """The scalar selector for the fixed weights ``(a, b)``: the frontier's
+    ``argmin`` on the constant ratio ``r = a / b``."""
+    if front.first.bbar == 0.0:
+        return front.first
+    log_r = math.log(a) - math.log(b)
+    return front.argmin(lambda tau: (log_r, 0.0), 1.0)
+
+
+def argmin_criterion(front, m, alpha):
+    """The frontier's ``argmin`` on the "ci_length" criterion, behind the
+    shortcuts ``select_lambda`` puts in front of it."""
+    if m == 0.0 or front.first.bbar == 0.0:
+        return front.first
+    return front.argmin(_weights("ci_length", m, alpha), m)
 
 
 def efficient_sd(model):
@@ -343,13 +360,13 @@ class TestKappaTwoSided:
 
 def kappas_per_delta(model, mset, alpha=0.05, beta=0.8):
     """Both kappas with the modulus found one delta at a time, one scalar
-    ``_argmin`` root per quadrature node, the tail edge and each one-sided
-    delta: the reference for the package's single sweep over all deltas."""
+    scalar root per quadrature node, the tail edge and each one-sided delta:
+    the reference for the package's single sweep over all deltas."""
     front = frontier(model, mset)
     m = mset.m
 
     def modulus(delta):
-        kn = _argmin(front, lambda bbar, sd: (2.0 * m, delta))
+        kn = argmin_fixed(front, 2.0 * m, delta)
         sd = math.sqrt(kn.var)
         return 2.0 * m * kn.bbar + delta * sd, sd
 
@@ -362,7 +379,7 @@ def kappas_per_delta(model, mset, alpha=0.05, beta=0.8):
                                        for zi in z])))
     edge, edge_sd = modulus(2.0 * efficiency.QUAD_SPAN)
     numer += edge * norm_cdf(lo) + 2.0 * edge_sd * (lo * norm_cdf(lo) + norm_pdf(lo))
-    kn = _argmin(front, _weights("ci_length", m, alpha))
+    kn = argmin_criterion(front, m, alpha)
     sd = math.sqrt(kn.var)
     two_sided = numer / (2.0 * cv_alpha(m * kn.bbar / sd, alpha) * sd)
     d_b = z1 + norm_quantile(beta)
@@ -390,7 +407,7 @@ def test_kappas_match_per_delta_reference(p):
 @pytest.mark.parametrize("p", [2.0, np.inf])
 def test_kappa_two_sided_denominator_is_argmin_route(p, monkeypatch):
     """The shortest-CI point from ``select_lambda`` gives exactly the kappa
-    of ``_argmin`` on the "ci_length" weights."""
+    of the frontier's ``argmin`` on the "ci_length" weights."""
     rng = np.random.default_rng([37, int(math.isinf(p))])
     cases = []
     for trial in range(24):
@@ -402,7 +419,7 @@ def test_kappa_two_sided_denominator_is_argmin_route(p, monkeypatch):
         cases.append((frontier(model, MisspecSet(b, p, 1.0)), m))
     by_selector = [efficiency._kappas(front, m, 0.05, 0.8)[0] for front, m in cases]
     monkeypatch.setattr(efficiency, "select_lambda", lambda front, m, a: SimpleNamespace(
-        knot=_argmin(front, _weights("ci_length", m, a))))
+        knot=argmin_criterion(front, m, a)))
     assert by_selector == [efficiency._kappas(front, m, 0.05, 0.8)[0]
                            for front, m in cases]
 
@@ -419,15 +436,24 @@ def test_one_l2_sweep_per_report(monkeypatch):
     most five stacked passes of the evaluator: the table and Newton steps
     that stop where the condition is resolved, not a walk in its rounding."""
     calls = {"roots": 0, "passes": 0}
+    roots, log_gap = _L2Path.roots, _L2Path._log_gap
 
-    def counted(name, method):
-        def wrapper(*args):
-            calls[name] += 1
-            return method(*args)
-        return wrapper
+    def counted_roots(*args):
+        calls["roots"] += 1
+        calls["inside"] = True
+        try:
+            return roots(*args)
+        finally:
+            calls["inside"] = False
 
-    monkeypatch.setattr(_L2Path, "roots", counted("roots", _L2Path.roots))
-    monkeypatch.setattr(_L2Path, "_log_gap", counted("passes", _L2Path._log_gap))
+    def counted_log_gap(*args):
+        # the select_lambda root of the denominator makes one-point passes
+        # of its own, outside the sweep
+        calls["passes"] += calls.get("inside", False)
+        return log_gap(*args)
+
+    monkeypatch.setattr(_L2Path, "roots", counted_roots)
+    monkeypatch.setattr(_L2Path, "_log_gap", counted_log_gap)
     rng = np.random.default_rng(47)
     with_roots = 0
     for trial in range(48):

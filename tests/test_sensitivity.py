@@ -2,10 +2,11 @@ import math
 
 import numpy as np
 import pytest
+import scipy.optimize
 from scipy.special import ndtr
 
 from momentguard._linalg import sym_sqrt_psd
-from momentguard.critval import norm_quantile
+from momentguard.critval import cv_alpha, norm_quantile
 from momentguard.efficiency import efficiency_report, gls_subspace_sensitivity
 from momentguard.errors import (
     DimensionMismatch,
@@ -16,7 +17,6 @@ from momentguard.errors import (
 from momentguard.model import MisspecSet, MomentModel
 from momentguard.robust_ci import ci_curve
 from momentguard.sensitivity import (
-    _argmin,
     _argmin_sweep,
     _L2Path,
     frontier,
@@ -27,6 +27,8 @@ from momentguard.sensitivity import (
     worst_case_bias,
 )
 from oracles import kkt_sensitivity, vertex_bias
+
+EPS = np.finfo(float).eps
 
 
 def random_model(d_g, d_th, seed, n=200):
@@ -545,6 +547,122 @@ class TestSelectLambdaExact:
             assert value <= oracle * (1.0 + 1e-12), (trial, value / oracle - 1.0)
 
 
+def weights_of(criterion, m, alpha=0.05):
+    """A criterion's partial derivatives ``(a, b)`` in bbar and sd at a
+    frontier point, the form the first-order condition ``G = b lam' - a sd``
+    reads them in."""
+    def weights(bbar, sd):
+        if criterion == "ci_length":
+            tau = m * bbar / sd
+            c = cv_alpha(tau, alpha)
+            t = math.tanh(c * tau)
+            return m * t, c - tau * t
+        if criterion == "mse":
+            return m * m * bbar, sd
+        return m, norm_quantile(1.0 - alpha) + norm_quantile(0.8)
+    return weights
+
+
+def brentq_selector(front, m, criterion, alpha=0.05):
+    """The root of ``G = b lam' - a sd`` by scipy's brentq: in ``log(lam)``
+    on the l2 path, bracketed on a grid of steps of 1; in lam inside the
+    segment whose upper knot first has ``G >= 0`` on an inf-path, and
+    ``lam = a sd / b`` past the last knot. Returns lam, or None where the
+    root lies at an end of the path."""
+    weights = weights_of(criterion, m, alpha)
+    l2 = front.set.p == 2.0
+
+    def gap(lam):
+        kn = front.knot(lam)
+        sd = math.sqrt(kn.var)
+        a, b = weights(kn.bbar, sd)
+        return b * (lam * kn.bbar if l2 else lam) - a * sd
+
+    if l2:
+        j = next((j for j in range(-40, 41) if gap(math.exp(j)) >= 0.0), None)
+        if j in (-40, None):
+            return None
+        return math.exp(scipy.optimize.brentq(lambda u: gap(math.exp(u)), j - 1.0,
+                                              float(j), xtol=1e-300, rtol=4 * EPS))
+    lams = [kn.lam for kn in front.knots]
+    j = next((j for j, lam in enumerate(lams) if gap(lam) >= 0.0), None)
+    if j == 0:
+        return None
+    if j is None:
+        last = front.knots[-1]
+        a, b = weights(last.bbar, math.sqrt(last.var))
+        return a * math.sqrt(last.var) / b
+    return scipy.optimize.brentq(gap, lams[j - 1], lams[j], xtol=1e-300, rtol=4 * EPS)
+
+
+class TestSelectLambdaRoot:
+    """The selector against the root that scipy's brentq finds for the same
+    first-order condition. Both are roots of a rounded F, so they agree to
+    the F3 gate ``4 eps (1 + |log lam|)`` in ``log(lam)`` plus F's rounding,
+    ``16 eps (1 + |log lam| + |log r|)`` as the l2 sweep reads it, over the
+    root's conditioning: F's slope in ``log(lam)``, which is at most 1 on the
+    l2 path and small where the ratio ``lam' / sd`` levels off. The selector
+    corrects its last Newton iterate by a step of at most half the digits of
+    a double, which lands anywhere in that rounding; the gate alone fails
+    one problem here by a factor 1.4, at slope 0.96."""
+
+    @pytest.mark.parametrize("criterion", ["ci_length", "mse", "one_sided_quantile"])
+    @pytest.mark.parametrize("p", [2, math.inf])
+    def test_matches_brentq_root(self, p, criterion):
+        rng = np.random.default_rng([67, int(math.isinf(p))])
+        found = 0
+        for trial in range(16):
+            d_g = int(rng.integers(2, 6))
+            model = random_model(d_g, int(rng.integers(1, d_g)), int(rng.integers(1 << 30)))
+            b = rng.normal(size=(d_g, int(rng.integers(1, d_g + 1))))
+            front = frontier(model, MisspecSet(b, p, 1.0))
+            m = float(10.0 ** rng.uniform(-1.0, 1.0))
+            want = brentq_selector(front, m, criterion)
+            got = select_lambda(front, m, 0.05, criterion).lambda_star
+            if want is None:
+                assert got in (0.0, math.inf), trial
+                continue
+            found += 1
+            u = math.log(want)
+            weights = weights_of(criterion, m)
+
+            def f(u):
+                kn = front.knot(math.exp(u))
+                sd = math.sqrt(kn.var)
+                a, b_ = weights(kn.bbar, sd)
+                lam_prime = math.exp(u) * (kn.bbar if p == 2 else 1.0)
+                return math.log(lam_prime / sd) - math.log(a / b_)
+
+            kn = front.knot(want)
+            a, b_ = weights(kn.bbar, math.sqrt(kn.var))
+            slope = (f(u + 1e-6) - f(u - 1e-6)) / 2e-6
+            rounding = 16.0 * EPS * (1.0 + abs(u) + abs(math.log(a / b_)))
+            tol = (4.0 * EPS * (1.0 + abs(u)) + rounding) / min(slope, 1.0)
+            assert abs(math.log(got) - u) <= tol, (trial, got, want, slope)
+        assert found >= 12
+
+    @pytest.mark.parametrize("m", [1e-3, 1.0, 30.0])
+    def test_l2_mse_root_is_m_squared(self, m):
+        # the ridge path at lam minimizes var + lam bbar^2, which is the
+        # worst-case MSE at lam = m^2; at m = 1 the root sits at log(lam) = 0
+        for seed in range(8):
+            model = random_model(4, 1, 90 + seed)
+            b = np.random.default_rng(190 + seed).normal(size=(4, 2))
+            front = frontier(model, MisspecSet(b, 2, 1.0))
+            lam = select_lambda(front, m, 0.05, "mse").lambda_star
+            assert lam == pytest.approx(m * m, rel=1e-14), seed
+
+
+def argmin_fixed(front, a, b):
+    """The scalar selector for the fixed weights ``(a, b)``: the frontier's
+    ``argmin`` on the constant ratio ``r = a / b``, behind the shortcuts
+    :func:`select_lambda` puts in front of it."""
+    if a == 0.0 or front.first.bbar == 0.0:
+        return front.first
+    log_r = math.log(a) - math.log(b)
+    return front.argmin(lambda tau: (log_r, 0.0), 1.0)
+
+
 class TestArgminSweep:
     """The sweep for fixed weights against the scalar minimizer, one pair of
     weights ``(2 m, delta)`` at a time."""
@@ -554,7 +672,7 @@ class TestArgminSweep:
         deltas = np.asarray(deltas, dtype=float)
         pts = _argmin_sweep(front, np.full(deltas.size, 2.0 * m), deltas)
         for i, delta in enumerate(deltas):
-            kn = _argmin(front, lambda bbar, sd, d=delta: (2.0 * m, d))
+            kn = argmin_fixed(front, 2.0 * m, delta)
             if kn.lam in (0.0, math.inf):
                 assert pts.lam[i] == kn.lam, (delta, pts.lam[i])
             else:
