@@ -22,6 +22,12 @@ call allocates a temporary the size of ``z``. The caller's ``IVData`` is
 never written to, so nothing is cached between calls: to share ``W``, pass the
 data that :func:`drop_collinear_instruments` returns on to the other calls.
 
+Both passes run their row blocks on every usable CPU (the process's CPU
+affinity, so ``taskset`` limits them) once a pass has enough rows and columns
+to pay for it, on a thread pool made at the first such pass. Each block's partial sums
+are still added to the totals in block order, so every result is bitwise the
+same whatever the number of threads.
+
 The pivoted QR (Businger and Golub 1965) is scipy's: numpy has none, and one
 that breaks exact ties between collinear columns differently would keep
 different columns. It is the package's only use of scipy, imported when the
@@ -33,6 +39,9 @@ raises OutOfRange naming the array.
 from __future__ import annotations
 
 import copy
+import itertools
+import os
+import threading
 import warnings
 from dataclasses import dataclass, field
 
@@ -50,7 +59,21 @@ from .model import MomentModel, Sensitivity, _check_finite
 
 #: Rows per block of the passes over ``z``. A block of ``z`` and its
 #: residual-weighted copy (4096 x 30 doubles, about 1 MB each) fit in L2.
+#: The blocks also fix the summation order: partial sums are added block by
+#: block, so the results do not depend on how many threads computed them.
 _CHUNK_ROWS = 4096
+
+#: Work per pass, ``n * d_g**2``, above which the row blocks run on every
+#: usable CPU (see :func:`_sum_blocks`); below it the pass stays on the
+#: calling thread, where it was faster or as fast when measured.
+_PARALLEL_WORK = 5_000_000
+
+#: Instrument counts at which threads share a pass's work. numpy releases the
+#: GIL around a matrix product only when its output has more than 500
+#: entries, so below 23 columns a block's Gram holds the GIL and threads take
+#: turns. From 33 columns OpenBLAS (0.3.31, 2 threads) splits each block's
+#: Gram over its own threads, and a pool on top made the passes slower.
+_PARALLEL_COLUMNS = range(23, 33)
 
 #: The Gram certificate asks for ``sigma_min / sigma_max > 1e-6``: a margin of
 #: 1e4 over the QR's ``RANK_RTOL`` test.
@@ -83,7 +106,7 @@ class IVData:
         object.__setattr__(self, "y", y)
         object.__setattr__(self, "x", x)
         object.__setattr__(self, "z", z)
-        object.__setattr__(self, "suspect", tuple(sorted(int(i) for i in self.suspect)))
+        object.__setattr__(self, "suspect", _suspect_indices(self.suspect))
         n = y.shape[0]
         if x.shape[0] != n or z.shape[0] != n:
             raise DimensionMismatch("y, x and z must have the same number of rows")
@@ -99,6 +122,24 @@ class IVData:
     @property
     def n(self) -> int:
         return self.y.shape[0]
+
+
+def _suspect_indices(values) -> tuple[int, ...]:
+    """The sorted suspect indices; a fraction, a boolean or a repeat raises
+    DimensionMismatch. An integral float is taken, as ``MomentModel`` takes
+    its ``n``."""
+    out = []
+    for i in values:
+        try:
+            j = int(i)
+        except (TypeError, ValueError, OverflowError):
+            j = None
+        if j is None or j != i or isinstance(i, (bool, np.bool_)):
+            raise DimensionMismatch(f"suspect indices must be integers, got {i!r}")
+        out.append(j)
+    if len(set(out)) < len(out):
+        raise DimensionMismatch(f"suspect indices must be distinct, got {sorted(out)}")
+    return tuple(sorted(out))
 
 
 def _gram_certifies_full_rank(gram: np.ndarray, n: int) -> bool:
@@ -138,21 +179,95 @@ def _pivoted_qr(z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return r_mat, piv
 
 
+def _usable_cpus() -> int:
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+#: The worker threads of :func:`_sum_blocks`, one fewer than the usable CPUs,
+#: made on the first parallel pass and shared by every later one.
+_pool = None
+_pool_lock = threading.Lock()
+
+
+def _forget_pool() -> None:
+    # a forked child inherits the pool but none of its threads, so a pass
+    # there would wait for ever on work no thread picks up
+    global _pool, _pool_lock
+    _pool, _pool_lock = None, threading.Lock()
+
+
+if hasattr(os, "register_at_fork"):
+    os.register_at_fork(after_in_child=_forget_pool)
+
+
+def _executor(threads: int):
+    """The module's pool, made with ``threads`` worker threads on first use."""
+    global _pool
+    with _pool_lock:
+        if _pool is None:
+            # imported here: it costs milliseconds that import and the CLI's
+            # small problems need not pay
+            from concurrent.futures import ThreadPoolExecutor
+
+            _pool = ThreadPoolExecutor(threads, "momentguard-iv")
+        return _pool
+
+
+def _block_partials(block, starts) -> list:
+    with np.errstate(over="ignore", invalid="ignore"):
+        return [block(lo) for lo in starts]
+
+
+def _sum_blocks(block, n: int, d: int, sums: tuple[np.ndarray, ...]) -> None:
+    """Add ``block(lo)``, a tuple of partial sums over rows ``lo`` to ``lo +
+    _CHUNK_ROWS``, into ``sums`` in place, for each block start ``lo`` in
+    ascending order.
+
+    With ``d`` in ``_PARALLEL_COLUMNS`` and ``n * d**2`` above
+    ``_PARALLEL_WORK``, the blocks are split into one contiguous run per
+    usable CPU. The calling thread sums the first run as it goes and worker
+    threads compute the others' partials, which are then added in block
+    order. So every sum is the sequential loop's, bit for bit, whatever the
+    thread count. Each block runs under its own ``errstate``, because a
+    caller's does not reach the worker threads: an overflow is left in the
+    sums as a non-finite entry, with no warning.
+    """
+    starts = range(0, n, _CHUNK_ROWS)
+    futures = []
+    if d in _PARALLEL_COLUMNS and n * d * d > _PARALLEL_WORK:
+        cpus = _usable_cpus()
+        size = -(-len(starts) // cpus)
+        if size < len(starts):
+            pool = _executor(cpus - 1)
+            futures = [pool.submit(_block_partials, block, starts[i:i + size])
+                       for i in range(size, len(starts), size)]
+            starts = starts[:size]
+    partials = itertools.chain(
+        map(block, starts), itertools.chain.from_iterable(f.result() for f in futures))
+    with np.errstate(over="ignore", invalid="ignore"):
+        for parts in partials:
+            for total, part in zip(sums, parts):
+                total += part
+
+
 def _cross_matrix(data: IVData) -> np.ndarray:
     """``W = [z'z z'x z'y]``: the one ``data`` carries, else one pass over
-    blocks of ``_CHUNK_ROWS`` rows. An overflow is left in ``W`` as a
-    non-finite entry for the caller to check."""
+    blocks of ``_CHUNK_ROWS`` rows (see :func:`_sum_blocks`). An overflow is
+    left in ``W`` as a non-finite entry for the caller to check."""
     if data._cross is not None:
         return data._cross
     z, x, y = data.z, data.x, data.y
     d = z.shape[1]
     w = np.zeros((d, d + x.shape[1] + 1))
-    with np.errstate(over="ignore", invalid="ignore"):
-        for lo in range(0, data.n, _CHUNK_ROWS):
-            hi = lo + _CHUNK_ROWS
-            zb = z[lo:hi]
-            w[:, :d] += zb.T @ zb
-            w[:, d:] += zb.T @ np.column_stack([x[lo:hi], y[lo:hi]])
+
+    def block(lo):
+        hi = lo + _CHUNK_ROWS
+        zb = z[lo:hi]
+        return zb.T @ zb, zb.T @ np.column_stack([x[lo:hi], y[lo:hi]])
+
+    _sum_blocks(block, data.n, d, (w[:, :d], w[:, d:]))
     return w
 
 
@@ -234,15 +349,17 @@ def tsls(data: IVData) -> np.ndarray:
 
 def _resid_sums(z: np.ndarray, resid: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """``(z'resid, sum_i resid_i^2 z_i z_i')`` from one pass over blocks of
-    ``_CHUNK_ROWS`` rows, so that the residual-weighted ``z`` is never formed
-    whole."""
+    ``_CHUNK_ROWS`` rows (see :func:`_sum_blocks`), so that the
+    residual-weighted ``z`` is never formed whole."""
     d = z.shape[1]
     z_resid, meat = np.zeros(d), np.zeros((d, d))
-    for lo in range(0, z.shape[0], _CHUNK_ROWS):
+
+    def block(lo):
         zb, rb = z[lo:lo + _CHUNK_ROWS], resid[lo:lo + _CHUNK_ROWS]
-        z_resid += rb @ zb
         zr = zb * rb[:, None]
-        meat += zr.T @ zr
+        return rb @ zb, zr.T @ zr
+
+    _sum_blocks(block, z.shape[0], d, (z_resid, meat))
     return z_resid, meat
 
 
@@ -269,8 +386,15 @@ def build_model(data: IVData, h_deriv, variance: str = "robust",
         raise DimensionMismatch(
             f"h_deriv must have length d_theta={data.x.shape[1]}")
     zz, zx, zy = _finite_cross_products(data)
-    theta = _tsls(zz, zx, zy) if theta_init is None else (
-        np.asarray(theta_init, dtype=float).reshape(-1))
+    if theta_init is None:
+        theta = _tsls(zz, zx, zy)
+    else:
+        theta = np.asarray(theta_init, dtype=float).reshape(-1)
+        if theta.shape[0] != data.x.shape[1]:
+            raise DimensionMismatch(
+                f"theta_init must have length d_theta={data.x.shape[1]}, "
+                f"got {theta.shape[0]}")
+        _check_finite(theta, "theta_init")
     n = data.n
     # an overflow below leaves a non-finite entry that MomentModel names
     with np.errstate(over="ignore", invalid="ignore"):

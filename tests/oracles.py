@@ -249,3 +249,36 @@ def grid_modulus(model: MomentModel, mset: MisspecSet, delta: float,
         ga_r /= 6.0
 
     return 2.0 * best_val
+
+
+# -- IV passes -----------------------------------------------------------------
+# The sequential loops that the IV module's threaded passes replace. The
+# threaded passes add the same per-block partial sums in the same order, so
+# they must match these bit for bit.
+
+def cross_matrix_loop(z: np.ndarray, x: np.ndarray, y: np.ndarray,
+                      chunk: int) -> np.ndarray:
+    """``W = [z'z z'x z'y]``, summed block by block over ``chunk`` rows."""
+    d = z.shape[1]
+    w = np.zeros((d, d + x.shape[1] + 1))
+    with np.errstate(over="ignore", invalid="ignore"):
+        for lo in range(0, z.shape[0], chunk):
+            hi = lo + chunk
+            zb = z[lo:hi]
+            w[:, :d] += zb.T @ zb
+            w[:, d:] += zb.T @ np.column_stack([x[lo:hi], y[lo:hi]])
+    return w
+
+
+def resid_sums_loop(z: np.ndarray, resid: np.ndarray,
+                    chunk: int) -> tuple[np.ndarray, np.ndarray]:
+    """``(z'resid, sum_i resid_i^2 z_i z_i')``, summed block by block."""
+    d = z.shape[1]
+    z_resid, meat = np.zeros(d), np.zeros((d, d))
+    with np.errstate(over="ignore", invalid="ignore"):
+        for lo in range(0, z.shape[0], chunk):
+            zb, rb = z[lo:lo + chunk], resid[lo:lo + chunk]
+            z_resid += rb @ zb
+            zr = zb * rb[:, None]
+            meat += zr.T @ zr
+    return z_resid, meat

@@ -388,6 +388,7 @@ class TestProblemFile:
         ("ci", "identity_column_fractional", "identity_columns"),
         ("ci", "suspect_boolean", "suspect"),
         ("spectest", "suspect_fractional", "suspect"),
+        ("ci", "suspect_duplicate", "suspect indices must be distinct"),
         ("ci", "n_boolean", "n:"),
         ("efficiency", "n_fractional", "n:"),
         ("ci", "mixed_string", "options.mixed"),
@@ -412,7 +413,8 @@ class TestProblemFile:
             doc["misspec"]["b_mat"] = [[1.0], [0.0]]
         elif case == "nan_b_mat":
             doc["misspec"]["b_mat"] = [[math.nan]]
-        elif case in ("nan_iv_csv", "suspect_boolean", "suspect_fractional"):
+        elif case in ("nan_iv_csv", "suspect_boolean", "suspect_fractional",
+                      "suspect_duplicate"):
             rng = np.random.default_rng(3)
             z = rng.normal(size=(50, 3))
             x = z.sum(axis=1) + rng.normal(size=50)
@@ -423,9 +425,11 @@ class TestProblemFile:
                               ("z.csv", z)):
                 np.savetxt(tmp_path / name, arr, delimiter=",",
                            header="h" + ",h" * (arr.shape[1] - 1), comments="")
-            # true and 1.7 once selected column 1, as [1] does
+            # true and 1.7 once selected column 1, as [1] does; [1, 1] once
+            # failed later, as a b_mat without full column rank (exit 4)
             suspect = {"suspect_boolean": [True],
-                       "suspect_fractional": [1.7]}.get(case, [2])
+                       "suspect_fractional": [1.7],
+                       "suspect_duplicate": [1, 1]}.get(case, [2])
             doc = {"iv": {"y": "y.csv", "x": "x.csv", "z": "z.csv",
                           "suspect": suspect},
                    "misspec": {"p": 2, "m": 1.0}}

@@ -1,5 +1,11 @@
+import math
+import os
+import subprocess
+import sys
+import threading
 import tracemalloc
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -23,6 +29,9 @@ from momentguard.iv import (
 from momentguard.model import MisspecSet
 from momentguard.robust_ci import one_step
 from momentguard.sensitivity import frontier, knot_at, select_lambda
+from oracles import cross_matrix_loop, resid_sums_loop
+
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 def synthetic(seed, n=800, d_g=4, gamma_direct=0.0, hetero=False):
@@ -108,6 +117,38 @@ class TestBuildModel:
         data, _ = synthetic(6)
         with pytest.raises(DimensionMismatch):
             build_model(data, [1.0], "clustered")
+
+    def test_rejects_theta_init_of_wrong_length(self):
+        # was numpy's bare "matmul: ... mismatch in its core dimension"
+        data, _ = synthetic(6)
+        with pytest.raises(DimensionMismatch, match="^theta_init"):
+            build_model(data, [1.0], theta_init=[1.0, 2.0])
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    def test_rejects_non_finite_theta_init(self, value):
+        # was OutOfRange("sigma must be finite"), naming the wrong input
+        data, _ = synthetic(6)
+        with pytest.raises(OutOfRange, match="^theta_init"):
+            build_model(data, [1.0], theta_init=[value])
+
+
+class TestIVData:
+    @pytest.mark.parametrize("suspect, message", [
+        ((1.5,), "integers"), ((True,), "integers"), ((np.True_,), "integers"),
+        ((1, 1), "distinct"), ((3, np.int64(3)), "distinct"),
+    ], ids=["fraction", "bool", "numpy_bool", "repeat", "numpy_repeat"])
+    def test_rejects_suspect(self, suspect, message):
+        # a fraction or a boolean was truncated to an index; a repeat failed
+        # later as a b_mat without full column rank
+        data, _ = synthetic(20)
+        with pytest.raises(DimensionMismatch, match=f"^suspect indices must be {message}"):
+            IVData(y=data.y, x=data.x, z=data.z, suspect=suspect)
+
+    def test_keeps_numpy_integers(self):
+        data, _ = synthetic(20)
+        kept = IVData(y=data.y, x=data.x, z=data.z, suspect=(np.int64(3), np.int32(0)))
+        assert kept.suspect == (0, 3)
+        assert all(type(i) is int for i in kept.suspect)
 
 
 class TestBuildB:
@@ -302,24 +343,23 @@ class TestGramCertificate:
             assert not qr_calls
 
 
-def overflowing_design():
-    """``TestGramCertificate``'s design at scale 1e160, eps 1e-3: full rank,
-    but ``z'z`` overflows."""
+def overflowing_design(n=500, d_g=4):
+    """``TestGramCertificate``'s design at scale 1e160, eps 1e-3 (with more
+    columns when ``d_g > 4``): full rank, but ``z'z`` overflows."""
     rng = np.random.default_rng(17)
-    n = 500
-    z0 = rng.normal(size=(n, 3))
+    z0 = rng.normal(size=(n, d_g - 1))
     z = 1e160 * np.column_stack([z0, z0[:, 0] + z0[:, 1] + 1e-3 * rng.normal(size=n)])
     return IVData(y=rng.normal(size=n), x=z0[:, 0] + rng.normal(size=n), z=z,
-                  suspect=(1, 3))
+                  suspect=(1, d_g - 1))
 
 
 class TestOverflow:
     """An overflowing cross-product is a typed error naming ``z``, with no
-    RuntimeWarning on the way."""
+    RuntimeWarning on the way, also from the worker threads of a parallel
+    pass (those tests patch in 2 CPUs, so the pool runs on any machine)."""
 
-    @pytest.mark.parametrize("variance", ["robust", "homoskedastic"])
-    def test_build_model(self, variance):
-        data = overflowing_design()
+    @staticmethod
+    def raises_naming_z(data, variance):
         with warnings.catch_warnings():
             warnings.simplefilter("error", RuntimeWarning)
             with pytest.raises(OutOfRange, match="^z:"):
@@ -328,6 +368,24 @@ class TestOverflow:
                 tsls(data)
             with pytest.raises(OutOfRange, match="^z:"):
                 build_b(data)
+
+    @pytest.mark.parametrize("variance", ["robust", "homoskedastic"])
+    def test_build_model(self, variance):
+        self.raises_naming_z(overflowing_design(), variance)
+
+    @pytest.mark.parametrize("variance", ["robust", "homoskedastic"])
+    def test_build_model_parallel(self, monkeypatch, variance):
+        monkeypatch.setattr(iv, "_usable_cpus", lambda: 2)
+        self.raises_naming_z(overflowing_design(40_000, 30), variance)
+
+    def test_resid_pass(self, monkeypatch):
+        # a finite theta_init whose residuals overflow the robust variance
+        monkeypatch.setattr(iv, "_usable_cpus", lambda: 2)
+        data, _ = synthetic(21, n=40_000, d_g=30)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            with pytest.raises(OutOfRange, match="^sigma"):
+                build_model(data, [1.0], "robust", theta_init=[1e300])
 
 
 def dense_design(seed, n, d_g=5):
@@ -436,3 +494,178 @@ class TestCarriedCross:
         k = -si_g @ np.linalg.solve(fresh.gamma.T @ si_g, fresh.h_deriv)
         assert rel_err(linear_one_step(cleaned, k, h), linear_one_step(bare, k, h)) <= 1e-14
         assert data._cross is None
+
+
+def wide_design(seed, n, d_g, collinear=False):
+    """One regressor, ``d_g`` instruments and heteroskedastic errors. With
+    ``collinear``, one more column, an exact combination of the non-suspect
+    columns 0 and 2, so the QR drops one of the three."""
+    rng = np.random.default_rng(seed)
+    z = rng.normal(size=(n, d_g)) * np.linspace(1.0, 3.0, d_g)
+    if collinear:
+        z = np.column_stack([z, z[:, 0] - 2.0 * z[:, 2]])
+    u = rng.normal(size=n)
+    x = z[:, :d_g] @ np.linspace(1.0, 0.4, d_g) + u
+    y = 0.7 * x + 0.8 * u + rng.normal(size=n) * (1.0 + z[:, 1] ** 2)
+    return IVData(y=y, x=x, z=z, suspect=(1, d_g - 1))
+
+
+def loop_model(data, w, variance):
+    """``build_model``'s outputs, with ``W`` and the robust variance from the
+    sequential loops of ``oracles``."""
+    n, d = data.n, data.z.shape[1]
+    zz, zx, zy = w[:, :d], w[:, d:-1], w[:, -1]
+    theta = iv._tsls(zz, zx, zy)
+    resid = data.y - data.x @ theta
+    if variance == "robust":
+        z_resid, meat = resid_sums_loop(data.z, resid, iv._CHUNK_ROWS)
+        sigma = meat / n
+    else:
+        z_resid = data.z.T @ resid
+        sigma = float(np.mean(resid**2)) * zz / n
+    return {"gamma": -zx / n, "sigma": sigma, "g_init": z_resid / n,
+            "h_init": float(theta[0])}
+
+
+#: (n, d_g) with the work n d_g^2 just below, at and just above
+#: ``_PARALLEL_WORK``, and a 200k x 30 pass of 49 blocks
+PASS_SHAPES = [(7999, 25), (8000, 25), (8001, 25), (200_000, 30)]
+
+
+class TestParallelPasses:
+    """The threaded passes sum the same block partials in the same order as
+    the sequential loops, so their outputs are bitwise equal to the loops'
+    whatever the CPU count."""
+
+    def test_shapes_straddle_the_threshold(self):
+        works = [n * d * d for n, d in PASS_SHAPES[:3]]
+        assert works[0] < iv._PARALLEL_WORK == works[1] < works[2]
+        assert all(d in iv._PARALLEL_COLUMNS for _, d in PASS_SHAPES)
+
+    @pytest.mark.parametrize("d_g", [22, 33])
+    def test_columns_outside_the_range_stay_inline(self, monkeypatch, d_g):
+        # below the range a block's Gram holds the GIL; above it OpenBLAS
+        # threads the Gram itself
+        monkeypatch.setattr(iv, "_usable_cpus", lambda: 2)
+        monkeypatch.setattr(iv, "_executor", lambda threads: pytest.fail("pooled"))
+        data = wide_design(23, 50_000, d_g)
+        assert d_g not in iv._PARALLEL_COLUMNS
+        assert data.n * d_g**2 > iv._PARALLEL_WORK
+        np.testing.assert_array_equal(
+            iv._cross_matrix(data),
+            cross_matrix_loop(data.z, data.x, data.y, iv._CHUNK_ROWS))
+
+    @pytest.mark.parametrize("n, d_g", PASS_SHAPES,
+                             ids=["below", "at", "above", "49_blocks"])
+    @pytest.mark.parametrize("source", ["constructor", "drop_full_rank", "drop_dropped"])
+    def test_bitwise_equal_to_loops(self, monkeypatch, n, d_g, source):
+        raw = wide_design(n, n, d_g, collinear=source == "drop_dropped")
+        w_raw = cross_matrix_loop(raw.z, raw.x, raw.y, iv._CHUNK_ROWS)
+        pooled = []
+        executor = iv._executor
+
+        def counted(threads):
+            pooled.append(threads)
+            return executor(threads)
+
+        monkeypatch.setattr(iv, "_executor", counted)
+        for cpus in (1, 2, 3, 4):
+            monkeypatch.setattr(iv, "_usable_cpus", lambda: cpus)
+            pooled.clear()
+            if source == "constructor":
+                data, w = raw, iv._cross_matrix(raw)
+                w_loop = w_raw
+            else:
+                with warnings.catch_warnings(record=True) as caught:
+                    warnings.simplefilter("always")
+                    data = drop_collinear_instruments(raw)
+                assert bool(caught) == (source == "drop_dropped")
+                w = data._cross
+                # the kept columns, found by their first entries
+                keep = [int(np.flatnonzero(raw.z[0] == v)[0]) for v in data.z[0]]
+                np.testing.assert_array_equal(data.z, raw.z[:, keep])
+                w_loop = w_raw[np.ix_(keep, np.r_[keep, raw.z.shape[1]:w_raw.shape[1]])]
+            assert data.z.shape[1] == d_g
+            np.testing.assert_array_equal(w, w_loop)
+            for variance in ("robust", "homoskedastic"):
+                model = build_model(data, [1.0], variance)
+                for name, want in loop_model(data, w_loop, variance).items():
+                    np.testing.assert_array_equal(getattr(model, name), want,
+                                                  err_msg=f"{name} {variance} {cpus}")
+            if source == "constructor":
+                # four passes: W above, W again in each build_model call on
+                # data that carries none, and the robust variance
+                parallel = cpus > 1 and n * d_g**2 > iv._PARALLEL_WORK
+                assert pooled == ([cpus - 1] * 4 if parallel else [])
+
+    @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
+    def test_pass_in_forked_child(self):
+        # the child inherits the parent's pool but not its threads
+        script = r"""
+import os, signal, sys
+import numpy as np
+from momentguard import iv
+
+iv._usable_cpus = lambda: 2
+rng = np.random.default_rng(0)
+n, d = 3 * iv._CHUNK_ROWS, 30
+z = rng.normal(size=(n, d))
+data = iv.IVData(y=rng.normal(size=n), x=z[:, 0] + rng.normal(size=n), z=z)
+w = iv._cross_matrix(data)
+assert iv._pool is not None
+pid = os.fork()
+if pid == 0:
+    signal.alarm(30)  # a hung child ends itself rather than outlive the test
+    os._exit(0 if np.array_equal(iv._cross_matrix(data), w) else 1)
+sys.exit(os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1]))
+"""
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            [str(SRC)] + [p for p in env.get("PYTHONPATH", "").split(os.pathsep) if p])
+        proc = subprocess.run([sys.executable, "-c", script], capture_output=True,
+                              text=True, env=env, timeout=60)
+        assert proc.returncode == 0, proc.stderr
+
+    def test_no_thread_leak(self, monkeypatch):
+        cpus = 3
+        monkeypatch.setattr(iv, "_usable_cpus", lambda: cpus)
+        data, _ = synthetic(22, n=3 * iv._CHUNK_ROWS, d_g=30)
+        before = threading.active_count()
+        for _ in range(20):
+            build_model(data, [1.0], "robust")
+        assert threading.active_count() - before <= cpus - 1
+
+    def test_concurrent_callers(self, monkeypatch):
+        # callers that see different CPU counts split their blocks into
+        # different runs on the one shared pool
+        local = threading.local()
+        monkeypatch.setattr(iv, "_usable_cpus", lambda: getattr(local, "cpus", 2))
+        data, _ = synthetic(24, n=3 * iv._CHUNK_ROWS, d_g=30)
+        want = build_model(data, [1.0], "robust")
+        results, errors = [], []
+
+        def caller(cpus):
+            local.cpus = cpus
+            try:
+                for _ in range(10):
+                    results.append(build_model(data, [1.0], "robust"))
+            except Exception as exc:  # reported below
+                errors.append(exc)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            threads = [threading.Thread(target=caller, args=(cpus,))
+                       for cpus in (2, 3, 4, 2, 3, 4)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert not errors, errors
+        assert len(results) == 60
+        for model in results:
+            np.testing.assert_array_equal(model.sigma, want.sigma)
+            np.testing.assert_array_equal(model.g_init, want.g_init)

@@ -1,5 +1,7 @@
 """The runtime imports no scipy, and each in-package replacement of a scipy
-routine matches it. The tests themselves may import scipy."""
+routine matches it. The tests themselves may import scipy. Small IV problems
+do not load ``concurrent.futures`` either, which only the IV passes' thread
+pool needs."""
 
 import math
 import os
@@ -56,6 +58,7 @@ for command in ("ci", "path", "efficiency", "spectest", "simulate"):
         assert code == 0, (command, name, code)
 loaded = sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
 assert not loaded, loaded
+assert "concurrent.futures" not in sys.modules
 
 collinear = IVData(y=y, x=x, z=np.column_stack([z, z[:, 0] - z[:, 1]]),
                    suspect=(2,))
