@@ -39,7 +39,6 @@ raises OutOfRange naming the array.
 from __future__ import annotations
 
 import copy
-import itertools
 import os
 import threading
 import warnings
@@ -215,9 +214,42 @@ def _executor(threads: int):
         return _pool
 
 
-def _block_partials(block, starts) -> list:
-    with np.errstate(over="ignore", invalid="ignore"):
-        return [block(lo) for lo in starts]
+def _shared_partials(block, starts: range, pool, tasks: int) -> list:
+    """``[block(lo) for lo in starts]``, computed by the calling thread and
+    ``tasks`` tasks on ``pool``, each claiming the next uncomputed block until
+    none is left. A thread that runs slow, or starts late, computes fewer
+    blocks, so the caller waits at most for the blocks the workers hold when
+    the last one is claimed."""
+    partials = [None] * len(starts)
+    todo = iter(range(len(starts)))
+    lock = threading.Lock()
+
+    def take():
+        # each thread sets its own errstate: a caller's does not reach workers
+        with np.errstate(over="ignore", invalid="ignore"):
+            while True:
+                with lock:
+                    i = next(todo, None)
+                if i is None:
+                    return
+                partials[i] = block(starts[i])
+
+    futures = [pool.submit(take) for _ in range(tasks)]
+    try:
+        take()
+    finally:
+        # after an error here no block is left to start, and a task still
+        # queued has nothing left to claim: no block outlives the call
+        with lock:
+            for _ in todo:
+                pass
+        for f in futures:
+            if not f.cancel():
+                f.exception()
+    for f in futures:
+        if not f.cancelled():
+            f.result()
+    return partials
 
 
 def _sum_blocks(block, n: int, d: int, sums: tuple[np.ndarray, ...]) -> None:
@@ -226,26 +258,19 @@ def _sum_blocks(block, n: int, d: int, sums: tuple[np.ndarray, ...]) -> None:
     ascending order.
 
     With ``d`` in ``_PARALLEL_COLUMNS`` and ``n * d**2`` above
-    ``_PARALLEL_WORK``, the blocks are split into one contiguous run per
-    usable CPU. The calling thread sums the first run as it goes and worker
-    threads compute the others' partials, which are then added in block
-    order. So every sum is the sequential loop's, bit for bit, whatever the
-    thread count. Each block runs under its own ``errstate``, because a
-    caller's does not reach the worker threads: an overflow is left in the
-    sums as a non-finite entry, with no warning.
+    ``_PARALLEL_WORK``, the calling thread and one task per further usable
+    CPU share the blocks (see :func:`_shared_partials`), and the partials are
+    then added in block order. So every sum is the sequential loop's, bit for
+    bit, whatever the thread count. An overflow is left in the sums as a
+    non-finite entry, with no warning.
     """
     starts = range(0, n, _CHUNK_ROWS)
-    futures = []
+    partials = map(block, starts)
     if d in _PARALLEL_COLUMNS and n * d * d > _PARALLEL_WORK:
         cpus = _usable_cpus()
-        size = -(-len(starts) // cpus)
-        if size < len(starts):
-            pool = _executor(cpus - 1)
-            futures = [pool.submit(_block_partials, block, starts[i:i + size])
-                       for i in range(size, len(starts), size)]
-            starts = starts[:size]
-    partials = itertools.chain(
-        map(block, starts), itertools.chain.from_iterable(f.result() for f in futures))
+        tasks = min(cpus, len(starts)) - 1
+        if tasks > 0:
+            partials = _shared_partials(block, starts, _executor(cpus - 1), tasks)
     with np.errstate(over="ignore", invalid="ignore"):
         for parts in partials:
             for total, part in zip(sums, parts):

@@ -3,6 +3,7 @@ import os
 import subprocess
 import sys
 import threading
+import time
 import tracemalloc
 import warnings
 from pathlib import Path
@@ -635,9 +636,65 @@ sys.exit(os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1]))
             build_model(data, [1.0], "robust")
         assert threading.active_count() - before <= cpus - 1
 
+    def test_caller_does_not_wait_for_a_busy_pool(self, monkeypatch):
+        # the pool's one worker is held, so the caller computes every block
+        # and cancels its task, which never started
+        from concurrent.futures import ThreadPoolExecutor
+
+        data, _ = synthetic(25, n=3 * iv._CHUNK_ROWS, d_g=30)
+        release = threading.Event()
+        with ThreadPoolExecutor(1) as pool:
+            pool.submit(release.wait, 20)
+            monkeypatch.setattr(iv, "_executor", lambda threads: pool)
+            monkeypatch.setattr(iv, "_usable_cpus", lambda: 2)
+            t0 = time.monotonic()
+            try:
+                w = iv._cross_matrix(data)
+            finally:
+                waited = time.monotonic() - t0
+                release.set()
+        assert waited < 10
+        np.testing.assert_array_equal(
+            w, cross_matrix_loop(data.z, data.x, data.y, iv._CHUNK_ROWS))
+
+    @pytest.mark.parametrize("raiser", ["caller", "worker"])
+    def test_error_in_a_block_outlives_no_block(self, monkeypatch, raiser):
+        # the error propagates once no thread is in a block, and a worker
+        # claims no block after the caller's error
+        monkeypatch.setattr(iv, "_usable_cpus", lambda: 2)
+        n, d = 49 * iv._CHUNK_ROWS, 30
+        caller = threading.get_ident()
+        worker_in = threading.Event()
+        lock = threading.Lock()
+        running, worker_blocks = [0], [0]
+
+        def block(lo):
+            with lock:
+                running[0] += 1
+            try:
+                if threading.get_ident() == caller:
+                    worker_in.wait(30)
+                    if raiser == "caller":
+                        raise ArithmeticError(f"block at {lo}")
+                else:
+                    worker_blocks[0] += 1
+                    worker_in.set()
+                    if raiser == "worker":
+                        raise ArithmeticError(f"block at {lo}")
+                    time.sleep(0.2)
+                return (np.ones(1),)
+            finally:
+                with lock:
+                    running[0] -= 1
+
+        with pytest.raises(ArithmeticError, match="block at"):
+            iv._sum_blocks(block, n, d, (np.zeros(1),))
+        assert running[0] == 0
+        assert worker_blocks[0] == 1
+
     def test_concurrent_callers(self, monkeypatch):
-        # callers that see different CPU counts split their blocks into
-        # different runs on the one shared pool
+        # callers that see different CPU counts share their blocks with
+        # different numbers of tasks on the one shared pool
         local = threading.local()
         monkeypatch.setattr(iv, "_usable_cpus", lambda: getattr(local, "cpus", 2))
         data, _ = synthetic(24, n=3 * iv._CHUNK_ROWS, d_g=30)
