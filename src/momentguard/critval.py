@@ -3,8 +3,10 @@
 The central object is :func:`cv_alpha`: the 1-alpha quantile of ``|Z|`` for
 ``Z ~ N(b, 1)``, which widens a Wald interval to absorb a worst-case bias of
 ``b`` standard deviations. ``cv_alpha(0, a)`` equals the two-sided normal
-critical value, and ``cv_alpha(b, a) - b`` always lies between the one- and
-two-sided normal critical values, which gives a guaranteed root bracket.
+critical value, and its excess ``cv_alpha(b, a) - b``, which
+:func:`_cv_excess` solves for, lies between the one- and two-sided ones. Every
+level of the package lies in (0, 1/2) (:func:`_check_alpha`), where a CI's
+length rises with its sd at a fixed bias, as the lambda selector needs.
 
 Also provides standard normal cdf/pdf/quantile wrappers, a noncentral
 chi-square quantile and its inverse in the noncentrality, both computed from
@@ -14,8 +16,8 @@ the classical Poisson-mixture-of-central-chi-squares series (Ding 1992,
 Everything here runs on the standard library and numpy:
 
 - every scalar root is one safeguarded Newton iteration, :func:`_newton`:
-  :func:`cv_alpha`'s, both noncentral chi-square inverses', whose slopes
-  come from the same series evaluation as the cdf, and the first-order
+  :func:`cv_alpha`'s excess, both noncentral chi-square inverses', whose
+  slopes come from the same series evaluation as the cdf, and the first-order
   condition of :func:`momentguard.sensitivity.select_lambda`;
 - the normal cdf is ``math.erf``/``math.erfc`` at ``x / sqrt(2)``, branching
   as cephes' ``ndtr``; the quantile is ``statistics.NormalDist.inv_cdf``,
@@ -55,8 +57,8 @@ _ndtri = NormalDist().inv_cdf
 
 _SQRT_HALF = math.sqrt(0.5)
 
-#: Step cap of :func:`_newton`. :func:`cv_alpha` takes at most 8 steps for
-#: alpha <= 0.9 and 12 at alpha = 0.999.
+#: Step cap of :func:`_newton`. :func:`cv_alpha` takes at most 5 steps at
+#: every alpha in (0, 1/2) and b up to 1e300.
 _NEWTON_MAXITER = 100
 
 #: Relative step at which :func:`_newton` stops by default: half the digits
@@ -77,8 +79,8 @@ _QUANTILE_TAIL_MIN = 2.0**-24
 
 def _check_alpha(alpha: float) -> float:
     a = float(alpha)
-    if not (0.0 < a < 1.0):
-        raise OutOfRange(f"alpha must lie in (0, 1), got {alpha}")
+    if not (0.0 < a < 0.5):
+        raise OutOfRange(f"alpha must lie in (0, 1/2), got {alpha}")
     return a
 
 
@@ -115,25 +117,24 @@ def cv_alpha(b: float, alpha: float = 0.05) -> float:
     Returns the ``c > 0`` solving ``Phi(c - b) - Phi(-c - b) = 1 - alpha``,
     i.e. the 1-alpha quantile of the folded normal ``|N(b, 1)|``. Equivalently
     the square root of the 1-alpha quantile of a noncentral chi-square with one
-    degree of freedom and noncentrality ``b**2``.
-
-    :func:`_newton` solves it with slope ``phi(c - b) + phi(c + b)``, from
-    the left end of the bracket ``[max(b + z_one, z_two), b + z_two]``, and
-    stops at a step of 2 eps relative. The function is increasing, and
-    concave on ``c >= b``, so Newton climbs monotonically; a step that leaves
-    the bracket, possible at alpha >= 0.5 where the root may lie below ``b``,
-    bisects instead. Up to alpha = 0.5 the equation is formed in its tail
-    form ``alpha - Q(c - b) - Q(c + b)``, ``Q(x) = erfc(x / sqrt 2) / 2``,
-    which keeps the digits of a small alpha. Above it ``Q(c -+ b)`` nears
-    1/2, and the tail form's rounding would move c by hundreds of its ulps,
-    so it is formed centrally, ``(erf((c - b) / sqrt 2) + erf((c + b) /
-    sqrt 2)) / 2 - (1 - alpha)``, or, where ``c - b <= -1`` and both erf
-    terms near 1 in size, as the difference of the upper tails
-    ``(erfc((b - c) / sqrt 2) - erfc((c + b) / sqrt 2)) / 2``. Either way
-    the result is within a few ulps of the root.
+    degree of freedom and noncentrality ``b**2``, for ``alpha`` in (0, 1/2):
+    ``b`` plus :func:`_cv_excess`, within a few ulps of the root.
     """
-    a = _check_alpha(alpha)
-    b = float(b)
+    return float(b) + _cv_excess(float(b), _check_alpha(alpha))
+
+
+def _cv_excess(b: float, a: float) -> float:
+    """``cv_alpha(b, a) - b`` for a checked level ``a``: :func:`_newton` on
+    the tail form ``a - Q(e) - Q(e + 2b)``, ``Q(x) = erfc(x / sqrt 2) / 2``,
+    in the excess ``e``, which keeps the digits of a small ``a`` and of ``e``
+    at any ``b``, with slope ``phi(e) + phi(e + 2b)``. On ``e > 0`` it is
+    increasing and concave, so Newton climbs monotonically from the left end
+    of the bracket ``[max(z_one, z_two - b), z_two]``. It stops at a step of
+    ``2^-36 (1 + e)``, after which the error is about ``z_two / 2`` times the
+    step squared, below 1e-17 for any alpha down to 1e-300. A tighter rule
+    would wait for steps within the rounding, ``eps a / slope``, and could
+    stall.
+    """
     if not math.isfinite(b) or b < 0.0:
         raise InvalidBias(f"bias must be finite and nonnegative, got {b}")
     # upper-tail quantiles from the small tail probability itself: forming
@@ -141,22 +142,14 @@ def cv_alpha(b: float, alpha: float = 0.05) -> float:
     z_two = -norm_quantile(a / 2.0)
     if b == 0.0:
         return z_two  # exact Wald reduction
-    z_one = -norm_quantile(a)
-    lo = max(b + z_one, z_two)
-    coverage = 1.0 - a  # exact for alpha in [1/2, 1)
+    lo = max(-norm_quantile(a), z_two - b)
 
-    def gap(c: float) -> tuple[float, float]:
-        slope = norm_pdf(c - b) + norm_pdf(c + b)
-        if a <= 0.5:
-            return (a - 0.5 * math.erfc((c - b) * _SQRT_HALF)
-                    - 0.5 * math.erfc((c + b) * _SQRT_HALF)), slope
-        if c - b > -1.0:
-            inside = math.erf((c - b) * _SQRT_HALF) + math.erf((c + b) * _SQRT_HALF)
-        else:
-            inside = math.erfc((b - c) * _SQRT_HALF) - math.erfc((c + b) * _SQRT_HALF)
-        return 0.5 * inside - coverage, slope
+    def gap(e: float) -> tuple[float, float]:
+        return (a - 0.5 * math.erfc(e * _SQRT_HALF)
+                - 0.5 * math.erfc((e + 2.0 * b) * _SQRT_HALF),
+                norm_pdf(e) + norm_pdf(e + 2.0 * b))
 
-    return _newton(gap, lo, lo, b + z_two, rtol=2.0 * _EPS)
+    return _newton(gap, lo, lo, z_two, rtol=2.0**-36, offset=1.0)
 
 
 def _log_poisson_at(a: float, mean: float) -> float:

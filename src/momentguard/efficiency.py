@@ -168,17 +168,18 @@ def _check_d_b(a: float, beta: float) -> None:
     _check_beta(beta)
     d_b = norm_quantile(1.0 - a) + norm_quantile(beta)
     if not d_b > 0.0:
-        raise InfeasibleDelta(f"delta must be positive and finite, got {d_b}")
+        raise InfeasibleDelta("z_{1-alpha} + z_beta must be positive, got "
+                              f"{d_b} at alpha={a}, beta={beta}")
 
 
 def _kappas(front: SensitivityFrontier, m: float, a: float,
-            beta: float) -> tuple[float, float | None]:
+            beta: float) -> tuple[float, float]:
     """The two-sided and the one-sided bound from one sweep of the modulus
     over the numerator's nodes, the tail's edge and the one-sided pair
-    ``(d_b, 2 d_b)``; the one-sided bound is None where ``d_b <= 0``."""
+    ``(d_b, 2 d_b)``. ``d_b > 0`` where :func:`_check_d_b` passes, and at
+    beta = 0.8 for every alpha in (0, 1/2)."""
     z1 = norm_quantile(1.0 - a)
     d_b = z1 + norm_quantile(beta)
-    one_sided = [d_b, 2.0 * d_b] if d_b > 0.0 else []
     # numerator: integral of omega(2(z1 - z)) phi(z) below z1, quadrature on
     # the last QUAD_SPAN quantile units plus a concave linear-growth tail
     # from the modulus at its edge
@@ -187,7 +188,7 @@ def _kappas(front: SensitivityFrontier, m: float, a: float,
     z = 0.5 * (hi - lo) * nodes + 0.5 * (hi + lo)
     w = 0.5 * (hi - lo) * weights
     pts, omega = _moduli(front, m, np.concatenate(
-        [2.0 * (z1 - z), [2.0 * QUAD_SPAN], one_sided]))
+        [2.0 * (z1 - z), [2.0 * QUAD_SPAN], [d_b, 2.0 * d_b]]))
     n = QUAD_NODES
     phi = np.exp(-0.5 * z * z) / math.sqrt(2.0 * math.pi)
     numer = float(np.sum(w * omega[:n] * phi))
@@ -200,8 +201,6 @@ def _kappas(front: SensitivityFrontier, m: float, a: float,
     kn = select_lambda(front, m, a).knot
     sd = math.sqrt(kn.var)
     two_sided = numer / (2.0 * cv_alpha(m * kn.bbar / sd, a) * sd)
-    if not one_sided:
-        return two_sided, None
     return two_sided, float(omega[n + 2] / (omega[n + 1] + d_b * pts.sd[n + 1]))
 
 

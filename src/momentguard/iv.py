@@ -26,7 +26,8 @@ Both passes run their row blocks on every usable CPU (the process's CPU
 affinity, so ``taskset`` limits them) once a pass has enough rows and columns
 to pay for it, on a thread pool made at the first such pass. Each block's partial sums
 are still added to the totals in block order, so every result is bitwise the
-same whatever the number of threads.
+same whatever the number of threads. The homoskedastic ``z'resid`` pass adds
+the same blocks on the calling thread.
 
 The pivoted QR (Businger and Golub 1965) is scipy's: numpy has none, and one
 that breaks exact ties between collinear columns differently would keep
@@ -429,7 +430,12 @@ def build_model(data: IVData, h_deriv, variance: str = "robust",
             z_resid, meat = _resid_sums(data.z, resid)
             sigma = meat / n
         else:
-            z_resid = data.z.T @ resid
+            # the robust pass's blocks, added in order on this thread: one full
+            # product is threaded by OpenBLAS by its size, and its last bits
+            # would move with the CPU count; a pool would wait on the GIL
+            z_resid = sum((resid[lo:lo + _CHUNK_ROWS] @ data.z[lo:lo + _CHUNK_ROWS]
+                           for lo in range(0, n, _CHUNK_ROWS)),
+                          np.zeros(data.z.shape[1]))
             sigma = float(np.mean(resid**2)) * zz / n
         g_init = z_resid / n
         gamma = -zx / n

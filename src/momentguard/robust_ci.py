@@ -131,6 +131,7 @@ def ci_curve(model: MomentModel, front: SensitivityFrontier, m_grid,
              criterion: str = "ci_length") -> list[tuple[float, RobustCI]]:
     """:func:`two_sided_ci` for every magnitude in an ascending grid, reusing
     one frontier."""
+    _check_alpha(alpha)
     m_grid = np.asarray(m_grid, dtype=float).reshape(-1)
     if np.any(m_grid < 0.0) or np.any(np.diff(m_grid) < 0.0):
         raise OutOfRange("m_grid must be nonnegative and ascending")

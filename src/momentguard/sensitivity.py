@@ -64,7 +64,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from ._linalg import orth_complement, solve_psd
-from .critval import (_NEWTON_RTOL, _check_alpha, _check_beta, _newton, cv_alpha,
+from .critval import (_NEWTON_RTOL, _check_alpha, _check_beta, _cv_excess, _newton,
                       norm_quantile)
 from .errors import (
     DegeneratePath,
@@ -346,9 +346,10 @@ class _L2Path(SensitivityFrontier):
         log r(tau)``, from the root of F linearized at lam = 0, stopping at a
         step of ``_NEWTON_RTOL (1 + |u|)`` as the sweep does. One
         :meth:`_log_gap` pass gives ``log(lam bbar / sd)`` and its slope S,
-        whence ``tau = m bbar / sd`` and F's slope ``S - eps (S - 1)``.
-        The root is lam = inf where the criterion still falls at the
-        unbiased end, and 0 where it lies below every positive double."""
+        whence ``tau = m bbar / sd`` and F's slope ``S - eps (S - 1)``, all
+        finite (:func:`_weights`). The root is lam = inf where the criterion
+        still falls at the unbiased end, and 0 where it lies below every
+        positive double."""
         first = self.first
         sd0 = math.sqrt(first.var)
         if self.ends_unbiased:
@@ -361,10 +362,6 @@ class _L2Path(SensitivityFrontier):
         def gap(u: float) -> tuple[float, float]:
             (f,), (slope,) = self._log_gap(np.array([u]), zero)
             log_r, eps = weights(m * math.exp(f - u))
-            if log_r == math.inf:
-                # only at alpha > 1/2, where L may fall in sd: F = -inf says
-                # no more than that the root lies above
-                return -_LOG_LAM_STEP, 1.0
             # a step is at most the sweep's outward step: where the ratio
             # levels off, a small slope would throw the next point far out,
             # where the evaluator may not resolve the path (ROADMAP E5)
@@ -372,9 +369,8 @@ class _L2Path(SensitivityFrontier):
             return f, max(slope - eps * (slope - 1.0), abs(f) / _LOG_LAM_STEP)
 
         # lam' = lam bbar_0 in the linearization
-        log_r = weights(m * first.bbar / sd0)[0]
-        u = (log_r + math.log(sd0) - math.log(first.bbar)
-             if log_r < math.inf else 0.0)
+        u = (weights(m * first.bbar / sd0)[0] + math.log(sd0)
+             - math.log(first.bbar))
         u = _newton(gap, min(max(u, _LOG_LAM_MIN), _LOG_LAM_MAX), _LOG_LAM_MIN,
                     _LOG_LAM_MAX, offset=1.0)
         # at either end of the range the root may lie beyond it
@@ -601,8 +597,7 @@ class _LinfPath(SensitivityFrontier):
                 break
             g_lo = kn.lam / sd - r
         else:
-            # r is finite whenever alpha <= 1/2; otherwise L does not rise past here
-            return self.knot(r * sd) if r < math.inf else knots[-1]
+            return self.knot(r * sd)
         if j == 0:  # r = 0 at lam = 0
             return knots[0]
         # w runs from the knot nearer the linearly interpolated root, so the
@@ -882,21 +877,23 @@ def _weights(criterion: str, m: float, alpha: float, beta: float = 0.8):
     ``r = a / b`` is the ratio of L's partial derivatives ``a`` in bbar and
     ``b`` in sd, which depends on the point only through tau, and ``eps = d
     log r / d log tau``. Each criterion is convex and nondecreasing in both
-    arguments, so these are all that the frontier's ``argmin`` needs.
+    arguments, so these are all that the frontier's ``argmin`` needs. At
+    every ``tau > 0`` and alpha in (0, 1/2), ``log r`` is finite.
     """
     if criterion == "ci_length":
         # L = 2 cv(tau) sd; differentiating the defining equation of cv_alpha
         # gives cv' = (phi(c - tau) - phi(c + tau)) / (phi(c - tau) + phi(c +
-        # tau)), which is t = tanh(c tau), so r = m t / (c - tau t) and, with
-        # t' = (1 - t^2)(c + tau t), eps = tau t' c / (t (c - tau t))
+        # tau)), which is t = tanh(c tau), so r = m t / den and, with t' =
+        # (1 - t^2)(c + tau t), eps = tau t' c / (t den). den = c - tau t,
+        # which rounds to 0 from tau ~ 1e17, is e + tau (1 - t) >= z_{1-alpha}
+        # in the excess e = c - tau
         def weights(tau: float) -> tuple[float, float]:
             if tau == 0.0:
                 return -math.inf, 1.0
-            c = cv_alpha(tau, alpha)
+            e = _cv_excess(tau, alpha)
+            c = tau + e
             t = math.tanh(c * tau)
-            den = c - tau * t
-            if not den > 0.0:  # only at alpha > 1/2: L does not rise in sd
-                return math.inf, 0.0
+            den = e + tau * (1.0 - t)
             return (math.log(m) + math.log(t) - math.log(den),
                     tau * (1.0 - t * t) * (c + tau * t) * c / (t * den))
     elif criterion == "mse":

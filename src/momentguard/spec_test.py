@@ -195,7 +195,8 @@ def noncentrality_sup(model: MomentModel, mset: MisspecSet) -> float:
 
 def test_at_m(model: MomentModel, mset: MisspecSet,
               alpha: float = 0.05) -> SpecTestResult:
-    """Test the null that the perturbation lies in ``mset`` at level alpha."""
+    """Test the null that the perturbation lies in ``mset`` at level alpha,
+    which lies in (0, 1/2) as every level of the package does."""
     a = _check_alpha(alpha)
     root_inv, resid = _whiten(model)
     stat = _statistic(model, root_inv, resid)

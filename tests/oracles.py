@@ -27,22 +27,6 @@ class DimensionTooLarge(FeasibilityError):
 
 # -- folded-normal critical value ----------------------------------------------
 
-def _phi(x: float) -> float:
-    return 0.5 * math.erfc(-x / math.sqrt(2.0))
-
-
-def cv_alpha_oracle(b: float, alpha: float) -> float:
-    """Plain 200-iteration bisection for the 1-alpha quantile of |N(b, 1)|."""
-    lo, hi = 0.0, float(b) + 20.0
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        if _phi(mid - b) - _phi(-mid - b) < 1.0 - alpha:
-            lo = mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
-
-
 def cv_alpha_tail_oracle(b: float, alpha: float) -> float:
     """Bisection to adjacent doubles on the tail form ``alpha - Q(c - b) -
     Q(c + b)``, ``Q(x) = erfc(x / sqrt 2) / 2``: the first double of
@@ -60,29 +44,6 @@ def cv_alpha_tail_oracle(b: float, alpha: float) -> float:
             lo = mid
         else:
             hi = mid
-
-
-def cv_alpha_central_oracle(b: float, alpha: float) -> float:
-    """Bisection to adjacent doubles on the central form ``Phi(c - b) -
-    Phi(-c - b) - (1 - alpha)``, evaluated in 40-digit arithmetic: the first
-    double of ``[0, b + 40]`` at which it is nonnegative, the root rounded up."""
-    import mpmath
-
-    with mpmath.workdps(40):
-        b_mp, coverage = mpmath.mpf(b), 1 - mpmath.mpf(alpha)
-
-        def gap(c: float):
-            return mpmath.ncdf(c - b_mp) - mpmath.ncdf(-c - b_mp) - coverage
-
-        lo, hi = 0.0, float(b) + 40.0
-        while True:
-            mid = lo + 0.5 * (hi - lo)
-            if not lo < mid < hi:
-                return hi
-            if gap(mid) < 0:
-                lo = mid
-            else:
-                hi = mid
 
 
 # -- worst-case bias by vertex enumeration --------------------------------------

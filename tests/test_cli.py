@@ -479,7 +479,8 @@ class TestProblemFile:
 
     @pytest.mark.parametrize("command", COMMANDS)
     @pytest.mark.parametrize("flag, in_file", [
-        ("nan", 0.05), ("0", 0.05), ("2", 0.05), (None, "nan")])
+        ("nan", 0.05), ("0", 0.05), ("2", 0.05), (None, "nan"), ("0.5", 0.05),
+        ("0.7", 0.05), (None, 0.999)])
     def test_invalid_alpha_exit_code(self, tmp_path, capsys, command, flag,
                                      in_file):
         doc = scalar_doc()
@@ -489,7 +490,7 @@ class TestProblemFile:
                                       write_problem(tmp_path, doc), *extra])
         assert code == 2, err
         assert out == ""
-        assert "alpha must lie in (0, 1)" in err and "Traceback" not in err
+        assert "alpha must lie in (0, 1/2)" in err and "Traceback" not in err
 
     @pytest.mark.parametrize("command", COMMANDS)
     def test_empty_m_grid_exit_code(self, tmp_path, capsys, command):

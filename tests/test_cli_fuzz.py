@@ -19,8 +19,8 @@ from momentguard.cli import main
 #: Entries that make a field degenerate: zero, non-finite, tiny, huge.
 SPECIAL = [0.0, math.nan, math.inf, -math.inf, 1e-300, 1e12]
 
-#: Levels outside (0, 1), which every command rejects with exit 2.
-BAD_ALPHA = [math.nan, 0.0, 1.0, 1.5, -0.1]
+#: Levels outside (0, 1/2), which every command rejects with exit 2.
+BAD_ALPHA = [math.nan, 0.0, 0.5, 0.7, 0.999, 1.0, 1.5, -0.1]
 
 
 @st.composite
@@ -58,7 +58,8 @@ def problem_docs(draw):
         m_grid.sort()
     misspec = {"b_mat": b_mat, "p": draw(st.sampled_from([2, "inf", 1])),
                "m_grid": m_grid}
-    alpha = draw(st.one_of(st.floats(0.001, 0.5), st.sampled_from(BAD_ALPHA)))
+    alpha = draw(st.one_of(st.floats(0.001, 0.5, exclude_max=True),
+                           st.sampled_from(BAD_ALPHA)))
     return {"model": model, "misspec": misspec, "alpha": alpha}
 
 

@@ -17,7 +17,7 @@ from momentguard.efficiency import (
     kappa_two_sided,
     universal_lower_bound,
 )
-from momentguard.errors import InfeasibleDelta, TooManyInvalidMoments
+from momentguard.errors import InfeasibleDelta, OutOfRange, TooManyInvalidMoments
 from momentguard.model import MisspecSet, MomentModel
 from momentguard.robust_ci import two_sided_ci
 from momentguard.sensitivity import _L2Path, _weights, frontier, linf_path
@@ -210,7 +210,10 @@ class TestKappaTwoSided:
         assert universal_lower_bound(0.05) == pytest.approx(0.717, abs=5e-4)
 
     def test_universal_bound_alpha_half(self):
-        a = 0.5
+        # the closed form up to the level below 1/2, which itself is refused
+        with pytest.raises(OutOfRange):
+            universal_lower_bound(0.5)
+        a = math.nextafter(0.5, 0.0)
         z1 = norm_quantile(1.0 - a)
         z2 = norm_quantile(1.0 - a / 2.0)
         zt = z1 - z2
@@ -289,14 +292,15 @@ class TestKappaTwoSided:
 
 
     def test_alpha_without_one_sided_delta(self):
-        # at alpha = 0.9, d_b = z_0.1 + z_0.8 < 0: the one-sided bound does
-        # not exist, and only it raises
+        # at alpha = 0.3 and beta = 0.2, d_b = z_0.7 + z_0.2 < 0: the
+        # one-sided bound does not exist, and the error names d_b's terms
         model = random_model(4, 1, 5)
         ms = MisspecSet(np.random.default_rng(0).normal(size=(4, 2)), 2, 1.0)
-        assert 0.0 < kappa_two_sided(model, ms, 0.9) < 1.0
+        message = (r"z_\{1-alpha\} \+ z_beta must be positive, got -0\.317\d* "
+                   r"at alpha=0\.3, beta=0\.2$")
         for call in (kappa_one_sided, efficiency_report):
-            with pytest.raises(InfeasibleDelta):
-                call(model, ms, 0.9)
+            with pytest.raises(InfeasibleDelta, match=message):
+                call(model, ms, 0.3, 0.2)
 
     def test_efficient_sensitivity_without_bias(self):
         # just identified, and B'k = 0 for the only admissible k: the

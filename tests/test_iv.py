@@ -512,17 +512,16 @@ def wide_design(seed, n, d_g, collinear=False):
 
 
 def loop_model(data, w, variance):
-    """``build_model``'s outputs, with ``W`` and the robust variance from the
-    sequential loops of ``oracles``."""
+    """``build_model``'s outputs, with ``W``, ``z'resid`` and the robust
+    variance from the sequential loops of ``oracles``."""
     n, d = data.n, data.z.shape[1]
     zz, zx, zy = w[:, :d], w[:, d:-1], w[:, -1]
     theta = iv._tsls(zz, zx, zy)
     resid = data.y - data.x @ theta
+    z_resid, meat = resid_sums_loop(data.z, resid, iv._CHUNK_ROWS)
     if variance == "robust":
-        z_resid, meat = resid_sums_loop(data.z, resid, iv._CHUNK_ROWS)
         sigma = meat / n
     else:
-        z_resid = data.z.T @ resid
         sigma = float(np.mean(resid**2)) * zz / n
     return {"gamma": -zx / n, "sigma": sigma, "g_init": z_resid / n,
             "h_init": float(theta[0])}

@@ -14,7 +14,7 @@ from momentguard.robust_ci import one_sided_ci, two_sided_ci
 from momentguard.sensitivity import frontier
 from oracles import (
     DimensionTooLarge,
-    cv_alpha_oracle,
+    cv_alpha_tail_oracle,
     grid_modulus,
     kkt_sensitivity,
     vertex_bias,
@@ -52,12 +52,12 @@ class TestStandardNormals:
 
 class TestCvOracle:
     def test_zero_bias(self):
-        assert cv_alpha_oracle(0.0, 0.05) == pytest.approx(1.95996, abs=1e-5)
+        assert cv_alpha_tail_oracle(0.0, 0.05) == pytest.approx(1.95996, abs=1e-5)
 
     def test_agrees_with_critval(self):
         from momentguard.critval import cv_alpha
         for b, a in ((3.0, 0.05), (1.0, 0.32), (0.0, 0.10)):
-            assert abs(cv_alpha_oracle(b, a) - cv_alpha(b, a)) < 1e-8
+            assert abs(cv_alpha_tail_oracle(b, a) - cv_alpha(b, a)) < 1e-8
 
 
 class TestKktSensitivity:

@@ -19,6 +19,7 @@ from momentguard.robust_ci import ci_curve
 from momentguard.sensitivity import (
     _argmin_sweep,
     _L2Path,
+    _weights,
     frontier,
     knot_at,
     l2_sensitivity,
@@ -545,6 +546,39 @@ class TestSelectLambdaExact:
             kn = knot_at(front, select_lambda(front, m, 0.05, criterion).lambda_star)
             value = float(criterion_values(criterion, m, [kn.bbar], [kn.var])[0])
             assert value <= oracle * (1.0 + 1e-12), (trial, value / oracle - 1.0)
+
+
+class TestLargeMagnitudeSelection:
+    """At a very large M the CI-length ratio stays finite: ``c - tau t``
+    rounds to 0 or below from tau ~ 1e17, so the selector forms it from the
+    critical value's excess over tau."""
+
+    @pytest.mark.parametrize("alpha", [1e-10, 0.05, 0.49])
+    def test_ratio_is_finite_at_every_tau(self, alpha):
+        weights = _weights("ci_length", 1.0, alpha)
+        for tau in np.logspace(-300, 300, 601):
+            log_r, eps = weights(float(tau))
+            assert math.isfinite(log_r) and math.isfinite(eps), tau
+
+    @pytest.mark.parametrize("p", [2, math.inf])
+    def test_not_above_dense_oracle(self, p):
+        # at p = 2 only on paths that end unbiased: elsewhere the l2
+        # evaluator's error grows with lam (ROADMAP E5)
+        rng = np.random.default_rng(73)
+        for trial in range(12):
+            d_g = int(rng.integers(2, 6))
+            d_th = int(rng.integers(1, d_g))
+            model = random_model(d_g, d_th, 7300 + trial)
+            top = min(d_g, 3) if p == math.inf else min(d_g - d_th, 3)
+            b = rng.normal(size=(d_g, int(rng.integers(1, top + 1))))
+            front = frontier(model, MisspecSet(b, p, 1.0))
+            bbar, var = (dense_l2_points(model, b) if p == 2
+                         else dense_linf_points(front, b))
+            for m in (1e17, 1e20, 1e30):
+                oracle = float(np.min(criterion_values("ci_length", m, bbar, var)))
+                kn = select_lambda(front, m, 0.05).knot
+                value = float(criterion_values("ci_length", m, [kn.bbar], [kn.var])[0])
+                assert value <= oracle * (1.0 + 1e-12), (trial, m, value / oracle - 1.0)
 
 
 def weights_of(criterion, m, alpha=0.05):
