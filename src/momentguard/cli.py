@@ -59,7 +59,7 @@ class ProblemFile:
     b_spec: object = None            # matrix, {"identity_columns":[...]}, "from-iv"
     p: float = 2.0
     m_grid: list[float] = field(default_factory=lambda: [1.0])
-    variance: str = "robust"
+    variance: str | None = None      # an IV problem's; None is "robust"
     criterion: str = "ci_length"
     beta: float = 0.8
     mixed: bool = False
@@ -134,7 +134,7 @@ def parse_problem(path: str | Path) -> ProblemFile:
 
     prob.alpha = _parse(float, doc.get("alpha", 0.05), "alpha")
     opts = _section(doc, "options")
-    prob.variance = opts.get("variance", "robust")
+    prob.variance = opts.get("variance")
     prob.criterion = opts.get("criterion", "ci_length")
     if prob.criterion not in ("ci_length", "mse"):
         raise ValidationError(
@@ -182,7 +182,21 @@ def parse_problem(path: str | Path) -> ProblemFile:
     if "b_mat" not in mis and not has_iv:
         raise ValidationError("misspec section must specify 'b_mat'")
     prob.b_spec = _b_spec(mis.get("b_mat", "from-iv"), base, has_iv)
+    _check_variance(prob)
     return prob
+
+
+def _check_variance(prob: ProblemFile) -> None:
+    """The variance options choose how an IV problem estimates Sigma; a
+    ``model`` problem carries its one Sigma, so setting them there is an
+    input error rather than a no-op."""
+    if prob.variance not in (None, "robust", "homoskedastic"):
+        raise ValidationError("options.variance must be 'robust' or "
+                              f"'homoskedastic', got {prob.variance!r}")
+    if prob.model is not None and (prob.variance is not None or prob.mixed):
+        raise ValidationError("the variance options (options.variance, "
+                              "options.mixed, --variance, --mixed) apply to an "
+                              "'iv' problem; a 'model' problem carries one sigma")
 
 
 def _b_spec(value, base: Path, has_iv: bool):
@@ -210,7 +224,7 @@ def _resolve(prob: ProblemFile) -> tuple[MomentModel, MisspecSet, MomentModel]:
         model = model_ci = prob.model
     else:
         data = drop_collinear_instruments(prob.iv_data)
-        variance_path = "homoskedastic" if prob.mixed else prob.variance
+        variance_path = "homoskedastic" if prob.mixed else prob.variance or "robust"
         model = model_ci = build_model(data, prob.h_deriv, variance_path)
         if prob.mixed:
             model_ci = build_model(data, prob.h_deriv, "robust")
@@ -353,6 +367,7 @@ def main(argv: list[str] | None = None) -> int:
             prob.beta = args.beta
         if args.mixed:
             prob.mixed = True
+        _check_variance(prob)
         _COMMANDS[args.command](prob, args)
         return 0
     except ValidationError as exc:

@@ -89,6 +89,19 @@ def _check_beta(beta: float) -> None:
         raise OutOfRange(f"beta must lie in (0, 1), got {beta}")
 
 
+def _check_one_sided(a: float, beta: float) -> float:
+    """``z_{1-a} + z_beta`` for a checked level ``a``: the weight of the sd in
+    the one-sided excess-length quantile, and the distance ``d_b`` of the
+    one-sided efficiency bound, either of which exists only where it is
+    positive."""
+    _check_beta(beta)
+    d_b = norm_quantile(1.0 - a) + norm_quantile(beta)
+    if not d_b > 0.0:
+        raise OutOfRange("z_{1-alpha} + z_beta must be positive, got "
+                         f"{d_b} at alpha={a}, beta={beta}")
+    return d_b
+
+
 def norm_cdf(x: float) -> float:
     """Standard normal cdf, from ``erf``/``erfc`` branching as cephes' ndtr."""
     t = float(x) * _SQRT_HALF

@@ -47,8 +47,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._linalg import orth_complement, solve_psd
-from .critval import (_check_alpha, _check_beta, cv_alpha, norm_cdf, norm_pdf,
-                      norm_quantile)
+from .critval import (_check_alpha, _check_one_sided, cv_alpha, norm_cdf,
+                      norm_pdf, norm_quantile)
 from .errors import InfeasibleDelta, RankDeficiency, TooManyInvalidMoments
 from .model import MisspecSet, MomentModel, Sensitivity
 from .sensitivity import (FrontierPoints, SensitivityFrontier, _argmin_sweep,
@@ -159,24 +159,15 @@ def kappa_one_sided(model: MomentModel, mset: MisspecSet, alpha: float = 0.05,
     at ``d_b = z_{1-alpha} + z_beta``.
     """
     a = _check_alpha(alpha)
-    _check_d_b(a, beta)
+    _check_one_sided(a, beta)
     return _kappas(frontier(model, mset), mset.m, a, beta)[1]
-
-
-def _check_d_b(a: float, beta: float) -> None:
-    """The one-sided bound needs ``d_b = z_{1-a} + z_beta > 0``."""
-    _check_beta(beta)
-    d_b = norm_quantile(1.0 - a) + norm_quantile(beta)
-    if not d_b > 0.0:
-        raise InfeasibleDelta("z_{1-alpha} + z_beta must be positive, got "
-                              f"{d_b} at alpha={a}, beta={beta}")
 
 
 def _kappas(front: SensitivityFrontier, m: float, a: float,
             beta: float) -> tuple[float, float]:
     """The two-sided and the one-sided bound from one sweep of the modulus
     over the numerator's nodes, the tail's edge and the one-sided pair
-    ``(d_b, 2 d_b)``. ``d_b > 0`` where :func:`_check_d_b` passes, and at
+    ``(d_b, 2 d_b)``. ``d_b > 0`` where :func:`_check_one_sided` passes, and at
     beta = 0.8 for every alpha in (0, 1/2)."""
     z1 = norm_quantile(1.0 - a)
     d_b = z1 + norm_quantile(beta)
@@ -236,7 +227,7 @@ def efficiency_report(model: MomentModel, mset: MisspecSet,
     """Bundle the two-sided and one-sided bounds with the universal floor,
     both read off one frontier in one sweep of the modulus."""
     a = _check_alpha(alpha)
-    _check_d_b(a, beta)
+    _check_one_sided(a, beta)
     two_sided, one_sided = _kappas(frontier(model, mset), mset.m, a, beta)
     return EfficiencyReport(kappa_two_sided=two_sided, kappa_one_sided=one_sided,
                             universal_lower=universal_lower_bound(alpha),

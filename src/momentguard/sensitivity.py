@@ -64,8 +64,8 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from ._linalg import orth_complement, solve_psd
-from .critval import (_NEWTON_RTOL, _check_alpha, _check_beta, _cv_excess, _newton,
-                      norm_quantile)
+from .critval import (_NEWTON_RTOL, _check_alpha, _check_one_sided, _cv_excess,
+                      _newton)
 from .errors import (
     DegeneratePath,
     DimensionMismatch,
@@ -145,6 +145,10 @@ L2_TABLE_SPAN = 24.0
 #: The l2 sweep stops where ``|F|`` is within ``_GAP_ATOL (1 + |u| + |log c|)``,
 #: the rounding of F's terms.
 _GAP_ATOL = 16.0 * np.finfo(float).eps
+
+#: Largest ``tau`` at which the "ci_length" criterion is evaluated: from tau
+#: ~ 20 on its ratio and slope are the same double (:func:`_weights`).
+_CI_TAU_CAP = 1e150
 
 
 def _t_pair(lam: float) -> tuple[float, float]:
@@ -355,12 +359,18 @@ class _L2Path(SensitivityFrontier):
         if self.ends_unbiased:
             bbar_end, sd_end, lam_bbar_end = self.end
             # the sign form: log r(0) is -inf for "ci_length"
-            if lam_bbar_end <= math.exp(weights(m * bbar_end / sd_end)[0]) * sd_end:
+            try:
+                r = math.exp(weights(m * bbar_end / sd_end)[0])
+            except OverflowError:  # r = m^2 bbar / sd for "mse" may exceed a double
+                r = math.inf
+            if lam_bbar_end <= r * sd_end:
                 return self.knot(math.inf)
         zero = np.zeros(1)
 
         def gap(u: float) -> tuple[float, float]:
-            (f,), (slope,) = self._log_gap(np.array([u]), zero)
+            # Python floats: past the range the evaluator resolves, an
+            # infinite slope makes the step a bisection, silently
+            f, slope = (float(v[0]) for v in self._log_gap(np.array([u]), zero))
             log_r, eps = weights(m * math.exp(f - u))
             # a step is at most the sweep's outward step: where the ratio
             # levels off, a small slope would throw the next point far out,
@@ -443,9 +453,11 @@ class _L2Path(SensitivityFrontier):
         w, den, gram, _, a_mu = self._solve(t, one_minus_t)
         t, one_minus_t = t[:, 0], one_minus_t[:, 0]
         d_gam = self.s.shape[0]
-        v = self.s * a_mu[:, :d_gam] / den
-        v_norm, sd = _norms(v), _norms(w * a_mu)
         with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+            # v overflows where lam is near the largest double and 1 - t
+            # underflows: F is then NaN or infinite, and the caller says so
+            v = self.s * a_mu[:, :d_gam] / den
+            v_norm, sd = _norms(v), _norms(w * a_mu)
             sv = self.s * (v / v_norm[:, None]) / den
             rho = sv @ self.a[:d_gam]
             proj = np.einsum("ij,ij->i", rho,
@@ -592,12 +604,15 @@ class _LinfPath(SensitivityFrontier):
         knots = self.knots
         for j, kn in enumerate(knots):
             sd = math.sqrt(kn.var)
-            r = math.exp(weights(m * kn.bbar / sd)[0])
+            try:
+                r = math.exp(weights(m * kn.bbar / sd)[0])
+            except OverflowError:  # r = m^2 bbar / sd for "mse" may exceed a double
+                r = math.inf
             if kn.lam >= r * sd:
                 break
             g_lo = kn.lam / sd - r
         else:
-            return self.knot(r * sd)
+            return self.knot(r * sd)  # OutOfRange where r sd exceeds a double
         if j == 0:  # r = 0 at lam = 0
             return knots[0]
         # w runs from the knot nearer the linearly interpolated root, so the
@@ -890,6 +905,10 @@ def _weights(criterion: str, m: float, alpha: float, beta: float = 0.8):
         def weights(tau: float) -> tuple[float, float]:
             if tau == 0.0:
                 return -math.inf, 1.0
+            # the cap keeps c tau and c + tau t finite, and tau = m bbar / sd
+            # may overflow at a large m
+            if tau > _CI_TAU_CAP:
+                tau = _CI_TAU_CAP
             e = _cv_excess(tau, alpha)
             c = tau + e
             t = math.tanh(c * tau)
@@ -901,11 +920,7 @@ def _weights(criterion: str, m: float, alpha: float, beta: float = 0.8):
         def weights(tau: float) -> tuple[float, float]:
             return (math.log(m) + math.log(tau) if tau > 0.0 else -math.inf), 1.0
     elif criterion == "one_sided_quantile":
-        _check_beta(beta)
-        weight = norm_quantile(1.0 - alpha) + norm_quantile(beta)
-        if not weight > 0.0:
-            raise OutOfRange("z_{1-alpha} + z_beta must be positive, got "
-                             f"{weight} at alpha={alpha}, beta={beta}")
+        weight = _check_one_sided(alpha, beta)
 
         def weights(tau: float) -> tuple[float, float]:
             return math.log(m) - math.log(weight), 0.0

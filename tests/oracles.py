@@ -2,8 +2,9 @@
 
 Each routine answers the same question as a production solver through a
 different, dumber route: plain bisection, vertex enumeration, KKT
-enumeration over sign patterns and an exhaustive lattice. None of them call
-the module they validate.
+enumeration over sign patterns, an exhaustive lattice and scipy's brentq.
+None of them call the solver they validate; the lambda selector's reference
+reads the frontier only through its point evaluator.
 """
 
 from __future__ import annotations
@@ -13,6 +14,7 @@ from itertools import product
 
 import numpy as np
 
+from momentguard.critval import cv_alpha, norm_quantile
 from momentguard.errors import FeasibilityError, NumericalError, OutOfRange
 from momentguard.model import MisspecSet, MomentModel, Sensitivity
 
@@ -44,6 +46,101 @@ def cv_alpha_tail_oracle(b: float, alpha: float) -> float:
             lo = mid
         else:
             hi = mid
+
+
+# -- the lambda selector's first-order root -----------------------------------
+
+def weights_of(criterion, m: float = 1.0, alpha: float = 0.05):
+    """A criterion's partial derivatives ``(a, b)`` in bbar and sd at a
+    frontier point, the form the first-order condition ``G = b lam' - a sd``
+    reads them in: a criterion by name at magnitude ``m``, or a pair
+    ``(a, b)`` of fixed weights, as in the modulus ``2 m bbar + delta sd``."""
+    if not isinstance(criterion, str):
+        a, b = criterion
+        return lambda bbar, sd: (a, b)
+
+    def weights(bbar, sd):
+        if criterion == "ci_length":
+            tau = m * bbar / sd
+            c = cv_alpha(tau, alpha)
+            t = math.tanh(c * tau)
+            return m * t, c - tau * t
+        if criterion == "mse":
+            return m * m * bbar, sd
+        return m, norm_quantile(1.0 - alpha) + norm_quantile(0.8)
+    return weights
+
+
+def brentq_selector(front, m: float, criterion, alpha: float = 0.05):
+    """The root of ``G = b lam' - a sd`` (see :func:`weights_of`) by scipy's
+    brentq: in ``log(lam)`` on the l2 path, bracketed by the first of the
+    integers -40..40 with ``G(e^j) >= 0``; in lam
+    inside the segment whose upper knot first has ``G >= 0`` on an
+    inf-path, and ``lam = a sd / b`` past the last knot. Returns lam, or
+    None where the root lies at an end of the path (beyond ``e^-40`` or
+    ``e^40`` on the l2 path)."""
+    from scipy.optimize import brentq
+
+    weights = weights_of(criterion, m, alpha)
+    l2 = front.set.p == 2.0
+
+    def gap(lam):
+        kn = front.knot(lam)
+        sd = math.sqrt(kn.var)
+        a, b = weights(kn.bbar, sd)
+        return b * (lam * kn.bbar if l2 else lam) - a * sd
+
+    eps = np.finfo(float).eps
+    if l2:
+        # the first integer j in -40..40 with G(e^j) >= 0, G rising: the walk
+        # starts at the root of G linearized at lam = 0
+        first = front.first
+        a, b = weights(first.bbar, math.sqrt(first.var))
+        j = min(max(math.floor(math.log(a) - math.log(b) + 0.5 * math.log(first.var)
+                               - math.log(first.bbar)), -40), 40)
+        if gap(math.exp(j)) >= 0.0:
+            while j > -40 and gap(math.exp(j - 1)) >= 0.0:
+                j -= 1
+        else:
+            j += 1
+            while j <= 40 and gap(math.exp(j)) < 0.0:
+                j += 1
+        if j in (-40, 41):
+            return None
+        return math.exp(brentq(lambda u: gap(math.exp(u)), j - 1.0, float(j),
+                               xtol=1e-300, rtol=4 * eps))
+    lams = [kn.lam for kn in front.knots]
+    j = next((j for j, lam in enumerate(lams) if gap(lam) >= 0.0), None)
+    if j == 0:
+        return None
+    if j is None:
+        last = front.knots[-1]
+        a, b = weights(last.bbar, math.sqrt(last.var))
+        return a * math.sqrt(last.var) / b
+    return brentq(gap, lams[j - 1], lams[j], xtol=1e-300, rtol=4 * eps)
+
+
+def root_tolerance(front, lam: float, m: float, criterion, alpha: float = 0.05) -> float:
+    """How far in ``log(lam)`` two roots of the selector's first-order
+    condition may lie apart at ``lam``: ``4 eps (1 + |log lam|)`` plus F's
+    rounding ``16 eps (1 + |log lam| + |log r|)``, over F's slope in
+    ``log(lam)`` (at most 1), F = ``log(lam' / sd) - log r``."""
+    weights = weights_of(criterion, m, alpha)
+    eps = np.finfo(float).eps
+
+    def f(u):
+        kn = front.knot(math.exp(u))
+        sd = math.sqrt(kn.var)
+        a, b = weights(kn.bbar, sd)
+        lam_prime = math.exp(u) * (kn.bbar if front.set.p == 2.0 else 1.0)
+        return math.log(lam_prime / sd) - math.log(a / b)
+
+    u = math.log(lam)
+    kn = front.knot(lam)
+    a, b = weights(kn.bbar, math.sqrt(kn.var))
+    slope = (f(u + 1e-6) - f(u - 1e-6)) / 2e-6
+    rounding = 16.0 * eps * (1.0 + abs(u) + abs(math.log(a / b)))
+    return (4.0 * eps * (1.0 + abs(u)) + rounding) / min(slope, 1.0)
 
 
 # -- worst-case bias by vertex enumeration --------------------------------------

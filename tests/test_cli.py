@@ -392,6 +392,11 @@ class TestProblemFile:
         ("ci", "n_boolean", "n:"),
         ("efficiency", "n_fractional", "n:"),
         ("ci", "mixed_string", "options.mixed"),
+        ("ci", "variance_bogus", "options.variance"),
+        ("ci", "variance_on_model", "options.variance"),
+        ("ci", "mixed_on_model", "options.mixed"),
+        ("ci", "variance_flag_on_model", "--variance"),
+        ("simulate", "mixed_flag_on_model", "--mixed"),
         ("ci", "one_sided_criterion", "options.criterion"),
         ("spectest", "m_grid_not_a_number", "--m-grid"),
         ("ci", "top_level_not_object", "JSON object"),
@@ -455,6 +460,17 @@ class TestProblemFile:
             model["n"] = 1000.9
         elif case == "mixed_string":
             doc["options"] = {"mixed": "false"}
+        elif case == "variance_bogus":
+            doc["options"] = {"variance": "bogus"}
+        elif case == "variance_on_model":
+            # a model problem carries one sigma: the option would be ignored
+            doc["options"] = {"variance": "homoskedastic"}
+        elif case == "mixed_on_model":
+            doc["options"] = {"mixed": True}
+        elif case == "variance_flag_on_model":
+            extra = ["--variance", "homoskedastic"]
+        elif case == "mixed_flag_on_model":
+            extra = ["--mixed"]
         elif case == "one_sided_criterion":
             doc["options"] = {"criterion": "one_sided_quantile"}
         elif case == "m_grid_not_a_number":
@@ -545,6 +561,24 @@ class TestProblemFile:
         code2, out2, _ = run(capsys, ["ci", "--problem", path, "--mixed"])
         assert code1 == 0 and code2 == 0
         assert out1 != out2
+
+
+class TestExtremeMagnitude:
+    @pytest.mark.parametrize("m", ["1e155", "1e300", "1.7e308"])
+    def test_mse_past_the_ratio_range_exits_0(self, tmp_path, capsys, m):
+        # at M = 1e155 the "mse" ratio M^2 bbar / sd exceeds a double on this
+        # p = inf path; it once escaped as an OverflowError (exit 1)
+        doc = scalar_doc(p="inf", m_grid=[0.0, 1.0],
+                         b_mat=[[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
+        doc["model"].update(gamma=[[-1.0], [0.4], [0.2]],
+                            sigma=[[1.0, 0.2, 0.0], [0.2, 1.5, 0.1], [0.0, 0.1, 2.0]],
+                            g_init=[0.1, 0.05, -0.02])
+        code, out, err = run(capsys, ["ci", "--problem", write_problem(tmp_path, doc),
+                                      "--criterion", "mse", "--m-grid", f"0,{m}"])
+        assert code == 0, err
+        _, rows = parse_csv(out)
+        assert len(rows) == 2
+        assert all(math.isfinite(float(v)) for row in rows for v in row.values())
 
 
 class TestOverflowingIV:

@@ -1,5 +1,4 @@
 import math
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -20,9 +19,9 @@ from momentguard.efficiency import (
 from momentguard.errors import InfeasibleDelta, OutOfRange, TooManyInvalidMoments
 from momentguard.model import MisspecSet, MomentModel
 from momentguard.robust_ci import two_sided_ci
-from momentguard.sensitivity import _L2Path, _weights, frontier, linf_path
+from momentguard.sensitivity import _L2Path, frontier, linf_path
 from modulus_oracle import half_modulus as oracle_half_modulus
-from oracles import grid_modulus
+from oracles import brentq_selector, grid_modulus, weights_of
 
 
 def random_model(d_g, d_th, seed):
@@ -34,21 +33,23 @@ def random_model(d_g, d_th, seed):
                        g_init=np.zeros(d_g), h_init=0.0, n=100)
 
 
-def argmin_fixed(front, a, b):
-    """The scalar selector for the fixed weights ``(a, b)``: the frontier's
-    ``argmin`` on the constant ratio ``r = a / b``."""
-    if front.first.bbar == 0.0:
-        return front.first
-    log_r = math.log(a) - math.log(b)
-    return front.argmin(lambda tau: (log_r, 0.0), 1.0)
-
-
-def argmin_criterion(front, m, alpha):
-    """The frontier's ``argmin`` on the "ci_length" criterion, behind the
-    shortcuts ``select_lambda`` puts in front of it."""
+def brentq_knot(front, m, criterion, alpha=0.05):
+    """The frontier point at scipy's brentq root of the selector's
+    first-order condition (:func:`oracles.brentq_selector`), behind the
+    shortcuts ``select_lambda`` puts in front of its root. Where that root
+    lies at an end of the path: the first point, or on an l2 path whose
+    condition is still negative at ``e^40``, its unbiased end."""
     if m == 0.0 or front.first.bbar == 0.0:
         return front.first
-    return front.argmin(_weights("ci_length", m, alpha), m)
+    lam = brentq_selector(front, m, criterion, alpha)
+    if lam is not None:
+        return front.knot(lam)
+    if front.set.p == 2.0:
+        kn = front.knot(math.exp(40.0))
+        a, b = weights_of(criterion, m, alpha)(kn.bbar, math.sqrt(kn.var))
+        if b * math.exp(40.0) * kn.bbar < a * math.sqrt(kn.var):
+            return front.knot(math.inf)
+    return front.first
 
 
 def efficient_sd(model):
@@ -299,7 +300,7 @@ class TestKappaTwoSided:
         message = (r"z_\{1-alpha\} \+ z_beta must be positive, got -0\.317\d* "
                    r"at alpha=0\.3, beta=0\.2$")
         for call in (kappa_one_sided, efficiency_report):
-            with pytest.raises(InfeasibleDelta, match=message):
+            with pytest.raises(OutOfRange, match=message):
                 call(model, ms, 0.3, 0.2)
 
     def test_efficient_sensitivity_without_bias(self):
@@ -363,14 +364,16 @@ class TestKappaTwoSided:
 
 
 def kappas_per_delta(model, mset, alpha=0.05, beta=0.8):
-    """Both kappas with the modulus found one delta at a time, one scalar
-    scalar root per quadrature node, the tail edge and each one-sided delta:
-    the reference for the package's single sweep over all deltas."""
+    """Both kappas with the modulus found one delta at a time, one brentq
+    root per quadrature node, the tail edge and each one-sided delta, and
+    the two-sided denominator at the brentq root of the "ci_length"
+    condition: the reference for the package's single sweep over all
+    deltas and for its selector."""
     front = frontier(model, mset)
     m = mset.m
 
     def modulus(delta):
-        kn = argmin_fixed(front, 2.0 * m, delta)
+        kn = brentq_knot(front, m, (2.0 * m, delta))
         sd = math.sqrt(kn.var)
         return 2.0 * m * kn.bbar + delta * sd, sd
 
@@ -383,7 +386,7 @@ def kappas_per_delta(model, mset, alpha=0.05, beta=0.8):
                                        for zi in z])))
     edge, edge_sd = modulus(2.0 * efficiency.QUAD_SPAN)
     numer += edge * norm_cdf(lo) + 2.0 * edge_sd * (lo * norm_cdf(lo) + norm_pdf(lo))
-    kn = argmin_criterion(front, m, alpha)
+    kn = brentq_knot(front, m, "ci_length", alpha)
     sd = math.sqrt(kn.var)
     two_sided = numer / (2.0 * cv_alpha(m * kn.bbar / sd, alpha) * sd)
     d_b = z1 + norm_quantile(beta)
@@ -393,6 +396,9 @@ def kappas_per_delta(model, mset, alpha=0.05, beta=0.8):
 
 @pytest.mark.parametrize("p", [2.0, np.inf])
 def test_kappas_match_per_delta_reference(p):
+    # the brentq reference costs about 0.1 s a problem at p = 2, so it runs
+    # on every other problem; the bound functions' agreement with the
+    # report is checked on all of them
     rng = np.random.default_rng([31, int(math.isinf(p))])
     for trial in range(48):
         d_g = int(rng.integers(2, 6))
@@ -401,31 +407,12 @@ def test_kappas_match_per_delta_reference(p):
         mset = MisspecSet(rng.normal(size=(d_g, int(rng.integers(1, d_g + 1)))), p,
                           float(10.0 ** rng.uniform(-1.0, 1.0)))
         rep = efficiency_report(model, mset)
-        two_sided, one_sided = kappas_per_delta(model, mset)
-        assert rep.kappa_two_sided == pytest.approx(two_sided, rel=1e-12), trial
-        assert rep.kappa_one_sided == pytest.approx(one_sided, rel=1e-12), trial
+        if trial % 2 == 0:
+            two_sided, one_sided = kappas_per_delta(model, mset)
+            assert rep.kappa_two_sided == pytest.approx(two_sided, rel=1e-12), trial
+            assert rep.kappa_one_sided == pytest.approx(one_sided, rel=1e-12), trial
         assert kappa_two_sided(model, mset) == rep.kappa_two_sided
         assert kappa_one_sided(model, mset) == rep.kappa_one_sided
-
-
-@pytest.mark.parametrize("p", [2.0, np.inf])
-def test_kappa_two_sided_denominator_is_argmin_route(p, monkeypatch):
-    """The shortest-CI point from ``select_lambda`` gives exactly the kappa
-    of the frontier's ``argmin`` on the "ci_length" weights."""
-    rng = np.random.default_rng([37, int(math.isinf(p))])
-    cases = []
-    for trial in range(24):
-        d_g = int(rng.integers(2, 6))
-        model = random_model(d_g, int(rng.integers(1, min(d_g, 2) + 1)),
-                             int(rng.integers(1 << 30)))
-        b = rng.normal(size=(d_g, int(rng.integers(1, d_g + 1))))
-        m = 0.0 if trial == 0 else float(10.0 ** rng.uniform(-2.0, 1.0))
-        cases.append((frontier(model, MisspecSet(b, p, 1.0)), m))
-    by_selector = [efficiency._kappas(front, m, 0.05, 0.8)[0] for front, m in cases]
-    monkeypatch.setattr(efficiency, "select_lambda", lambda front, m, a: SimpleNamespace(
-        knot=argmin_criterion(front, m, a)))
-    assert by_selector == [efficiency._kappas(front, m, 0.05, 0.8)[0]
-                           for front, m in cases]
 
 
 def test_report_is_slotted():

@@ -1,15 +1,16 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
-import scipy.optimize
 from scipy.special import ndtr
 
 from momentguard._linalg import sym_sqrt_psd
-from momentguard.critval import cv_alpha, norm_quantile
+from momentguard.critval import norm_quantile
 from momentguard.efficiency import efficiency_report, gls_subspace_sensitivity
 from momentguard.errors import (
     DimensionMismatch,
+    MomentGuardError,
     OutOfRange,
     RankDeficiency,
     SingularSystem,
@@ -27,7 +28,8 @@ from momentguard.sensitivity import (
     select_lambda,
     worst_case_bias,
 )
-from oracles import kkt_sensitivity, vertex_bias
+from oracles import (brentq_selector, kkt_sensitivity, root_tolerance, vertex_bias,
+                     weights_of)
 
 EPS = np.finfo(float).eps
 
@@ -581,52 +583,40 @@ class TestLargeMagnitudeSelection:
                 assert value <= oracle * (1.0 + 1e-12), (trial, m, value / oracle - 1.0)
 
 
-def weights_of(criterion, m, alpha=0.05):
-    """A criterion's partial derivatives ``(a, b)`` in bbar and sd at a
-    frontier point, the form the first-order condition ``G = b lam' - a sd``
-    reads them in."""
-    def weights(bbar, sd):
-        if criterion == "ci_length":
-            tau = m * bbar / sd
-            c = cv_alpha(tau, alpha)
-            t = math.tanh(c * tau)
-            return m * t, c - tau * t
-        if criterion == "mse":
-            return m * m * bbar, sd
-        return m, norm_quantile(1.0 - alpha) + norm_quantile(0.8)
-    return weights
+class TestExtremeMagnitude:
+    """Magnitudes near the largest double, where the criterion's ratio r
+    (``m^2 bbar / sd`` for "mse") or the penalty itself exceeds a double:
+    each selection returns a penalty, finite or inf, or raises a typed
+    error; nothing else escapes, not even a warning."""
 
+    @pytest.mark.parametrize("criterion", ["ci_length", "mse", "one_sided_quantile"])
+    @pytest.mark.parametrize("p", [2, math.inf])
+    @pytest.mark.parametrize("unbiased_end", [True, False])
+    def test_typed_outcome(self, p, criterion, unbiased_end):
+        rng = np.random.default_rng([83, int(math.isinf(p)), int(unbiased_end)])
+        for trial in range(6):
+            d_g = int(rng.integers(3, 6))
+            d_th = int(rng.integers(1, d_g - 1))
+            free = d_g - d_th
+            d_gam = int(rng.integers(1, free + 1) if unbiased_end
+                        else rng.integers(free + 1, d_g + 1))
+            model = random_model(d_g, d_th, 8300 + trial)
+            front = frontier(model, MisspecSet(rng.normal(size=(d_g, d_gam)), p, 1.0))
+            for m in (1e155, 1e200, 1e300, 1.7e308):
+                with warnings.catch_warnings():
+                    warnings.simplefilter("error")
+                    try:
+                        lam = select_lambda(front, m, 0.05, criterion).lambda_star
+                    except MomentGuardError:
+                        continue
+                assert lam >= 0.0, (trial, m, lam)
 
-def brentq_selector(front, m, criterion, alpha=0.05):
-    """The root of ``G = b lam' - a sd`` by scipy's brentq: in ``log(lam)``
-    on the l2 path, bracketed on a grid of steps of 1; in lam inside the
-    segment whose upper knot first has ``G >= 0`` on an inf-path, and
-    ``lam = a sd / b`` past the last knot. Returns lam, or None where the
-    root lies at an end of the path."""
-    weights = weights_of(criterion, m, alpha)
-    l2 = front.set.p == 2.0
-
-    def gap(lam):
-        kn = front.knot(lam)
-        sd = math.sqrt(kn.var)
-        a, b = weights(kn.bbar, sd)
-        return b * (lam * kn.bbar if l2 else lam) - a * sd
-
-    if l2:
-        j = next((j for j in range(-40, 41) if gap(math.exp(j)) >= 0.0), None)
-        if j in (-40, None):
-            return None
-        return math.exp(scipy.optimize.brentq(lambda u: gap(math.exp(u)), j - 1.0,
-                                              float(j), xtol=1e-300, rtol=4 * EPS))
-    lams = [kn.lam for kn in front.knots]
-    j = next((j for j, lam in enumerate(lams) if gap(lam) >= 0.0), None)
-    if j == 0:
-        return None
-    if j is None:
-        last = front.knots[-1]
-        a, b = weights(last.bbar, math.sqrt(last.var))
-        return a * math.sqrt(last.var) / b
-    return scipy.optimize.brentq(gap, lams[j - 1], lams[j], xtol=1e-300, rtol=4 * EPS)
+    @pytest.mark.parametrize("alpha", [1e-10, 0.05, 0.49])
+    def test_ci_length_ratio_past_overflow(self, alpha):
+        # tau = m bbar / sd overflows at such magnitudes; from tau ~ 20 on
+        # the "ci_length" ratio and its slope are the same doubles
+        weights = _weights("ci_length", 1.0, alpha)
+        assert weights(math.inf) == weights(1.7e308) == weights(1e20)
 
 
 class TestSelectLambdaRoot:
@@ -687,30 +677,34 @@ class TestSelectLambdaRoot:
             assert lam == pytest.approx(m * m, rel=1e-14), seed
 
 
-def argmin_fixed(front, a, b):
-    """The scalar selector for the fixed weights ``(a, b)``: the frontier's
-    ``argmin`` on the constant ratio ``r = a / b``, behind the shortcuts
-    :func:`select_lambda` puts in front of it."""
-    if a == 0.0 or front.first.bbar == 0.0:
-        return front.first
-    log_r = math.log(a) - math.log(b)
-    return front.argmin(lambda tau: (log_r, 0.0), 1.0)
-
-
 class TestArgminSweep:
-    """The sweep for fixed weights against the scalar minimizer, one pair of
-    weights ``(2 m, delta)`` at a time."""
+    """The sweep for fixed weights against scipy's brentq on the same
+    first-order condition, one pair of weights ``(2 m, delta)`` at a time,
+    behind the shortcuts :func:`select_lambda` puts in front of its root
+    (an unbiased first knot, a zero weight), at the tolerance of
+    :class:`TestSelectLambdaRoot`."""
 
     @staticmethod
     def assert_matches(front, m, deltas):
         deltas = np.asarray(deltas, dtype=float)
         pts = _argmin_sweep(front, np.full(deltas.size, 2.0 * m), deltas)
         for i, delta in enumerate(deltas):
-            kn = argmin_fixed(front, 2.0 * m, delta)
-            if kn.lam in (0.0, math.inf):
-                assert pts.lam[i] == kn.lam, (delta, pts.lam[i])
+            got = float(pts.lam[i])
+            if m == 0.0 or front.first.bbar == 0.0:
+                want = 0.0
             else:
-                assert pts.lam[i] == pytest.approx(kn.lam, rel=1e-12), delta
+                want = brentq_selector(front, m, (2.0 * m, delta))
+            if want is None:
+                # at an end of the path: beyond e^-40 or e^40 on the l2 path
+                assert got in (0.0, math.inf) or not (
+                    math.exp(-40.0) < got < math.exp(40.0)), (delta, got)
+                want = got
+            elif want == 0.0 or got == 0.0:
+                assert got == want or max(got, want) <= 1e-299, (delta, got, want)
+            elif abs(got - want) > 4e-300:  # brentq's own absolute tolerance
+                tol = root_tolerance(front, want, m, (2.0 * m, float(delta)))
+                assert abs(math.log(got) - math.log(want)) <= tol, (delta, got, want)
+            kn = front.knot(want)
             sd = math.sqrt(kn.var)
             assert pts.sd[i] == pytest.approx(sd, rel=1e-13), delta
             assert 2.0 * m * pts.bbar[i] + delta * pts.sd[i] == pytest.approx(
